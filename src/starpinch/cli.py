@@ -8,6 +8,9 @@ Commands::
     starpinch scaling    --config FILE [--out DIR]   amplitude family + regression
     starpinch calibrate  --n N --r R [--samples S] [--seed S] [--out DIR]
 
+``--quad-order`` sets the base quadrature order; every refinement error
+compares the base rule with the rule of doubled order.
+
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 configuration error.  Every output file starts with a header block
 (config hash, seed, constant provenance); runs with equal config hashes
@@ -60,8 +63,6 @@ def _build_parser() -> _Parser:
     common(p_ident)
     p_ident.add_argument("--order-sweep", action="store_true",
                          help="emit residuals for a sequence of quadrature orders")
-    p_ident.add_argument("--debug-flip-support", action="store_true",
-                         help="negate the support field (deliberate convention break)")
     common(sub.add_parser("pinch", help="single stability run"))
     common(sub.add_parser("scaling", help="amplitude scaling study"))
 
@@ -82,7 +83,6 @@ def _resolve(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if getattr(args, "quad_order", None) is not None:
         updates["quad_order"] = args.quad_order
-        updates["quad_order_check"] = max(cfg.quad_order_check, 2 * args.quad_order)
     if updates:
         from dataclasses import replace
 
@@ -144,8 +144,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_identities(cfg: ExperimentConfig, out_dir: Path, order_sweep: bool = False,
-                   debug_flip_support: bool = False) -> int:
+def cmd_identities(cfg: ExperimentConfig, out_dir: Path, order_sweep: bool = False) -> int:
     surface = cfg.surface()
     orders = [cfg.quad_order]
     if order_sweep:
@@ -153,24 +152,16 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path, order_sweep: bool = Fal
     reports = []
     for order in orders:
         rule = build_rule(cfg.n, order)
-        if debug_flip_support:
-            # break the sign convention on the base and refinement batches
-            for o in (order, 2 * order):
-                r_o = build_rule(cfg.n, o)
-                surface._cache[("rule", r_o.n, r_o.order)] = _flip_support(
-                    surface.fields(r_o)
-                )
         for k in range(cfg.n):
             rep = ident.hsiung_minkowski_residual(surface, k, rule)
             reports.append(_tag(rep, f"order{order}"))
         reports.append(_tag(ident.cauchy_schwarz_chain_check(surface, rule), f"order{order}"))
         reports.append(_tag(ident.michael_simon_ratio(surface, rule, cfg.constants.Kn_MS),
                             f"order{order}"))
-        batch = surface.fields(rule)
         point_rep = ident.gauss_algebraic_check(_worst_gauss_point(surface, rule))
         reports.append(_tag(point_rep, f"order{order}"))
-    body = _csv_text(reports)
-    _write(out_dir / "identities.csv", _header(cfg, "identities"), body)
+    _write(out_dir / "identities.csv", _header(cfg, "identities"),
+           ident.residual_table(reports))
     if not all(r.passed for r in reports):
         failed = [r.name for r in reports if not r.passed]
         print(f"identity checks failed: {', '.join(failed)}", file=sys.stderr)
@@ -178,36 +169,15 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path, order_sweep: bool = Fal
     return EXIT_OK
 
 
-def _flip_support(batch):
-    from dataclasses import replace
-
-    return replace(batch, support=-batch.support)
-
-
 def _worst_gauss_point(surface, rule):
-    from .surface import SurfacePointData
-
     batch = surface.fields(rule)
-    idx = int(np.argmax(batch.tau_norm_sq()))
-    return SurfacePointData(
-        X=batch.X[idx], nu=batch.nu[idx], g_mat=batch.g[idx], B_mat=batch.B[idx],
-        kappa=batch.kappa[idx], support=float(batch.support[idx]),
-        r=float(batch.r[idx]), area_element=float(batch.area_element[idx]),
-    )
+    return batch.point(int(np.argmax(batch.tau_norm_sq())))
 
 
 def _tag(report, suffix):
     from dataclasses import replace
 
     return replace(report, name=f"{report.name}_{suffix}")
-
-
-def _csv_text(reports) -> str:
-    lines = ["name,value,tolerance,refinement_error,pass"]
-    for rep in reports:
-        lines.append(f"{rep.name},{rep.value!r},{rep.tolerance!r},"
-                     f"{rep.refinement_error!r},{rep.passed}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_pinch(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -251,8 +221,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(cfg, out_dir)
         if args.command == "identities":
-            return cmd_identities(cfg, out_dir, order_sweep=args.order_sweep,
-                                  debug_flip_support=args.debug_flip_support)
+            return cmd_identities(cfg, out_dir, order_sweep=args.order_sweep)
         if args.command == "pinch":
             return cmd_pinch(cfg, out_dir)
         if args.command == "scaling":

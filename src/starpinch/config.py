@@ -10,8 +10,7 @@ A configuration file has three sections::
                                         # n=3: key:amplitude (e.g. u1u2:0.05)
     [experiment]
     r = 1
-    quad_order = 16
-    quad_order_check = 32
+    quad_order = 16                     # refinement errors use 2 * quad_order
     seed = 7
     amplitudes = 0.08 0.04 0.02 0.01    # scaling command only
 
@@ -25,7 +24,8 @@ A configuration file has three sections::
     b_consts = 1.0 1.0                  # optional
     calibration_file = path             # optional; overrides c_n/b_consts
 
-All keys have defaults except the surface geometry.  The canonical hash
+All keys have defaults except the surface geometry; keys the parser does
+not know (such as the retired ``quad_order_check``) are ignored.  The canonical hash
 covers every resolved value, so equal hashes imply byte-identical outputs.
 """
 
@@ -50,7 +50,6 @@ class ExperimentConfig:
     rho0: float = 1.0
     perturbation: tuple = ()
     quad_order: int = 16
-    quad_order_check: int = 32
     seed: int = 0
     amplitudes: tuple = ()
     h_fixed: float | None = None
@@ -65,8 +64,6 @@ class ExperimentConfig:
             raise ConfigError("surface.rho0 must be positive")
         if self.quad_order < 4:
             raise ConfigError("experiment.quad_order must be at least 4")
-        if self.quad_order_check < 2 * self.quad_order:
-            raise ConfigError("experiment.quad_order_check must be >= 2 * quad_order")
         if self.delta > 0.0:
             import math
 
@@ -94,7 +91,6 @@ class ExperimentConfig:
             f"rho0={self.rho0!r}",
             f"perturbation={pert}",
             f"quad_order={self.quad_order}",
-            f"quad_order_check={self.quad_order_check}",
             f"seed={self.seed}",
             "amplitudes=" + " ".join(repr(a) for a in self.amplitudes),
             f"h_fixed={self.h_fixed!r}",
@@ -164,13 +160,10 @@ def load_config(path) -> ExperimentConfig:
     pert_text = get("surface", "perturbation", str, default="")
     perturbation = _parse_perturbation(pert_text, n) if pert_text else ()
 
-    quad_order = get("experiment", "quad_order", int, default=16)
     cfg_kwargs = dict(
         n=n, delta=delta, rho0=rho0, perturbation=perturbation,
         r=get("experiment", "r", int, default=1),
-        quad_order=quad_order,
-        quad_order_check=get("experiment", "quad_order_check", int,
-                             default=2 * quad_order),
+        quad_order=get("experiment", "quad_order", int, default=16),
         seed=get("experiment", "seed", int, default=0),
         h_fixed=get("experiment", "h", float, default=None),
     )

@@ -8,13 +8,14 @@ tolerances compare across surfaces of different size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError
-from .quadrature import SphericalRule, build_rule, integrate_batch
+# build_rule stays importable here: bench/tracing.py wraps it at this name
+from .quadrature import (SphericalRule, build_rule, integrate_batch,  # noqa: F401
+                         refinement_estimate)
 from .spaceform import c_delta
 from .surface import RadialSurface, SurfacePointData
 from .symfun import curvature_profile, mean_curvatures, umbilicity_defect_sq
@@ -39,28 +40,22 @@ class ResidualReport:
         return self.value >= -slack
 
 
-def write_residual_table(reports, path) -> None:
-    """CSV with columns name, value, tolerance, refinement_error, pass."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value", "tolerance", "refinement_error", "pass"])
-        for rep in reports:
-            writer.writerow([rep.name, repr(rep.value), repr(rep.tolerance),
-                             repr(rep.refinement_error), rep.passed])
+def residual_table(reports) -> str:
+    """CSV text with columns name, value, tolerance, refinement_error, pass."""
+    lines = ["name,value,tolerance,refinement_error,pass"]
+    for rep in reports:
+        lines.append(f"{rep.name},{rep.value!r},{rep.tolerance!r},"
+                     f"{rep.refinement_error!r},{rep.passed}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 
 
-def _normalized_integral(surface, f, rule):
-    """(integral of f)/V on the base rule, with a doubled-rule refinement error."""
-    fine_rule = build_rule(rule.n, 2 * rule.order)
-    out = []
-    for rl in (rule, fine_rule):
-        batch = surface.fields(rl)
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rl)
-        out.append(integrate_batch(batch, f(batch), rl) / vol)
-    return out[0], abs(out[0] - out[1])
+def _mean(batch, values, rule) -> float:
+    """Volume-normalized integral (1/V) int values dv on one rule."""
+    vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
+    return integrate_batch(batch, values, rule) / vol
 
 
 def hsiung_minkowski_residual(surface: RadialSurface, k: int, rule: SphericalRule,
@@ -74,9 +69,10 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int, rule: SphericalRul
         H = batch.mean_curvature_orders()
         return H[:, k + 1] * batch.support + c_delta(batch.r, delta) * H[:, k]
 
-    value, ref = _normalized_integral(surface, integrand, rule)
-    return ResidualReport(name=f"hsiung_minkowski_k{k}", value=value,
-                          tolerance=tolerance, refinement_error=ref, kind=IDENTITY)
+    est = refinement_estimate(surface, rule, lambda b, rl: _mean(b, integrand(b), rl))
+    return ResidualReport(name=f"hsiung_minkowski_k{k}", value=est.value,
+                          tolerance=tolerance, refinement_error=est.refinement_error,
+                          kind=IDENTITY)
 
 
 def gauss_algebraic_check(point: SurfacePointData, tolerance: float = 1e-12) -> ResidualReport:
@@ -105,18 +101,18 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule,
                                tolerance: float = 1e-8) -> ResidualReport:
     """Gap |B|_inf^(2n) |tau|_2^2 - |tau|_{n+1}^{2(n+1)} >= 0 (normalized norms)."""
     n = surface.n
-    fine_rule = build_rule(rule.n, 2 * rule.order)
-    gaps = []
-    for rl in (rule, fine_rule):
-        batch = surface.fields(rl)
+
+    def gap(batch, rl):
         tau = np.sqrt(batch.tau_norm_sq())
         B_sup = float(np.max(np.abs(batch.kappa)))
         vol = integrate_batch(batch, np.ones(len(batch.rho)), rl)
         tau2_sq = integrate_batch(batch, tau**2, rl) / vol
         taun = (integrate_batch(batch, tau ** (n + 1), rl) / vol) ** (1.0 / (n + 1))
-        gaps.append(B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1)))
-    return ResidualReport(name="cauchy_schwarz_chain", value=gaps[0],
-                          tolerance=tolerance, refinement_error=abs(gaps[0] - gaps[1]),
+        return B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
+
+    est = refinement_estimate(surface, rule, gap)
+    return ResidualReport(name="cauchy_schwarz_chain", value=est.value,
+                          tolerance=tolerance, refinement_error=est.refinement_error,
                           kind=INEQUALITY)
 
 
@@ -157,11 +153,12 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
         H = batch.mean_curvature_orders()
         return np.abs(H[:, r] - h)
 
-    tau_val, tau_ref = _normalized_integral(surface, tau_sq_field, rule)
-    eps_val, eps_ref = _normalized_integral(surface, eps_field, rule)
+    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, tau_sq_field(b), rl))
+    eps = refinement_estimate(surface, rule, lambda b, rl: _mean(b, eps_field(b), rl))
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
-                          value=K2 * eps_val - tau_val, tolerance=tolerance,
-                          refinement_error=K2 * eps_ref + tau_ref, kind=INEQUALITY)
+                          value=K2 * eps.value - tau.value, tolerance=tolerance,
+                          refinement_error=K2 * eps.refinement_error + tau.refinement_error,
+                          kind=INEQUALITY)
 
 
 def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule, Kn: float,
@@ -172,12 +169,12 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule, Kn: float,
     the pipeline because the sharp constant is configuration.
     """
     n = surface.n
-    fine_rule = build_rule(rule.n, 2 * rule.order)
-    gaps = []
-    for rl in (rule, fine_rule):
-        batch = surface.fields(rl)
+
+    def gap(batch, rl):
         vol = integrate_batch(batch, np.ones(len(batch.rho)), rl, euclidean=True)
         total_H = integrate_batch(batch, np.abs(batch.H_tilde), rl, euclidean=True)
-        gaps.append(Kn * total_H - vol ** ((n - 1) / n))
-    return ResidualReport(name="michael_simon", value=gaps[0], tolerance=tolerance,
-                          refinement_error=abs(gaps[0] - gaps[1]), kind=INEQUALITY)
+        return Kn * total_H - vol ** ((n - 1) / n)
+
+    est = refinement_estimate(surface, rule, gap)
+    return ResidualReport(name="michael_simon", value=est.value, tolerance=tolerance,
+                          refinement_error=est.refinement_error, kind=INEQUALITY)

@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, final_bound
 from .errors import HypothesisError, NumericalError
-from .quadrature import SphericalRule, build_rule, integrate_batch
+from .quadrature import SphericalRule, build_rule, integrate_batch, refinement_estimate
 from .spaceform import SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius
 from .surface import RadialSurface, starshape_report
 from .symfun import partial_H_extremes
@@ -263,25 +263,26 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     rule = build_rule(n, settings.quad_order)
     check_rule = build_rule(n, 2 * settings.quad_order)
     batch = surface.fields(rule)
-    check = surface.fields(check_rule)
 
     star = starshape_report(surface, rule)
     h, eps = epsilon_field(surface, r, rule, h=settings.h_fixed)
 
+    def mean(b, values, rl):
+        return integrate_batch(b, values, rl) / integrate_batch(b, np.ones(len(b.rho)), rl)
+
+    def eps_l1_of(b, rl):
+        return mean(b, np.abs(epsilon_field(surface, r, rl, h=h)[1]), rl)
+
+    def tau_l2_of(b, rl):
+        # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
+        return math.sqrt(mean(b, np.sqrt(b.tau_norm_sq()) ** 2, rl))
+
+    eps_l1 = refinement_estimate(surface, rule, eps_l1_of)
+    tau_l2 = refinement_estimate(surface, rule, tau_l2_of)
     vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-    eps_l1 = integrate_batch(batch, np.abs(eps), rule) / vol
     eps_linf = float(np.max(np.abs(eps)))
     tau = np.sqrt(batch.tau_norm_sq())
-    tau_l2 = math.sqrt(integrate_batch(batch, tau**2, rule) / vol)
     tau_lnp1 = (integrate_batch(batch, tau ** (n + 1), rule) / vol) ** (1.0 / (n + 1))
-
-    # refinement estimates for the reported norms, from the check rule
-    _, eps_chk = epsilon_field(surface, r, check_rule, h=h)
-    vol_chk = integrate_batch(check, np.ones(len(check.rho)), check_rule)
-    eps_l1_ref = abs(eps_l1 - integrate_batch(check, np.abs(eps_chk), check_rule) / vol_chk)
-    tau_chk = np.sqrt(check.tau_norm_sq())
-    tau_l2_ref = abs(tau_l2 - math.sqrt(
-        integrate_batch(check, tau_chk**2, check_rule) / vol_chk))
 
     H = batch.mean_curvature_orders()
     B_sup = float(np.max(np.abs(batch.kappa)))
@@ -294,13 +295,13 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(starshaped=True, R0=star.R0, eps_linf=eps_linf, h=h,
-                            eps_l1=eps_l1, eps1=consts.eps1,
+                            eps_l1=eps_l1.value, eps1=consts.eps1,
                             minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
 
     fit = fit_geodesic_sphere(_subsample(batch.X, 1024), model, seed=settings.seed)
     dH, dH_ref = _surface_sphere_hausdorff(surface, fit, rule, check_rule, model)
 
-    bound, eps_gate = final_bound(eps_l1, fit.rho0, consts)
+    bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)
     applicable = gate_overall(gates) and eps_gate
     slack = max(1e-8, dH_ref)
     bound_ok = (dH <= bound + slack) if applicable else True
@@ -310,9 +311,9 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
         )
 
     return PinchReport(
-        n=n, r=r, delta=model.delta, h=h, eps_l1=eps_l1,
-        eps_l1_refinement=eps_l1_ref, eps_linf=eps_linf, tau_l2=tau_l2,
-        tau_l2_refinement=tau_l2_ref, tau_lnp1=tau_lnp1,
+        n=n, r=r, delta=model.delta, h=h, eps_l1=eps_l1.value,
+        eps_l1_refinement=eps_l1.refinement_error, eps_linf=eps_linf, tau_l2=tau_l2.value,
+        tau_l2_refinement=tau_l2.refinement_error, tau_lnp1=tau_lnp1,
         R0=star.R0, R=star.R, B_sup=B_sup,
         minH_rplus1=minH_rplus1, minH_partial=minH_partial, volume=vol,
         sphere_center=fit.center, rho0=fit.rho0, fit_rms=fit.rms, dH=dH,

@@ -8,7 +8,9 @@ the rule order integrate exactly.
 
 Surface integrals use the h-metric area element of the batch and a
 compensated fixed-order reduction (math.fsum), so results do not depend on
-worker-thread count.  Every integral carries the difference against the
+worker-thread count.  ``refinement_estimate`` is the one refinement
+estimate of the package: any scalar functional of the surface (an
+integral, a norm, an identity residual) carries the difference against the
 doubled-order rule as its refinement error.
 
 L^p norms follow the volume-normalized convention
@@ -107,19 +109,29 @@ def integrate_batch(batch: SurfaceBatch, values, rule: SphericalRule,
     return _reduce(np.asarray(values, dtype=float) * area * rule.weights)
 
 
+def refinement_estimate(surface: RadialSurface, rule: SphericalRule,
+                        functional) -> IntegralEstimate:
+    """A scalar functional of the surface with its refinement error.
+
+    ``functional(batch, rule)`` is evaluated on ``rule`` and on the rule of
+    doubled order; the value is the base-rule one and the refinement error
+    is the magnitude of the difference between the two.
+    """
+    fine_rule = build_rule(rule.n, 2 * rule.order)
+    v0 = functional(surface.fields(rule), rule)
+    v1 = functional(surface.fields(fine_rule), fine_rule)
+    return IntegralEstimate(value=v0, refinement_error=abs(v0 - v1))
+
+
 def surface_integral(surface: RadialSurface, f, rule: SphericalRule,
                      euclidean: bool = False) -> IntegralEstimate:
     """Integral of a node-wise field over the surface with refinement error.
 
-    ``f`` maps a SurfaceBatch to an array of node values.  The refinement
-    error is the difference against the rule of doubled order.
+    ``f`` maps a SurfaceBatch to an array of node values.
     """
-    coarse = surface.fields(rule)
-    fine_rule = build_rule(rule.n, 2 * rule.order)
-    fine = surface.fields(fine_rule)
-    v0 = integrate_batch(coarse, f(coarse), rule, euclidean=euclidean)
-    v1 = integrate_batch(fine, f(fine), fine_rule, euclidean=euclidean)
-    return IntegralEstimate(value=v0, refinement_error=abs(v0 - v1))
+    return refinement_estimate(
+        surface, rule,
+        lambda batch, rl: integrate_batch(batch, f(batch), rl, euclidean=euclidean))
 
 
 def surface_volume(surface: RadialSurface, rule: SphericalRule,

@@ -237,6 +237,14 @@ class SurfaceBatch:
 
         return umbilicity_defect_sq(self.kappa)
 
+    def point(self, idx: int) -> "SurfacePointData":
+        """The data of node ``idx``."""
+        return SurfacePointData(
+            X=self.X[idx], nu=self.nu[idx], g_mat=self.g[idx], B_mat=self.B[idx],
+            kappa=self.kappa[idx], support=float(self.support[idx]),
+            r=float(self.r[idx]), area_element=float(self.area_element[idx]),
+        )
+
 
 @dataclass(frozen=True)
 class SurfacePointData:
@@ -364,12 +372,7 @@ def _mean_curvature(B: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
     """Pointwise data at a single parameter direction."""
-    batch = evaluate_nodes(surface, np.asarray(u, dtype=float)[None, :])
-    return SurfacePointData(
-        X=batch.X[0], nu=batch.nu[0], g_mat=batch.g[0], B_mat=batch.B[0],
-        kappa=batch.kappa[0], support=float(batch.support[0]), r=float(batch.r[0]),
-        area_element=float(batch.area_element[0]),
-    )
+    return evaluate_nodes(surface, np.asarray(u, dtype=float)[None, :]).point(0)
 
 
 # ---------------------------------------------------------------------------

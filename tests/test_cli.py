@@ -1,9 +1,11 @@
 """Command-line interface: config parsing, commands, exit codes, determinism."""
 
+import dataclasses
 import textwrap
 
 import pytest
 
+from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.config import load_config
 from starpinch.errors import ConfigError
@@ -18,7 +20,6 @@ GOOD_CONFIG = textwrap.dedent("""\
     [experiment]
     r = 1
     quad_order = 12
-    quad_order_check = 24
     seed = 7
     amplitudes = 0.06 0.03 0.015
 
@@ -34,7 +35,6 @@ SPHERE_CONFIG = textwrap.dedent("""\
 
     [experiment]
     quad_order = 8
-    quad_order_check = 16
 """)
 
 
@@ -69,13 +69,6 @@ class TestConfig:
     def test_bad_r_range(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[surface]\nn = 2\nrho0 = 1.0\n[experiment]\nr = 2\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
-
-    def test_check_order_invariant(self, tmp_path):
-        p = tmp_path / "bad.ini"
-        p.write_text("[surface]\nn = 2\nrho0 = 1.0\n"
-                     "[experiment]\nquad_order = 16\nquad_order_check = 20\n")
         with pytest.raises(ConfigError):
             load_config(p)
 
@@ -128,12 +121,19 @@ class TestCommands:
         data = [r for r in rows if r and not r.startswith("#")][1:]
         assert all(r.endswith("True") for r in data)
 
-    def test_flipped_support_fails_loudly(self, tmp_path, capsys):
+    def test_flipped_support_fails_loudly(self, tmp_path, capsys, monkeypatch):
+        # break the sign convention of <Z,nu> on every batch the command evaluates
+        evaluate = surface_module.evaluate_nodes
+
+        def flipped(surface, nodes):
+            batch = evaluate(surface, nodes)
+            return dataclasses.replace(batch, support=-batch.support)
+
+        monkeypatch.setattr(surface_module, "evaluate_nodes", flipped)
         cfg = tmp_path / "exp.ini"
         cfg.write_text(GOOD_CONFIG)
         out = tmp_path / "out"
-        code = main(["identities", "--config", str(cfg), "--out", str(out),
-                     "--debug-flip-support"])
+        code = main(["identities", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "hsiung_minkowski" in capsys.readouterr().err
 

@@ -206,15 +206,36 @@ class TestTauEpsilonBound:
         assert eps_ratio == pytest.approx(2.0, rel=0.1)
 
 
+class TestRefinementError:
+    SURFACE = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+
+    @pytest.mark.parametrize("check", [
+        lambda s, rl: hsiung_minkowski_residual(s, 0, rl),
+        lambda s, rl: hsiung_minkowski_residual(s, 1, rl),
+        lambda s, rl: cauchy_schwarz_chain_check(s, rl),
+        lambda s, rl: michael_simon_ratio(s, rl, Kn=1.0),
+    ], ids=["hsiung_k0", "hsiung_k1", "cauchy_schwarz", "michael_simon"])
+    def test_equals_doubled_rule_difference(self, check):
+        base = check(self.SURFACE, build_rule(2, 8))
+        doubled = check(self.SURFACE, build_rule(2, 16))
+        assert base.refinement_error == abs(base.value - doubled.value)
+
+    def test_tau_l2_epsilon_bound_adds_both_errors(self):
+        # K2 * |d eps| + |d tau| bounds the change of K2 * eps - tau
+        base, doubled = (tau_l2_epsilon_bound(self.SURFACE, 1, 0.9, 3.0, build_rule(2, q))
+                         for q in (8, 16))
+        assert base.refinement_error >= abs(base.value - doubled.value)
+
+
 class TestResidualTable:
-    def test_csv_emitter(self, tmp_path):
-        from starpinch.identities import write_residual_table
+    def test_csv_emitter(self):
+        from starpinch.identities import residual_table
 
         surf = make_surface(0.0, perturbation=(((2, 0), 0.05),))
         reports = [hsiung_minkowski_residual(surf, k, build_rule(2, 12)) for k in (0, 1)]
-        path = tmp_path / "residuals.csv"
-        write_residual_table(reports, path)
-        lines = path.read_text().splitlines()
+        text = residual_table(reports)
+        assert "\r" not in text and text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "name,value,tolerance,refinement_error,pass"
         assert len(lines) == 3
         assert lines[1].startswith("hsiung_minkowski_k0,")

@@ -199,6 +199,15 @@ class TestRunPinch:
         spacing = np.pi / 40.0
         assert rep.dH - 1e-3 <= oracle <= rep.dH + 1.5 * spacing
 
+    def test_refinement_errors_are_doubled_rule_differences(self):
+        surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+        h, _ = epsilon_field(surf, 1, build_rule(2, 8))
+        base, doubled = (run_pinch(surf, 1, RunSettings(quad_order=q, h_fixed=h,
+                                                        enforce_bound=False))
+                         for q in (8, 16))
+        assert base.eps_l1_refinement == abs(base.eps_l1 - doubled.eps_l1)
+        assert base.tau_l2_refinement == abs(base.tau_l2 - doubled.tau_l2)
+
     def test_r2_reports_partial_minimum(self):
         surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.03),))
         rep = run_pinch(surf, 2, settings(order=6))
