@@ -301,7 +301,10 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     surface.model.require_inside(X, margin=1e-9)
 
     g_euc = np.einsum("nad,nbd->nab", Xa, Xa)
-    nu_euc = _unit_normals(Xa, u)
+    # X_a = rho_a u + rho E_a, so rho u - rho_a E_a is normal to the surface
+    # and pairs positively with u; its negation is the inward normal
+    outward = rho.v[:, None] * u - np.einsum("na,nad->nd", rho.g, frames)
+    nu_euc = -outward / np.linalg.norm(outward, axis=1)[:, None]
     B_euc = np.einsum("nabd,nd->nab", Xab, nu_euc)
 
     # single conformal path: at delta = 0 every correction is an exact
@@ -309,7 +312,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     # reproduced bit-for-bit
     delta = surface.model.delta
     q = 1.0 + 0.25 * delta * np.sum(X * X, axis=1)  # q = e^{-phi}
-    grad_phi = -(0.5 * delta) * X / q[:, None]
+    grad_phi = surface.model.grad_phi(X)
     dphi_nu = np.sum(nu_euc * grad_phi, axis=1)
     B_mixed = B_euc - dphi_nu[:, None, None] * g_euc
     g_h = g_euc / q[:, None, None] ** 2
@@ -344,14 +347,6 @@ def _rho_jet(surface: RadialSurface, c, N, n):
             term = term + mono
         total = total + amp * term
     return surface.rho0 * total
-
-
-def _unit_normals(Xa: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Euclidean unit normal to span(Xa), oriented inward (nu . u < 0)."""
-    _, _, vh = np.linalg.svd(Xa)
-    nu = vh[:, -1, :]
-    flip = np.where(np.sum(nu * u, axis=1) > 0.0, -1.0, 1.0)
-    return nu * flip[:, None]
 
 
 def _pencil_eigenvalues(B: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -94,6 +94,28 @@ class TestRoundSpheres:
         h_norms = scale * np.linalg.norm(batch.nu, axis=1)
         assert np.max(np.abs(h_norms - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n, perturbation", [
+        (2, (((3, 1), 0.08), ((2, -2), 0.04))),
+        (3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04))),
+    ])
+    def test_normal_matches_svd_of_tangents(self, n, perturbation):
+        # reference: inward null vector (SVD) of central-difference tangents
+        surf = sphere(-1.0, 0.8, n=n, perturbation=perturbation)
+        nodes = random_nodes(n, 20, seed=9)
+        batch = evaluate_nodes(surf, nodes)
+        nu_euc = batch.nu * surf.model.conformal_scale(batch.X)[:, None]
+        t = 1e-5
+
+        def immersion(w):
+            c = w / np.linalg.norm(w)
+            return surf.rho_values(c[None, :])[0] * c
+
+        for u, E, nu in zip(nodes, tangent_frames(nodes), nu_euc):
+            tangents = [(immersion(u + t * e) - immersion(u - t * e)) / (2 * t) for e in E]
+            ref = np.linalg.svd(np.array(tangents))[2][-1]
+            ref = -ref if ref @ u > 0.0 else ref
+            assert np.max(np.abs(nu - ref)) < 1e-8
+
 
 class TestExactDifferentiation:
     def test_fundamental_forms_match_finite_differences(self):
