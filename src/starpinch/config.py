@@ -24,9 +24,9 @@ A configuration file has three sections::
     b_consts = 1.0 1.0                  # optional
     calibration_file = path             # optional; overrides c_n/b_consts
 
-All keys have defaults except the surface geometry; keys the parser does
-not know (such as the retired ``quad_order_check``) are ignored.  The canonical hash
-covers every resolved value, so equal hashes imply byte-identical outputs.
+All keys have defaults except the surface geometry, and keys the parser
+does not know are ignored.  The canonical hash covers every resolved
+value, so equal hashes imply byte-identical outputs.
 """
 
 from __future__ import annotations

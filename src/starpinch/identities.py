@@ -146,15 +146,11 @@ def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int, K1: fl
 def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule, tolerance: float = 1e-8) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
-    def tau_sq_field(batch):
-        return batch.tau_norm_sq()
+    def eps_l1(batch, rl):
+        return _mean(batch, np.abs(batch.mean_curvature_orders()[:, r] - h), rl)
 
-    def eps_field(batch):
-        H = batch.mean_curvature_orders()
-        return np.abs(H[:, r] - h)
-
-    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, tau_sq_field(b), rl))
-    eps = refinement_estimate(surface, rule, lambda b, rl: _mean(b, eps_field(b), rl))
+    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, b.tau_norm_sq(), rl))
+    eps = refinement_estimate(surface, rule, eps_l1)
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=tolerance,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,

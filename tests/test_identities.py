@@ -207,7 +207,9 @@ class TestTauEpsilonBound:
 
 
 class TestRefinementError:
-    SURFACE = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+    @pytest.fixture
+    def surface(self):
+        return make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
 
     @pytest.mark.parametrize("check", [
         lambda s, rl: hsiung_minkowski_residual(s, 0, rl),
@@ -215,14 +217,14 @@ class TestRefinementError:
         lambda s, rl: cauchy_schwarz_chain_check(s, rl),
         lambda s, rl: michael_simon_ratio(s, rl, Kn=1.0),
     ], ids=["hsiung_k0", "hsiung_k1", "cauchy_schwarz", "michael_simon"])
-    def test_equals_doubled_rule_difference(self, check):
-        base = check(self.SURFACE, build_rule(2, 8))
-        doubled = check(self.SURFACE, build_rule(2, 16))
+    def test_equals_doubled_rule_difference(self, surface, check):
+        base = check(surface, build_rule(2, 8))
+        doubled = check(surface, build_rule(2, 16))
         assert base.refinement_error == abs(base.value - doubled.value)
 
-    def test_tau_l2_epsilon_bound_adds_both_errors(self):
+    def test_tau_l2_epsilon_bound_adds_both_errors(self, surface):
         # K2 * |d eps| + |d tau| bounds the change of K2 * eps - tau
-        base, doubled = (tau_l2_epsilon_bound(self.SURFACE, 1, 0.9, 3.0, build_rule(2, q))
+        base, doubled = (tau_l2_epsilon_bound(surface, 1, 0.9, 3.0, build_rule(2, q))
                          for q in (8, 16))
         assert base.refinement_error >= abs(base.value - doubled.value)
 
