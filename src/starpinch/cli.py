@@ -13,8 +13,9 @@ compares the base rule with the rule of doubled order.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 configuration error.  Every output file starts with a header block
-(config hash, seed, constant provenance); runs with equal config hashes
-produce byte-identical files.
+(config hash, constant provenance); runs with equal config hashes produce
+byte-identical files.  Only ``calibrate`` is seeded: ``--seed`` seeds its
+curvature sampler.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", required=True, help="experiment configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quad-order", type=int, default=None,
                        help="override the base quadrature order")
 
@@ -78,15 +78,10 @@ def _build_parser() -> _Parser:
 
 def _resolve(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "quad_order", None) is not None:
-        updates["quad_order"] = args.quad_order
-    if updates:
+    if args.quad_order is not None:
         from dataclasses import replace
 
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, quad_order=args.quad_order)
     return cfg
 
 
@@ -95,7 +90,6 @@ def _header(cfg: ExperimentConfig, command: str) -> list:
     return [
         f"starpinch {command}",
         f"config_hash: {cfg.digest()}",
-        f"seed: {cfg.seed}",
         f"constants: eps0={c.eps0!r} c_RS={c.c_RS!r} alpha={c.alpha!r} "
         f"Kn_MS={c.Kn_MS!r} c_n={c.c_n!r} K1_mode={c.K1_mode} "
         "(configured, not derived; alpha is a placeholder)",
@@ -103,8 +97,8 @@ def _header(cfg: ExperimentConfig, command: str) -> list:
 
 
 def _settings(cfg: ExperimentConfig) -> RunSettings:
-    return RunSettings(quad_order=cfg.quad_order, seed=cfg.seed,
-                       h_fixed=cfg.h_fixed, constants=cfg.constants)
+    return RunSettings(quad_order=cfg.quad_order, h_fixed=cfg.h_fixed,
+                       constants=cfg.constants)
 
 
 def _write(path: Path, header: list, body: str) -> None:

@@ -11,7 +11,6 @@ A configuration file has three sections::
     [experiment]
     r = 1
     quad_order = 16                     # refinement errors use 2 * quad_order
-    seed = 7
     amplitudes = 0.08 0.04 0.02 0.01    # scaling command only
 
     [constants]
@@ -50,7 +49,6 @@ class ExperimentConfig:
     rho0: float = 1.0
     perturbation: tuple = ()
     quad_order: int = 16
-    seed: int = 0
     amplitudes: tuple = ()
     h_fixed: float | None = None
     constants: ConstantsConfig = field(default_factory=ConstantsConfig)
@@ -91,7 +89,6 @@ class ExperimentConfig:
             f"rho0={self.rho0!r}",
             f"perturbation={pert}",
             f"quad_order={self.quad_order}",
-            f"seed={self.seed}",
             "amplitudes=" + " ".join(repr(a) for a in self.amplitudes),
             f"h_fixed={self.h_fixed!r}",
             f"eps0={c.eps0!r}",
@@ -164,7 +161,6 @@ def load_config(path) -> ExperimentConfig:
         n=n, delta=delta, rho0=rho0, perturbation=perturbation,
         r=get("experiment", "r", int, default=1),
         quad_order=get("experiment", "quad_order", int, default=16),
-        seed=get("experiment", "seed", int, default=0),
         h_fixed=get("experiment", "h", float, default=None),
     )
     amp_text = get("experiment", "amplitudes", str, default="")

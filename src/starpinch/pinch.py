@@ -10,9 +10,10 @@ family of shrinking perturbation amplitudes and regresses
 log d_H against log |eps|_1.
 
 Geodesic spheres of the conformal models are Euclidean spheres in the
-chart; fitting minimizes the variance of the geodesic distances to a
-candidate center (derivative-free simplex descent with seeded multistart)
-and sphere sampling is exact through the chart representation.
+chart, so sphere sampling is exact through the chart representation and the
+sphere fit starts from an algebraic chart-sphere fit.  The fit then
+minimizes the weighted sum of squares of d(center, X_i) - rho; run_pinch
+weights every base-rule node by its share of the surface volume.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, final_bound
 from .errors import HypothesisError, NumericalError
@@ -108,6 +109,15 @@ def geodesic_sphere_chart(model: SpaceFormModel, center, rho: float):
     return euc_center, euc_radius
 
 
+def _chart_sphere_to_geodesic(model: SpaceFormModel, euc_center, euc_radius: float):
+    """Inverse of geodesic_sphere_chart: geodesic (center, rho) of a chart sphere."""
+    t_c = float(np.linalg.norm(euc_center))
+    axis = euc_center / t_c if t_c > 0.0 else np.eye(len(euc_center))[0]
+    r_hi = geodesic_radius((t_c + euc_radius) * axis, model)
+    r_lo = geodesic_radius((t_c - euc_radius) * axis, model) * np.sign(t_c - euc_radius)
+    return axis * chart_radius(0.5 * (r_hi + r_lo), model), 0.5 * (r_hi - r_lo)
+
+
 def sample_geodesic_sphere(model: SpaceFormModel, center, rho: float,
                            directions) -> np.ndarray:
     """Exact points of a geodesic sphere along the given unit directions."""
@@ -134,55 +144,38 @@ class SphereFit:
     rms: float
 
 
-def fit_geodesic_sphere(samples, model: SpaceFormModel, seed: int = 0,
-                        starts: int = 5) -> SphereFit:
-    """Least-variance geodesic sphere through a point cloud.
+def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereFit:
+    """Weighted least-squares geodesic sphere through a point cloud.
 
-    Minimizes the variance of d(center, sample_i) over the center with
-    Nelder-Mead from the Euclidean centroid plus seeded perturbations;
-    rho0 is the mean distance at the optimum.
+    Minimizes sum_i w_i (d(center, X_i) - rho)^2 over center and rho,
+    starting from the algebraic (Kasa) fit of a Euclidean sphere in the
+    chart.  ``weights`` default to equal; rho0 and rms are the weighted mean
+    and rms of the distances at the optimum.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or len(pts) < pts.shape[1] + 2:
         raise ValueError("need at least n+2 samples in general position")
+    w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    sqrt_w = np.sqrt(w)
 
-    def objective(center):
-        if model.delta != 0.0:
-            if np.linalg.norm(center) >= model.model_radius * (1.0 - 1e-9):
-                return 1e6 + float(np.linalg.norm(center))
-        d = np.asarray(geodesic_distance(pts, center, model))
-        return float(np.var(d))
+    # |x|^2 = 2 a.x + c is linear in (a, c); the chart sphere has radius^2 = c + |a|^2
+    lhs = np.hstack([2.0 * pts, np.ones((len(pts), 1))]) * sqrt_w[:, None]
+    sol = np.linalg.lstsq(lhs, np.sum(pts * pts, axis=1) * sqrt_w, rcond=None)[0]
+    a, c = sol[:-1], sol[-1]
+    center, rho = _chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a))
 
-    centroid = pts.mean(axis=0)
-    if model.delta != 0.0:
-        cap = model.model_radius * 0.5
-        norm = np.linalg.norm(centroid)
-        if norm > cap:
-            centroid = centroid * (cap / norm)
-    rng = np.random.Generator(np.random.Philox(seed))
-    spread = max(float(np.std(pts)), 1e-3)
-    guesses = [centroid]
-    for _ in range(max(starts - 1, 0)):
-        guesses.append(centroid + 0.1 * spread * rng.normal(size=pts.shape[1]))
+    def residuals(params):
+        return sqrt_w * (np.asarray(geodesic_distance(pts, params[:-1], model)) - params[-1])
 
-    best = None
-    for guess in guesses:
-        res = minimize(objective, guess, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-24,
-                                "maxiter": 20_000, "maxfev": 20_000})
-        if best is None or res.fun < best.fun:
-            best = res
-    # one polish pass from the winner tightens the simplex further
-    res = minimize(objective, best.x, method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-26,
-                            "maxiter": 20_000, "maxfev": 20_000})
-    if res.fun < best.fun:
-        best = res
-    if not np.isfinite(best.fun):
-        raise NumericalError("sphere fit did not converge")
-    center = np.asarray(best.x, dtype=float)
+    res = least_squares(residuals, np.append(center, rho), jac="3-point",
+                        xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    if not res.success:
+        raise NumericalError(f"sphere fit did not converge: {res.message}")
+    center = res.x[:-1]
     d = np.asarray(geodesic_distance(pts, center, model))
-    return SphereFit(center=center, rho0=float(d.mean()), rms=math.sqrt(float(np.var(d))))
+    rho0 = float(w @ d)
+    return SphereFit(center=center, rho0=rho0, rms=math.sqrt(float(w @ (d - rho0) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +241,6 @@ class PinchReport:
 @dataclass(frozen=True)
 class RunSettings:
     quad_order: int = 16
-    seed: int = 0
     h_fixed: float | None = None
     constants: ConstantsConfig = ConstantsConfig()
     enforce_bound: bool = True
@@ -298,7 +290,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
                             eps_l1=eps_l1.value, eps1=consts.eps1,
                             minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
 
-    fit = fit_geodesic_sphere(_subsample(batch.X, 1024), model, seed=settings.seed)
+    fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * rule.weights)
     dH, dH_ref = _surface_sphere_hausdorff(surface, fit, rule, check_rule, model)
 
     bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)

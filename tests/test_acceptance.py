@@ -241,11 +241,11 @@ def test_criterion_7_sphere_fitting():
         center = np.array([0.12, -0.08, 0.15])
         rho = 0.75
         pts = sample_geodesic_sphere(model, center, rho, dirs)
-        fit = fit_geodesic_sphere(pts, model, seed=3)
+        fit = fit_geodesic_sphere(pts, model)
         worst_center = max(worst_center, float(np.max(np.abs(fit.center - center))))
         worst_radius = max(worst_radius, abs(fit.rho0 - rho))
         resampled = sample_geodesic_sphere(model, fit.center, fit.rho0, dirs)
-        refit = fit_geodesic_sphere(resampled, model, seed=3)
+        refit = fit_geodesic_sphere(resampled, model)
         worst_drift = max(worst_drift,
                           float(np.max(np.abs(refit.center - fit.center))),
                           abs(refit.rho0 - fit.rho0))

@@ -20,7 +20,6 @@ GOOD_CONFIG = textwrap.dedent("""\
     [experiment]
     r = 1
     quad_order = 12
-    seed = 7
     amplitudes = 0.06 0.03 0.015
 
     [constants]
@@ -57,7 +56,7 @@ class TestConfig:
         cfg = load_config(config_file)
         assert cfg.digest() == load_config(config_file).digest()
         other = tmp_path / "other.ini"
-        other.write_text(GOOD_CONFIG.replace("seed = 7", "seed = 8"))
+        other.write_text(GOOD_CONFIG.replace("quad_order = 12", "quad_order = 14"))
         assert load_config(other).digest() != cfg.digest()
 
     def test_missing_rho0(self, tmp_path):
@@ -179,8 +178,10 @@ class TestCommands:
         assert main(["scaling", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
 
-    def test_unknown_flag_exits_3(self, tmp_path):
+    def test_unknown_flag_exits_3(self, config_file, tmp_path):
         assert main(["report", "--bogus"]) == 3
+        assert main(["pinch", "--config", str(config_file), "--out", str(tmp_path),
+                     "--seed", "1"]) == 3
 
 
 class TestCalibrateCommand:

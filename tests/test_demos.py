@@ -1,0 +1,20 @@
+"""The demos that build RunSettings run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["05_pinch_experiment.py", "06_scaling_study.py"])
+def test_demo_exits_0(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -102,7 +102,7 @@ class TestSphereFit:
         center = np.array([0.15, -0.1, 0.2])
         rho = 0.8
         pts = sample_geodesic_sphere(model, center, rho, sphere_directions(200, 3, 51))
-        fit = fit_geodesic_sphere(pts, model, seed=1)
+        fit = fit_geodesic_sphere(pts, model)
         assert np.max(np.abs(fit.center - center)) < 1e-6
         assert fit.rho0 == pytest.approx(rho, abs=1e-6)
         assert fit.rms < 1e-7
@@ -111,7 +111,7 @@ class TestSphereFit:
         model = SpaceFormModel(delta=0.0, ambient_dim=3)
         center = np.array([0.4, 0.2, -0.3])
         pts = center + 1.3 * sphere_directions(150, 3, 52)
-        fit = fit_geodesic_sphere(pts, model, seed=2)
+        fit = fit_geodesic_sphere(pts, model)
         assert np.max(np.abs(fit.center - center)) < 1e-6
         assert fit.rho0 == pytest.approx(1.3, abs=1e-6)
 
@@ -119,19 +119,52 @@ class TestSphereFit:
         model = SpaceFormModel(delta=0.0, ambient_dim=3)
         dirs = sphere_directions(120, 3, 53)
         pts = np.vstack([1.0 * dirs[:60], 1.2 * dirs[60:]])
-        fit = fit_geodesic_sphere(pts, model, seed=3)
+        fit = fit_geodesic_sphere(pts, model)
         assert fit.rms > 0.01
 
     def test_idempotent_refit(self):
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
         center = np.array([0.2, 0.05, -0.1])
         pts = sample_geodesic_sphere(model, center, 0.7, sphere_directions(180, 3, 54))
-        fit1 = fit_geodesic_sphere(pts, model, seed=4)
+        fit1 = fit_geodesic_sphere(pts, model)
         resampled = sample_geodesic_sphere(model, fit1.center, fit1.rho0,
                                            sphere_directions(180, 3, 54))
-        fit2 = fit_geodesic_sphere(resampled, model, seed=4)
+        fit2 = fit_geodesic_sphere(resampled, model)
         assert np.max(np.abs(fit1.center - fit2.center)) < 1e-8
         assert abs(fit1.rho0 - fit2.rho0) < 1e-8
+
+    def test_weights_count_like_repeated_points(self):
+        model = SpaceFormModel(delta=-1.0, ambient_dim=3)
+        dirs = sphere_directions(120, 3, 56)
+        pts = np.vstack([sample_geodesic_sphere(model, [0.1, 0.0, -0.05], 0.7, dirs[:70]),
+                         sample_geodesic_sphere(model, [0.0, 0.1, 0.05], 0.8, dirs[70:])])
+        weights = np.where(np.arange(len(pts)) < 30, 2.0, 1.0)
+        weighted = fit_geodesic_sphere(pts, model, weights=weights)
+        repeated = fit_geodesic_sphere(np.vstack([pts, pts[:30]]), model)
+        assert np.max(np.abs(weighted.center - repeated.center)) < 1e-10
+        assert abs(weighted.rho0 - repeated.rho0) < 1e-10
+        assert abs(weighted.rms - repeated.rms) < 1e-10
+        unweighted = fit_geodesic_sphere(pts, model)
+        ones = fit_geodesic_sphere(pts, model, weights=np.ones(len(pts)))
+        assert np.array_equal(unweighted.center, ones.center)
+        assert (unweighted.rho0, unweighted.rms) == (ones.rho0, ones.rms)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_fit_independent_of_rule_layout(self, delta):
+        # the area-weighted fit of the nodes approximates one fit of the
+        # continuous surface, whatever the tensor layout of the rule
+        surf = make_surface(delta, rho0=0.9, n=3, perturbation=(("u1u2", 0.04),))
+        fits = []
+        for order in (12, 16, 24):
+            rule = build_rule(3, order)
+            batch = surf.fields(rule)
+            fits.append(fit_geodesic_sphere(batch.X, surf.model,
+                                            weights=batch.area_element * rule.weights))
+        for fit in fits[1:]:
+            assert np.max(np.abs(fit.center - fits[0].center)) < 1e-8
+            assert abs(fit.rho0 - fits[0].rho0) < 1e-8
+            assert fit.rms > 0.0
+            assert fit.rms == pytest.approx(fits[0].rms, rel=1e-6)
 
     def test_chart_representation_consistency(self):
         # every sampled point must sit at geodesic distance rho from the center
@@ -207,6 +240,19 @@ class TestRunPinch:
                          for q in (8, 16))
         assert base.eps_l1_refinement == abs(base.eps_l1 - doubled.eps_l1)
         assert base.tau_l2_refinement == abs(base.tau_l2 - doubled.tau_l2)
+
+    def test_fit_is_the_volume_weighted_fit_of_the_base_rule(self):
+        from starpinch.quadrature import integrate_batch
+
+        surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+        rep = run_pinch(surf, 1, settings(order=12))
+        rule = build_rule(2, 12)
+        batch = surf.fields(rule)
+        d = np.asarray(geodesic_distance(batch.X, rep.sphere_center, surf.model))
+        vol = integrate_batch(batch, np.ones(len(d)), rule)
+        assert rep.rho0 == pytest.approx(integrate_batch(batch, d, rule) / vol, rel=1e-12)
+        expect = np.sqrt(integrate_batch(batch, (d - rep.rho0) ** 2, rule) / vol)
+        assert rep.fit_rms == pytest.approx(expect, rel=1e-12)
 
     def test_r2_reports_partial_minimum(self):
         surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.03),))
