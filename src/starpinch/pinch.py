@@ -156,6 +156,8 @@ def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereF
     if pts.ndim != 2 or len(pts) < pts.shape[1] + 2:
         raise ValueError("need at least n+2 samples in general position")
     w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (len(pts),) or not np.all(w >= 0.0) or not w.sum() > 0.0:
+        raise ValueError("weights must be one nonnegative value per sample, not all zero")
     w = w / w.sum()
     sqrt_w = np.sqrt(w)
 

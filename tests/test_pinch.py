@@ -148,6 +148,9 @@ class TestSphereFit:
         ones = fit_geodesic_sphere(pts, model, weights=np.ones(len(pts)))
         assert np.array_equal(unweighted.center, ones.center)
         assert (unweighted.rho0, unweighted.rms) == (ones.rho0, ones.rms)
+        for bad in (weights[:-1], -weights, np.zeros(len(pts))):
+            with pytest.raises(ValueError):
+                fit_geodesic_sphere(pts, model, weights=bad)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     def test_fit_independent_of_rule_layout(self, delta):
