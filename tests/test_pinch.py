@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 
+import starpinch.pinch
 from starpinch.constants import ConstantsConfig
 from starpinch.errors import HypothesisError
 from starpinch.pinch import (RunSettings, epsilon_field, fit_geodesic_sphere,
@@ -11,7 +15,7 @@ from starpinch.pinch import (RunSettings, epsilon_field, fit_geodesic_sphere,
                              sample_geodesic_sphere, scaling_csv, scaling_study)
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
-                                 geodesic_distance, s_delta)
+                                 geodesic_distance, geodesic_radius, s_delta)
 from starpinch.surface import RadialSurface
 
 EPS0_DEMO = 10.0  # generous black-box threshold so the conditional bound bites
@@ -201,6 +205,98 @@ class TestHausdorff:
         a = sample_geodesic_sphere(model, np.zeros(3), 0.8, dirs)
         b = sample_geodesic_sphere(model, np.zeros(3), 0.95, dirs)
         assert hausdorff_distance(a, b, model) == pytest.approx(0.15, abs=5e-3)
+
+
+def brute_force_hausdorff(a, b, model):
+    a_to_b = geodesic_distance(a[:, None, :], b[None, :, :], model).min(axis=1).max()
+    b_to_a = geodesic_distance(b[:, None, :], a[None, :, :], model).min(axis=1).max()
+    return float(max(a_to_b, b_to_a))
+
+
+HAUSDORFF_DELTAS = [-1.0, -0.25, 0.0, 0.5, 1.0]
+
+
+def chart_cloud(dim, scale):
+    # coordinates in [-1, 1] scaled so that |x| <= scale
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    return st.lists(row, min_size=1, max_size=30).map(
+        lambda rows: np.array(rows) * (scale / np.sqrt(dim)))
+
+
+@st.composite
+def hausdorff_case(draw):
+    delta = draw(st.sampled_from(HAUSDORFF_DELTAS))
+    dim = draw(st.sampled_from([3, 4]))
+    model = SpaceFormModel(delta=delta, ambient_dim=dim)
+    radius = 2.0 if delta == 0.0 else model.model_radius
+    a = draw(chart_cloud(dim, 0.95 * radius))
+    b = draw(chart_cloud(dim, 0.95 * radius))
+    # exact matches between the sets and repeated points within each
+    shared = draw(st.integers(0, min(len(a), len(b))))
+    a = np.concatenate([a, b[:shared], a[: draw(st.integers(0, len(a)))]])
+    b = np.concatenate([b, b[: draw(st.integers(0, len(b)))]])
+    return a, b, model
+
+
+class TestHausdorffExact:
+    @given(hausdorff_case())
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_equals_brute_force(self, case):
+        a, b, model = case
+        assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
+
+    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
+    def test_ties_and_single_points(self, delta):
+        model = SpaceFormModel(delta=delta, ambient_dim=3)
+        radius = 2.0 if delta == 0.0 else model.model_radius
+        nodes = build_rule(2, 8).nodes
+        mirror = nodes * np.array([1.0, 1.0, -1.0])
+        on_plane = nodes * np.array([1.0, 1.0, 0.0])
+        for scale in (0.3, 0.9):
+            x = scale * radius * nodes
+            y = scale * radius * mirror
+            both = np.concatenate([x, y])
+            cases = [(x, x), (x, y), (x, both), (scale * radius * on_plane, both),
+                     (x[:1], y), (x[:1], y[:1]), (x[:1], x[:1])]
+            for a, b in cases:
+                assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
+
+    def test_measures_about_one_pair_per_point(self, monkeypatch):
+        surf = make_surface(-1.0, rho0=0.9, perturbation=(("u1u2", 0.04),), n=3)
+        model = surf.model
+        X = surf.fields(build_rule(3, 24)).X
+        sphere_pts = sample_geodesic_sphere(model, np.zeros(4), geodesic_radius(0.9, model),
+                                            sphere_directions(2048, 4, 64))
+        pairs = []
+
+        def counting(x, y, m):
+            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
+            return geodesic_distance(x, y, m)
+
+        monkeypatch.setattr(starpinch.pinch, "geodesic_distance", counting)
+        assert len(X) == 27648
+        hausdorff_distance(sphere_pts, X, model)
+        assert sum(pairs) <= 4 * (len(sphere_pts) + len(X))
+
+    def test_outside_chart_raises_before_the_tree(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("k-d tree built before the chart check")
+
+        monkeypatch.setattr(starpinch.pinch, "cKDTree", no_tree)
+        model = SpaceFormModel(delta=-1.0, ambient_dim=3)
+        inside = np.array([[0.1, 0.0, 0.0]])
+        outside = np.array([[2.5, 0.0, 0.0]])
+        for a, b in ((inside, outside), (outside, inside)):
+            with pytest.raises(HypothesisError):
+                hausdorff_distance(a, b, model)
+
+    def test_empty_set_raises(self):
+        model = SpaceFormModel(delta=0.0, ambient_dim=3)
+        pts = sphere_directions(5, 3, 65)
+        for a, b in ((pts, np.empty((0, 3))), (np.empty((0, 3)), pts)):
+            with pytest.raises(ValueError, match="nonempty"):
+                hausdorff_distance(a, b, model)
 
 
 class TestRunPinch:
