@@ -18,7 +18,7 @@ containment ball, a safe computable bound for the volume distortion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import HypothesisError
 from .spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
@@ -170,6 +170,3 @@ def describe(consts: ProofConstants) -> str:
     lines.append(f"depends_on: {dep}")
     return "\n".join(lines)
 
-
-def with_overrides(config: ConstantsConfig, **kwargs) -> ConstantsConfig:
-    return replace(config, **kwargs)

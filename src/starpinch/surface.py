@@ -3,9 +3,14 @@
 A surface is the image of u -> rho(u) * u in the chart of a space form,
 where rho is a positive combination of polynomial basis functions on the
 parameter n-sphere: real spherical harmonics (degree <= 4) for n = 2 and
-degree <= 2 sphere harmonics for n = 3.  All derivatives of the immersion
-are exact (second-order forward-mode jets through the basis expansion), so
-fundamental forms carry no truncation error.
+degree <= 2 sphere harmonics for n = 3.  The basis functions are
+polynomials in the ambient coordinates, so rho and its first and second
+derivatives are exact, and the fundamental forms of the radial graph are
+closed forms in them (no truncation error):
+
+    g_ab = rho^2 delta_ab + rho_a rho_b,   W = sqrt(rho^2 + |d rho|^2),
+    B_ab = (2 rho_a rho_b - rho (rho_ab - rho delta_ab)) / W,
+    dA = rho^(n-1) W,   g^(-1/2) = (I - d rho d rho^T / (W (rho + W))) / rho.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -26,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError
-from .jets import Jet2
 from .spaceform import SpaceFormModel, geodesic_radius, s_delta
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,10 @@ class SurfacePointData:
     area_element: float
 
 
+# nodes per block of evaluate_nodes: every n = 2 rule up to order 64 is one block
+_BLOCK = 8192
+
+
 def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     """All pointwise extrinsic data at the given parameter directions."""
     u = np.asarray(nodes, dtype=float)
@@ -269,100 +277,123 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     n = surface.n
     if d != n + 1:
         raise ValueError("nodes must be (N, n+1) unit vectors")
+    tables = _polynomial_tables(surface)
+    out = {
+        "X": np.empty((N, d)), "nu": np.empty((N, d)),
+        "g": np.empty((N, n, n)), "B": np.empty((N, n, n)), "kappa": np.empty((N, n)),
+        **{name: np.empty(N) for name in ("support", "r", "area_element", "H_tilde",
+                                          "area_element_euclid", "rho")},
+    }
+    # every operation is per node, so blocks of nodes give the same bits as
+    # one pass while the temporaries stay bounded by the block size
+    for start in range(0, N, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for name, value in _node_block(surface, tables, u[block], start).items():
+            out[name][block] = value
+    return SurfaceBatch(nodes=u, **out)
+
+
+def _polynomial_tables(surface: RadialSurface) -> list:
+    """Monomial tables {exponents: coefficient} of P = rho0 (1 + sum_k amp_k B_k),
+    of dP/dx_i (i < d) and of d2P/dx_i dx_j (i <= j), in that order."""
+    d = surface.n + 1
+    table = {(0,) * d: surface.rho0}
+    for key, amp in surface.perturbation:
+        for coeff, expo in basis_function(surface.n, key):
+            table[expo] = table.get(expo, 0.0) + surface.rho0 * amp * coeff
+
+    def diff(tab, axis):
+        out = {}
+        for expo, coeff in tab.items():
+            if expo[axis]:
+                lower = expo[:axis] + (expo[axis] - 1,) + expo[axis + 1:]
+                out[lower] = out.get(lower, 0.0) + coeff * expo[axis]
+        return out
+
+    grad = [diff(table, i) for i in range(d)]
+    return [table] + grad + [diff(grad[i], j) for i in range(d) for j in range(i, d)]
+
+
+def _polynomial_derivatives(tables: list, u: np.ndarray):
+    """P, its ambient gradient (N, d) and Hessian (N, d, d) at the rows of u."""
+    N, d = u.shape
+    degree = max(max(expo) for expo in tables[0])
+    powers = np.cumprod(np.stack([np.ones((d, N))] + [u.T] * degree), axis=0)
+    monomials = {}
+    values = []
+    for table in tables:
+        acc = np.zeros(N)
+        for expo, coeff in table.items():
+            if expo not in monomials:
+                monomials[expo] = np.prod([powers[p, i] for i, p in enumerate(expo)], axis=0)
+            acc += coeff * monomials[expo]
+        values.append(acc)
+    i, j = np.triu_indices(d)  # the (i, j) order of the Hessian tables
+    hess = np.empty((N, d, d))
+    hess[:, i, j] = hess[:, j, i] = np.stack(values[d + 1:], axis=1)
+    return values[0], np.stack(values[1:d + 1], axis=1), hess
+
+
+def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int) -> dict:
+    """The SurfaceBatch fields of one block of nodes; ``start`` offsets error indices.
+
+    With rho = P(c(t)) along c(t) = (u + t_a E_a)/|u + t_a E_a|:
+    rho_a = E_a . grad P, rho_ab = E_a^T Hess(P) E_b - (u . grad P) delta_ab,
+    X_a = rho_a u + rho E_a and X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
+    """
+    n = surface.n
     frames = tangent_frames(u)  # (N, n, d)
-
-    # jets of the local parametrization c(t) = (u + t_a E_a)/|u + t_a E_a|
-    comps = []
-    for i in range(d):
-        g = frames[:, :, i]
-        comps.append(Jet2(u[:, i], g, np.zeros((N, n, n))))
-    s2 = comps[0] * comps[0]
-    for i in range(1, d):
-        s2 = s2 + comps[i] * comps[i]
-    inv_norm = s2.sqrt().reciprocal()
-    c = [comps[i] * inv_norm for i in range(d)]
-
-    rho = _rho_jet(surface, c, N, n)
-    if np.any(rho.v <= 0.0):
-        bad = int(np.argmin(rho.v))
+    rho, grad, hess = _polynomial_derivatives(tables, u)
+    if np.any(rho <= 0.0):
+        bad = int(np.argmin(rho))
         raise HypothesisError(
-            f"radial graph is nonpositive at node {bad}: rho = {rho.v[bad]:.6g}"
+            f"radial graph is nonpositive at node {start + bad}: rho = {rho[bad]:.6g}"
         )
-
-    X = np.empty((N, d))
-    Xa = np.empty((N, n, d))
-    Xab = np.empty((N, n, n, d))
-    for i in range(d):
-        xi = rho * c[i]
-        X[:, i] = xi.v
-        Xa[:, :, i] = xi.g
-        Xab[:, :, :, i] = xi.h
-
+    X = rho[:, None] * u
     surface.model.require_inside(X, margin=1e-9)
 
-    g_euc = np.einsum("nad,nbd->nab", Xa, Xa)
-    # X_a = rho_a u + rho E_a, so rho u - rho_a E_a is normal to the surface
-    # and pairs positively with u; its negation is the inward normal
-    outward = rho.v[:, None] * u - np.einsum("na,nad->nd", rho.g, frames)
-    nu_euc = -outward / np.linalg.norm(outward, axis=1)[:, None]
-    B_euc = np.einsum("nabd,nd->nab", Xab, nu_euc)
+    v = np.sum(frames * grad[:, None, :], axis=2)  # rho_a
+    hess_e = np.sum(hess[:, None, :, :] * frames[:, :, None, :], axis=3)
+    rho_ab = np.sum(hess_e[:, :, None, :] * frames[:, None, :, :], axis=3)
+    rho_ab = 0.5 * (rho_ab + np.swapaxes(rho_ab, 1, 2))
+    eye = np.eye(n)
+    rho_ab -= np.sum(u * grad, axis=1)[:, None, None] * eye
+    vv = v[:, :, None] * v[:, None, :]
+    W = np.sqrt(rho * rho + np.sum(v * v, axis=1))  # |rho u - rho_a E_a|
+
+    g_euc = (rho * rho)[:, None, None] * eye + vv
+    B_euc = (2.0 * vv - rho[:, None, None] * (rho_ab - rho[:, None, None] * eye)) / W[:, None, None]
+    # rho u - rho_a E_a is normal to every X_a and pairs positively with u;
+    # its negation is the inward normal
+    outward = rho[:, None] * u - np.sum(v[:, :, None] * frames, axis=1)
+    nu_euc = -outward / W[:, None]
 
     # single conformal path: at delta = 0 every correction is an exact
     # float identity (q = 1, grad phi = 0), so the Euclidean case is
     # reproduced bit-for-bit
     delta = surface.model.delta
     q = 1.0 + 0.25 * delta * np.sum(X * X, axis=1)  # q = e^{-phi}
-    grad_phi = surface.model.grad_phi(X)
-    dphi_nu = np.sum(nu_euc * grad_phi, axis=1)
+    dphi_nu = np.sum(nu_euc * surface.model.grad_phi(X), axis=1)
     B_mixed = B_euc - dphi_nu[:, None, None] * g_euc
-    g_h = g_euc / q[:, None, None] ** 2
-    B_h = B_mixed / q[:, None, None]
-    kappa = q[:, None] * _pencil_eigenvalues(B_mixed, g_euc)
-    nu_h = q[:, None] * nu_euc
+
+    # g^{-1/2} = (I - c v v^T)/rho with c = 1/(W (rho + W)) (Sherman-Morrison),
+    # so M = g^{-1/2} B g^{-1/2} has the pencil eigenvalues of (B, g)
+    c = 1.0 / (W * (rho + W))
+    w = np.sum(B_mixed * v[:, None, :], axis=2)
+    vw = v[:, :, None] * w[:, None, :]
+    M = (B_mixed - c[:, None, None] * (vw + np.swapaxes(vw, 1, 2))
+         + (c * c * np.sum(w * v, axis=1))[:, None, None] * vv) / (rho * rho)[:, None, None]
 
     r = np.asarray(geodesic_radius(X, surface.model))
-    support = s_delta(r, delta) * np.sum(u * nu_euc, axis=1)
-    det_euc = np.linalg.det(g_euc)
-    area_euc = np.sqrt(det_euc)
-    area_h = area_euc / q**n
-
-    H_tilde = _mean_curvature(B_euc, g_euc)
-
-    return SurfaceBatch(
-        nodes=u, X=X, nu=nu_h, g=g_h, B=B_h, kappa=kappa, support=support,
-        r=r, area_element=area_h, H_tilde=H_tilde, area_element_euclid=area_euc,
-        rho=rho.v,
-    )
-
-
-def _rho_jet(surface: RadialSurface, c, N, n):
-    total = Jet2(np.ones(N), np.zeros((N, n)), np.zeros((N, n, n)))
-    for key, amp in surface.perturbation:
-        term = Jet2(np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n)))
-        for coeff, expo in basis_function(surface.n, key):
-            mono = Jet2(np.full(N, coeff), np.zeros((N, n)), np.zeros((N, n, n)))
-            for axis, p in enumerate(expo):
-                if p:
-                    mono = mono * c[axis] ** p
-            term = term + mono
-        total = total + amp * term
-    return surface.rho0 * total
-
-
-def _pencil_eigenvalues(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the pencil (B, g) with g SPD, batched."""
-    L = np.linalg.cholesky(g)
-    Linv = np.linalg.inv(L)
-    M = Linv @ B @ np.swapaxes(Linv, -1, -2)
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    return np.linalg.eigvalsh(M)
-
-
-def _mean_curvature(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """trace(g^{-1} B)/n without an eigen-solve."""
-    n = B.shape[-1]
-    sol = np.linalg.solve(g, B)
-    return np.trace(sol, axis1=-2, axis2=-1) / n
+    area_euc = rho ** (n - 1) * W  # matrix determinant lemma
+    return {
+        "X": X, "nu": q[:, None] * nu_euc, "g": g_euc / q[:, None, None] ** 2,
+        "B": B_mixed / q[:, None, None], "kappa": q[:, None] * np.linalg.eigvalsh(M),
+        "support": s_delta(r, delta) * (-rho / W), "r": r,
+        "area_element": area_euc / q**n,
+        "H_tilde": np.trace(M, axis1=1, axis2=2) / n + dphi_nu,
+        "area_element_euclid": area_euc, "rho": rho,
+    }
 
 
 def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:

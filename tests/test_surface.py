@@ -1,8 +1,12 @@
 """Radial graphs: exact derivatives, curvature oracle, orientation, reports."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
@@ -119,9 +123,16 @@ class TestRoundSpheres:
 
 class TestExactDifferentiation:
     def test_fundamental_forms_match_finite_differences(self):
+        self._check_against_finite_differences(2, (((3, 1), 0.08), ((2, -2), 0.04)))
+
+    def test_fundamental_forms_match_finite_differences_n3(self):
+        self._check_against_finite_differences(3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)))
+
+    @staticmethod
+    def _check_against_finite_differences(n, perturbation):
         # Richardson-extrapolated central differences on the immersion map
-        surf = sphere(-1.0, 1.0, perturbation=(((3, 1), 0.08), ((2, -2), 0.04)))
-        nodes = random_nodes(2, 6, seed=5)
+        surf = sphere(-1.0, 1.0, n=n, perturbation=perturbation)
+        nodes = random_nodes(n, 6, seed=5)
         batch = evaluate_nodes(surf, nodes)
         frames = tangent_frames(nodes)
         for idx in range(len(nodes)):
@@ -154,21 +165,19 @@ def _euclid_b(batch, idx, surf):
 
 
 def _fd_forms(immersion, surf, batch, idx):
+    n = surf.n
+
     def second_derivs(h):
-        t0 = np.zeros(2)
-        Xa = np.empty((2, 3))
-        Xab = np.empty((2, 2, 3))
-        for a in range(2):
-            ta = t0.copy()
-            ta[a] = h
-            tb = t0.copy()
-            tb[a] = -h
-            Xa[a] = (immersion(ta) - immersion(tb)) / (2 * h)
-            Xab[a, a] = (immersion(ta) - 2 * immersion(t0) + immersion(tb)) / h**2
-        tpp = np.array([h, h])
-        tpm = np.array([h, -h])
-        mixed = (immersion(tpp) - immersion(tpm) - immersion(-tpm) + immersion(-tpp)) / (4 * h**2)
-        Xab[0, 1] = Xab[1, 0] = mixed
+        step = h * np.eye(n)
+        x0 = immersion(np.zeros(n))
+        Xa = np.array([(immersion(e) - immersion(-e)) / (2 * h) for e in step])
+        Xab = np.empty((n, n, n + 1))
+        for a in range(n):
+            Xab[a, a] = (immersion(step[a]) - 2 * x0 + immersion(-step[a])) / h**2
+            for b in range(a + 1, n):
+                pp, pm = step[a] + step[b], step[a] - step[b]
+                Xab[a, b] = Xab[b, a] = (immersion(pp) - immersion(pm) - immersion(-pm)
+                                         + immersion(-pp)) / (4 * h**2)
         return Xa, Xab
 
     h = 1e-3
@@ -207,11 +216,53 @@ class TestOrientationAndConsistency:
         with pytest.raises(HypothesisError):
             evaluate_nodes(surf, random_nodes(2, 400, seed=8))
 
+    def test_nonpositive_rho_names_the_node_of_the_whole_rule(self):
+        # rho = 1 + a B_10 vanishes between the two polar rings nearest the
+        # north pole, so only the last ring of a two-block rule is nonpositive
+        order = 72
+        rule = build_rule(2, order)
+        assert len(rule.nodes) > surface_module._BLOCK
+        z = np.unique(rule.nodes[:, 2])
+        b10 = basis_values(2, (1, 0), np.array([[0.0, 0.0, 1.0]]))[0]
+        surf = sphere(0.0, 1.0, perturbation=(((1, 0), -2.0 / (b10 * (z[-1] + z[-2]))),))
+        first_bad = len(rule.nodes) - 2 * order
+        with pytest.raises(HypothesisError, match=f"at node {first_bad}: rho = ") as info:
+            evaluate_nodes(surf, rule.nodes)
+        expected = surf.rho_values(rule.nodes[first_bad:first_bad + 1])[0]
+        assert expected < 0.0
+        assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(expected, rel=1e-5)
+
     def test_leaving_chart_raises(self):
         model = SpaceFormModel(delta=1.0, ambient_dim=3)
         surf = RadialSurface(n=2, model=model, rho0=2.01)
         with pytest.raises(HypothesisError):
             evaluate_nodes(surf, random_nodes(2, 10, seed=9))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_blocks_are_bitwise_independent_of_the_split(self, delta):
+        surf = sphere(delta, 0.9, n=3, perturbation=(("u1u2", 0.08), ("u1^2-u4^2", 0.04)))
+        nodes = build_rule(3, 24).nodes
+        assert len(nodes) >= 3 * surface_module._BLOCK
+        whole = evaluate_nodes(surf, nodes)
+        cuts = [0, 1, 5000, 13001, 21000, len(nodes)]
+        parts = [evaluate_nodes(surf, nodes[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        for f in dataclasses.fields(whole):
+            joined = np.concatenate([getattr(p, f.name) for p in parts])
+            assert np.array_equal(getattr(whole, f.name), joined), f.name
+
+    def test_peak_memory_is_bounded_by_the_batch(self):
+        surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.04),))
+        nodes = build_rule(3, 32).nodes
+        tracemalloc.start()
+        try:
+            batch = evaluate_nodes(surf, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch_bytes = sum(getattr(batch, f.name).nbytes for f in dataclasses.fields(batch))
+        assert peak < 2.5 * batch_bytes
 
 
 class TestReports:
