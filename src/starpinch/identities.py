@@ -18,7 +18,7 @@ from .quadrature import (SphericalRule, build_rule, integrate_batch,  # noqa: F4
                          refinement_estimate)
 from .spaceform import c_delta
 from .surface import RadialSurface, SurfacePointData
-from .symfun import curvature_profile, mean_curvatures, umbilicity_defect_sq
+from .symfun import curvature_profile
 
 IDENTITY = "identity"
 INEQUALITY = "inequality"
@@ -131,13 +131,13 @@ def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int, K1: fl
                      tolerance: float = 1e-10) -> ResidualReport:
     """Worst-node version of lemma1_gap over a whole quadrature batch."""
     batch = surface.fields(rule)
-    H = mean_curvatures(batch.kappa)
+    H = batch.mean_curvature_orders()
     if np.any(H[:, r + 1] <= 0.0):
         bad = int(np.argmin(H[:, r + 1]))
         raise HypothesisError(
             f"lemma gap needs H_{r+1} > 0 everywhere; node {bad} has {H[bad, r + 1]:.6g}"
         )
-    tau_sq = umbilicity_defect_sq(batch.kappa)
+    tau_sq = batch.tau_norm_sq()
     gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),
                           tolerance=tolerance, refinement_error=0.0, kind=INEQUALITY)

@@ -22,6 +22,7 @@ so constants have norm |c| on any surface.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,15 +56,16 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
+@functools.lru_cache(maxsize=8)
 def build_rule(n: int, order: int) -> SphericalRule:
-    """Tensor rule of the given polar order on S^2 or S^3."""
+    """Tensor rule of the given polar order on S^2 or S^3 (memoized, read-only)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    if n == 2:
-        return _rule_s2(order)
-    if n == 3:
-        return _rule_s3(order)
-    raise ValueError(f"unsupported parameter sphere dimension n={n} (only 2 and 3)")
+    if n not in (2, 3):
+        raise ValueError(f"unsupported parameter sphere dimension n={n} (only 2 and 3)")
+    rule = _rule_s2(order) if n == 2 else _rule_s3(order)
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 def _rule_s2(order: int) -> SphericalRule:

@@ -12,6 +12,10 @@ closed forms in them (no truncation error):
     B_ab = (2 rho_a rho_b - rho (rho_ab - rho delta_ab)) / W,
     dA = rho^(n-1) W,   g^(-1/2) = (I - d rho d rho^T / (W (rho + W))) / rho.
 
+The principal curvatures are the eigenvalues of M = g^(-1/2) B g^(-1/2) by
+four sweeps of cyclic Jacobi.  Blocks of nodes are evaluated node-last, as
+(d, N) directions and (n, n, N) forms, so contractions are einsums.
+
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
 the base point have positive principal curvatures kappa_i = c_d(rho)/s_d(rho)
@@ -27,11 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import HypothesisError
 from .spaceform import SpaceFormModel, geodesic_radius, s_delta
+from .symfun import mean_curvatures, umbilicity_defect_sq
 
 # ---------------------------------------------------------------------------
 # polynomial bases on the parameter sphere
@@ -194,19 +201,17 @@ class RadialSurface:
 def tangent_frames(u: np.ndarray) -> np.ndarray:
     """Orthonormal frames of u-perp via one Householder reflection per node.
 
-    Returns (N, n, d) rows; deterministic and well-conditioned for every
-    unit vector (the reflector norm is bounded below by sqrt(2)).
+    Returns (N, n, d) rows, a view of node-last (n, d, N) frames; deterministic
+    and well-conditioned for every unit vector (the reflector norm is bounded
+    below by sqrt(2)).
     """
-    u = np.asarray(u, dtype=float)
-    N, d = u.shape
-    s = np.where(u[:, -1] >= 0.0, 1.0, -1.0)
+    u = np.asarray(u, dtype=float).T
     v = u.copy()
-    v[:, -1] += s
-    vv = np.sum(v * v, axis=1)
-    frames = -2.0 * (v[:, : d - 1] / vv[:, None])[:, :, None] * v[:, None, :]
-    idx = np.arange(d - 1)
-    frames[:, idx, idx] += 1.0
-    return frames
+    v[-1] += np.where(u[-1] >= 0.0, 1.0, -1.0)
+    frames = -2.0 * (v[:-1] / np.einsum("iN,iN->N", v, v))[:, None, :] * v[None, :, :]
+    idx = np.arange(len(u) - 1)
+    frames[idx, idx] += 1.0
+    return frames.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -231,15 +236,18 @@ class SurfaceBatch:
         return self.kappa.shape[1]
 
     def mean_curvature_orders(self) -> np.ndarray:
-        """H_0..H_n at every node, shape (N, n+1)."""
-        from .symfun import mean_curvatures
-
-        return mean_curvatures(self.kappa)
+        """H_0..H_n at every node, shape (N, n+1); computed once, read-only."""
+        return self._symmetric_functions[0]
 
     def tau_norm_sq(self) -> np.ndarray:
-        from .symfun import umbilicity_defect_sq
+        """tau^2 at every node, shape (N,); computed once, read-only."""
+        return self._symmetric_functions[1]
 
-        return umbilicity_defect_sq(self.kappa)
+    @cached_property
+    def _symmetric_functions(self) -> tuple:
+        H, tau_sq = mean_curvatures(self.kappa), umbilicity_defect_sq(self.kappa)
+        H.flags.writeable = tau_sq.flags.writeable = False
+        return H, tau_sq
 
     def point(self, idx: int) -> "SurfacePointData":
         """The data of node ``idx``."""
@@ -288,7 +296,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     # one pass while the temporaries stay bounded by the block size
     for start in range(0, N, _BLOCK):
         block = slice(start, start + _BLOCK)
-        for name, value in _node_block(surface, tables, u[block], start).items():
+        for name, value in _node_block(surface, tables, u[block].T.copy(), start).items():
             out[name][block] = value
     return SurfaceBatch(nodes=u, **out)
 
@@ -315,85 +323,105 @@ def _polynomial_tables(surface: RadialSurface) -> list:
 
 
 def _polynomial_derivatives(tables: list, u: np.ndarray):
-    """P, its ambient gradient (N, d) and Hessian (N, d, d) at the rows of u."""
-    N, d = u.shape
+    """P (N,), its ambient gradient (d, N) and Hessian (d, d, N) at the columns of u."""
+    d, N = u.shape
     degree = max(max(expo) for expo in tables[0])
-    powers = np.cumprod(np.stack([np.ones((d, N))] + [u.T] * degree), axis=0)
+    powers = list(accumulate([u] * degree, np.multiply, initial=np.ones((d, N))))  # u**k
     monomials = {}
     values = []
     for table in tables:
         acc = np.zeros(N)
         for expo, coeff in table.items():
             if expo not in monomials:
-                monomials[expo] = np.prod([powers[p, i] for i, p in enumerate(expo)], axis=0)
+                monomials[expo] = np.prod([powers[p][i] for i, p in enumerate(expo)], axis=0)
             acc += coeff * monomials[expo]
         values.append(acc)
     i, j = np.triu_indices(d)  # the (i, j) order of the Hessian tables
-    hess = np.empty((N, d, d))
-    hess[:, i, j] = hess[:, j, i] = np.stack(values[d + 1:], axis=1)
-    return values[0], np.stack(values[1:d + 1], axis=1), hess
+    hess = np.empty((d, d, N))
+    hess[i, j] = hess[j, i] = values[d + 1:]
+    return values[0], np.stack(values[1:d + 1]), hess
 
 
 def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int) -> dict:
-    """The SurfaceBatch fields of one block of nodes; ``start`` offsets error indices.
+    """The SurfaceBatch fields of the nodes u (d, N); ``start`` offsets error indices.
 
     With rho = P(c(t)) along c(t) = (u + t_a E_a)/|u + t_a E_a|:
     rho_a = E_a . grad P, rho_ab = E_a^T Hess(P) E_b - (u . grad P) delta_ab,
     X_a = rho_a u + rho E_a and X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
     """
     n = surface.n
-    frames = tangent_frames(u)  # (N, n, d)
+    frames = tangent_frames(u.T).transpose(1, 2, 0)  # (n, d, N)
     rho, grad, hess = _polynomial_derivatives(tables, u)
     if np.any(rho <= 0.0):
         bad = int(np.argmin(rho))
         raise HypothesisError(
             f"radial graph is nonpositive at node {start + bad}: rho = {rho[bad]:.6g}"
         )
-    X = rho[:, None] * u
-    surface.model.require_inside(X, margin=1e-9)
+    X = rho * u
+    surface.model.require_inside(X.T, margin=1e-9)
 
-    v = np.sum(frames * grad[:, None, :], axis=2)  # rho_a
-    hess_e = np.sum(hess[:, None, :, :] * frames[:, :, None, :], axis=3)
-    rho_ab = np.sum(hess_e[:, :, None, :] * frames[:, None, :, :], axis=3)
-    rho_ab = 0.5 * (rho_ab + np.swapaxes(rho_ab, 1, 2))
-    eye = np.eye(n)
-    rho_ab -= np.sum(u * grad, axis=1)[:, None, None] * eye
-    vv = v[:, :, None] * v[:, None, :]
-    W = np.sqrt(rho * rho + np.sum(v * v, axis=1))  # |rho u - rho_a E_a|
+    v = np.einsum("aiN,iN->aN", frames, grad)  # rho_a
+    rho_ab = np.einsum("aiN,biN->abN", np.einsum("ijN,ajN->aiN", hess, frames), frames)
+    rho_ab = 0.5 * (rho_ab + rho_ab.swapaxes(0, 1))
+    eye = np.eye(n)[:, :, None]
+    rho_ab -= np.einsum("iN,iN->N", u, grad) * eye
+    vv = v[:, None] * v[None, :]
+    W = np.sqrt(rho * rho + np.einsum("aN,aN->N", v, v))  # |rho u - rho_a E_a|
 
-    g_euc = (rho * rho)[:, None, None] * eye + vv
-    B_euc = (2.0 * vv - rho[:, None, None] * (rho_ab - rho[:, None, None] * eye)) / W[:, None, None]
+    g_euc = (rho * rho) * eye + vv
+    B_euc = (2.0 * vv - rho * (rho_ab - rho * eye)) / W
     # rho u - rho_a E_a is normal to every X_a and pairs positively with u;
     # its negation is the inward normal
-    outward = rho[:, None] * u - np.sum(v[:, :, None] * frames, axis=1)
-    nu_euc = -outward / W[:, None]
+    nu_euc = -(rho * u - np.einsum("aN,aiN->iN", v, frames)) / W
 
     # single conformal path: at delta = 0 every correction is an exact
     # float identity (q = 1, grad phi = 0), so the Euclidean case is
     # reproduced bit-for-bit
     delta = surface.model.delta
-    q = 1.0 + 0.25 * delta * np.sum(X * X, axis=1)  # q = e^{-phi}
-    dphi_nu = np.sum(nu_euc * surface.model.grad_phi(X), axis=1)
-    B_mixed = B_euc - dphi_nu[:, None, None] * g_euc
+    q = 1.0 + 0.25 * delta * np.einsum("iN,iN->N", X, X)  # q = e^{-phi}
+    dphi_nu = np.einsum("iN,Ni->N", nu_euc, surface.model.grad_phi(X.T))
+    B_mixed = B_euc - dphi_nu * g_euc
 
     # g^{-1/2} = (I - c v v^T)/rho with c = 1/(W (rho + W)) (Sherman-Morrison),
     # so M = g^{-1/2} B g^{-1/2} has the pencil eigenvalues of (B, g)
     c = 1.0 / (W * (rho + W))
-    w = np.sum(B_mixed * v[:, None, :], axis=2)
-    vw = v[:, :, None] * w[:, None, :]
-    M = (B_mixed - c[:, None, None] * (vw + np.swapaxes(vw, 1, 2))
-         + (c * c * np.sum(w * v, axis=1))[:, None, None] * vv) / (rho * rho)[:, None, None]
+    w = np.einsum("abN,bN->aN", B_mixed, v)
+    vw = v[:, None] * w[None, :]
+    M = (B_mixed - c * (vw + vw.swapaxes(0, 1))
+         + (c * c * np.einsum("aN,aN->N", w, v)) * vv) / (rho * rho)
+    del u, frames, grad, hess, rho_ab, vv, B_euc, w, vw  # bounds the block's peak memory
 
-    r = np.asarray(geodesic_radius(X, surface.model))
+    r = np.asarray(geodesic_radius(X.T, surface.model))
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
     return {
-        "X": X, "nu": q[:, None] * nu_euc, "g": g_euc / q[:, None, None] ** 2,
-        "B": B_mixed / q[:, None, None], "kappa": q[:, None] * np.linalg.eigvalsh(M),
+        "X": X.T, "nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
+        "B": (B_mixed / q).transpose(2, 0, 1), "kappa": (q * _jacobi_eigenvalues(M)).T,
         "support": s_delta(r, delta) * (-rho / W), "r": r,
         "area_element": area_euc / q**n,
-        "H_tilde": np.trace(M, axis1=1, axis2=2) / n + dphi_nu,
+        "H_tilde": np.einsum("aaN->N", M) / n + dphi_nu,
         "area_element_euclid": area_euc, "rho": rho,
     }
+
+
+def _jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (n, N) of symmetric (n, n, N) matrices by cyclic Jacobi.
+
+    Four sweeps reach roundoff for n <= 3, so every node does the same work.
+    The rotation t = sign(theta) a_pq / (|theta| + hypot(theta, a_pq)) with
+    theta = (a_qq - a_pp)/2 is 0 exactly when a_pq = 0 and never overflows.
+    """
+    n = M.shape[0]
+    a = {(i, j): M[i, j] for i in range(n) for j in range(i, n)}  # upper triangle
+    for p, q in [(p, q) for _ in range(4) for p in range(n) for q in range(p + 1, n)]:
+        apq, theta = a[p, q], 0.5 * (a[q, q] - a[p, p])
+        den = theta + np.copysign(np.hypot(theta, apq), theta)  # sign(theta) (|theta| + hypot)
+        t = apq / np.where(den != 0.0, den, 1.0)
+        cos = 1.0 / np.sqrt(1.0 + t * t)
+        a[p, p], a[q, q], a[p, q] = a[p, p] - t * apq, a[q, q] + t * apq, 0.0 * apq
+        for r in set(range(n)) - {p, q}:
+            rp, rq = tuple(sorted((r, p))), tuple(sorted((r, q)))
+            a[rp], a[rq] = cos * (a[rp] - t * a[rq]), cos * (t * a[rp] + a[rq])
+    return np.sort([a[i, i] for i in range(n)], axis=0)
 
 
 def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:

@@ -61,6 +61,15 @@ class TestRules:
         with pytest.raises(ValueError):
             build_rule(4, 8)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rules_are_built_once_and_read_only(self, n):
+        rule = build_rule(n, 10)
+        assert build_rule(n, 10) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
 
 class TestSurfaceIntegral:
     def test_unit_sphere_area(self):

@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
-from starpinch.surface import (RadialSurface, _constant_sign, B_sup_norm,
+from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
                                basis_values, evaluate_nodes, evaluate_point,
                                starshape_report, tangent_frames)
+from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
 
 def sphere(delta, rho_chart, n=2, perturbation=()):
@@ -263,6 +265,64 @@ class TestBlocks:
             tracemalloc.stop()
         batch_bytes = sum(getattr(batch, f.name).nbytes for f in dataclasses.fields(batch))
         assert peak < 2.5 * batch_bytes
+
+
+def symmetric_stacks(n, seed):
+    """(N, n, n) symmetric test matrices, each family also scaled by 1e100 and 1e-100."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    diag = np.arange(n)
+    rand = rng.normal(size=(400, n, n))
+    rand = rand + rand.transpose(0, 2, 1)
+    diagonal = np.zeros((20, n, n))
+    diagonal[:, diag, diag] = rng.normal(size=(20, n))
+    # orthogonal similarity of a spectrum with a double or a triple eigenvalue
+    Q = np.linalg.qr(rng.normal(size=(60, n, n)))[0]
+    lam = rng.normal(size=(60, n))
+    lam[:30, 1] = lam[:30, 0]
+    lam[30:] = lam[30:, :1]
+    repeated = np.einsum("Nij,Nj,Nkj->Nik", Q, lam, Q)
+    # off-diagonals of 1e-300 next to an O(1) diagonal gap, and on an equal diagonal
+    tiny = np.zeros((2, n, n))
+    tiny[:, diag, diag] = [np.arange(1.0, n + 1.0), np.full(n, 1.0)]
+    tiny[:, 0, n - 1] = tiny[:, n - 1, 0] = 1e-300
+    base = np.concatenate([rand, diagonal, np.zeros((1, n, n)), repeated, tiny])
+    return np.concatenate([base, 1e100 * base, 1e-100 * base])
+
+
+class TestEigenSolve:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_jacobi_matches_eigvalsh(self, n):
+        A = symmetric_stacks(n, seed=21)
+        got = _jacobi_eigenvalues(np.ascontiguousarray(A.transpose(1, 2, 0))).T
+        ref = np.linalg.eigvalsh(A)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.diff(got, axis=1) >= 0.0)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n, order, perturbation", [
+        (2, 16, (((3, 1), 0.12), ((2, 0), 0.06))),
+        (3, 8, (("u1u2", 0.08), ("u1^2-u4^2", 0.04))),
+    ])
+    def test_kappa_are_the_pencil_eigenvalues(self, n, order, perturbation, delta):
+        surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
+        batch = surf.fields(build_rule(n, order))
+        ref = np.array([scipy.linalg.eigh(B, g, eigvals_only=True)
+                        for B, g in zip(batch.B, batch.g)])
+        assert np.max(np.abs(batch.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_symmetric_functions_are_computed_once(self):
+        surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.08),))
+        batch = surf.fields(build_rule(3, 8))
+        H, tau_sq = batch.mean_curvature_orders(), batch.tau_norm_sq()
+        assert batch.mean_curvature_orders() is H and batch.tau_norm_sq() is tau_sq
+        assert np.array_equal(H, mean_curvatures(batch.kappa))
+        assert np.array_equal(tau_sq, umbilicity_defect_sq(batch.kappa))
+        with pytest.raises(ValueError):
+            H[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            tau_sq[0] = 0.0
 
 
 class TestReports:
