@@ -32,7 +32,7 @@ from .constants import describe
 from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
 from .pinch import (RunSettings, report_text, run_pinch, scaling_csv,
                     scaling_study)
-from .quadrature import build_rule, integrate_batch
+from .quadrature import batch_volume, build_rule, integrate_batch
 from .surface import starshape_report
 from .symfun import calibrate, write_calibration
 
@@ -114,7 +114,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     batch = surface.fields(rule)
     star = starshape_report(surface, rule)
     H = batch.mean_curvature_orders()
-    vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
+    vol = batch_volume(batch, rule)
     lines = [
         f"n = {cfg.n}",
         f"delta = {cfg.delta!r}",

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import HypothesisError
 # build_rule stays importable here: bench/tracing.py wraps it at this name
-from .quadrature import (SphericalRule, build_rule, integrate_batch,  # noqa: F401
-                         refinement_estimate)
+from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
+                         integrate_batch, refinement_estimate)
 from .spaceform import c_delta
 from .surface import RadialSurface, SurfacePointData
 from .symfun import curvature_profile
@@ -54,8 +54,7 @@ def residual_table(reports) -> str:
 
 def _mean(batch, values, rule) -> float:
     """Volume-normalized integral (1/V) int values dv on one rule."""
-    vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-    return integrate_batch(batch, values, rule) / vol
+    return integrate_batch(batch, values, rule) / batch_volume(batch, rule)
 
 
 def hsiung_minkowski_residual(surface: RadialSurface, k: int, rule: SphericalRule,
@@ -105,9 +104,8 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule,
     def gap(batch, rl):
         tau = np.sqrt(batch.tau_norm_sq())
         B_sup = float(np.max(np.abs(batch.kappa)))
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rl)
-        tau2_sq = integrate_batch(batch, tau**2, rl) / vol
-        taun = (integrate_batch(batch, tau ** (n + 1), rl) / vol) ** (1.0 / (n + 1))
+        tau2_sq = _mean(batch, tau**2, rl)
+        taun = _mean(batch, tau ** (n + 1), rl) ** (1.0 / (n + 1))
         return B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
 
     est = refinement_estimate(surface, rule, gap)
@@ -167,7 +165,7 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule, Kn: float,
     n = surface.n
 
     def gap(batch, rl):
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rl, euclidean=True)
+        vol = batch_volume(batch, rl, euclidean=True)
         total_H = integrate_batch(batch, np.abs(batch.H_tilde), rl, euclidean=True)
         return Kn * total_H - vol ** ((n - 1) / n)
 

@@ -11,12 +11,12 @@ log d_H against log |eps|_1.
 
 Geodesic spheres of the conformal models are Euclidean spheres in the
 chart, so sphere sampling is exact through the chart representation and the
-sphere fit starts from an algebraic chart-sphere fit.  The fit then
-minimizes the weighted sum of squares of d(center, X_i) - rho; run_pinch
-weights every base-rule node by its share of the surface volume.  Hausdorff
-distances are exact max-min values over the samples: a k-d tree in the
-chart gives each point a certified ball of candidates, and only those pairs
-are measured.
+sphere fit starts from an algebraic chart-sphere fit.  Gauss-Newton with the
+closed-form Jacobian then minimizes the weighted sum of squares of
+d(center, X_i) - rho; run_pinch weights every base-rule node by its share of
+the surface volume.  Hausdorff distances are exact max-min values over the
+samples: a k-d tree in the chart (scipy.spatial, imported on the first pass)
+gives each point a certified ball of candidates; only those pairs are measured.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial import cKDTree
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, final_bound
 from .errors import HypothesisError, NumericalError
-from .quadrature import SphericalRule, build_rule, integrate_batch, refinement_estimate
-from .spaceform import SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius
+from .quadrature import (SphericalRule, batch_volume, build_rule, integrate_batch,
+                         refinement_estimate)
+from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
+                        s_delta)
 from .surface import RadialSurface, starshape_report
 from .symfun import partial_H_extremes
 
@@ -59,8 +59,7 @@ def epsilon_field(surface: RadialSurface, r: int, rule: SphericalRule,
             f"(u = {batch.nodes[bad]})"
         )
     if h is None:
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-        h = integrate_batch(batch, H[:, r], rule) / vol
+        h = integrate_batch(batch, H[:, r], rule) / batch_volume(batch, rule)
     return float(h), H[:, r] - h
 
 
@@ -142,20 +141,27 @@ def distance_to_geodesic_sphere(points, center, rho: float,
 # sphere fitting
 
 
+_STEP_ULPS = 4
+_MAX_STEPS = 50
+
+
 @dataclass(frozen=True)
 class SphereFit:
     center: np.ndarray
     rho0: float
     rms: float
+    iterations: int
 
 
 def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereFit:
     """Weighted least-squares geodesic sphere through a point cloud.
 
-    Minimizes sum_i w_i (d(center, X_i) - rho)^2 over center and rho,
-    starting from the algebraic (Kasa) fit of a Euclidean sphere in the
-    chart.  ``weights`` default to equal; rho0 and rms are the weighted mean
-    and rms of the distances at the optimum.
+    Minimizes sum_i w_i (d(center, X_i) - rho)^2 over center and rho by
+    Gauss-Newton with the closed-form Jacobian, from the algebraic (Kasa) fit
+    of a Euclidean sphere in the chart, until a step is within _STEP_ULPS ulps
+    of max(1, |params|) (NumericalError after _MAX_STEPS steps or on a value
+    that is not finite).  ``weights`` default to equal; rho0 and rms are the
+    weighted mean and rms of the distances at the optimum.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or len(pts) < pts.shape[1] + 2:
@@ -170,19 +176,41 @@ def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereF
     lhs = np.hstack([2.0 * pts, np.ones((len(pts), 1))]) * sqrt_w[:, None]
     sol = np.linalg.lstsq(lhs, np.sum(pts * pts, axis=1) * sqrt_w, rcond=None)[0]
     a, c = sol[:-1], sol[-1]
-    center, rho = _chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a))
+    params = np.append(*_chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a)))
 
-    def residuals(params):
-        return sqrt_w * (np.asarray(geodesic_distance(pts, params[:-1], model)) - params[-1])
-
-    res = least_squares(residuals, np.append(center, rho), jac="3-point",
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12)
-    if not res.success:
-        raise NumericalError(f"sphere fit did not converge: {res.message}")
-    center = res.x[:-1]
-    d = np.asarray(geodesic_distance(pts, center, model))
+    for iterations in range(1, _MAX_STEPS + 1):
+        d, jac = _distance_jacobian(pts, params[:-1], model)
+        lhs = np.hstack([jac, -np.ones((len(pts), 1))]) * sqrt_w[:, None]
+        step = np.linalg.lstsq(lhs, sqrt_w * (params[-1] - d), rcond=None)[0]
+        params = params + step
+        if not np.all(np.isfinite(params)):
+            raise NumericalError("sphere fit diverged: a parameter is not finite")
+        if np.max(np.abs(step)) <= _STEP_ULPS * np.spacing(max(1.0, np.max(np.abs(params)))):
+            break
+    else:
+        raise NumericalError(f"sphere fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
+    d = np.asarray(geodesic_distance(pts, params[:-1], model))
     rho0 = float(w @ d)
-    return SphereFit(center=center, rho0=rho0, rms=math.sqrt(float(w @ (d - rho0) ** 2)))
+    return SphereFit(center=params[:-1], rho0=rho0, rms=math.sqrt(float(w @ (d - rho0) ** 2)),
+                     iterations=iterations)
+
+
+def _distance_jacobian(pts, center, model: SpaceFormModel):
+    """Distances d(center, x_i) and their gradients in the center.
+
+    d depends on t = |x - c|^2 / (q(x) q(c)), q = 1 + (delta/4)|.|^2, alone,
+    with dd/dt = 1/(2 s_delta(d)) (k/(2 sinh kd), 1/(2d), k/(2 sin kd)), and
+    dt/dc = -2 (x - c) / (q(x) q(c)) - t (delta/2) c / q(c).
+    """
+    d = np.asarray(geodesic_distance(pts, center, model))
+    if not np.all(d > 0.0):
+        raise NumericalError("sphere fit: a distance to the center is 0 or NaN (singular Jacobian)")
+    inv_qc = model.conformal_scale(center)
+    diff = pts - center
+    scale = model.conformal_scale(pts) * inv_qc
+    t = np.einsum("ij,ij->i", diff, diff) * scale
+    dt_dc = -2.0 * scale[:, None] * diff - (0.5 * model.delta * inv_qc) * t[:, None] * center
+    return d, dt_dc / (2.0 * s_delta(d, model.delta))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +241,7 @@ def _directed_hausdorff(a, b, model):
     """
     model.require_inside(a)
     model.require_inside(b)
+    from scipy.spatial import cKDTree  # the one scipy use, loaded on the first pass
     scale = model.conformal_scale(b)  # 1/q
     tree = cKDTree(b)
     e, _ = tree.query(a)
@@ -283,7 +312,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     h, eps = epsilon_field(surface, r, rule, h=settings.h_fixed)
 
     def mean(b, values, rl):
-        return integrate_batch(b, values, rl) / integrate_batch(b, np.ones(len(b.rho)), rl)
+        return integrate_batch(b, values, rl) / batch_volume(b, rl)
 
     def eps_l1_of(b, rl):
         return mean(b, np.abs(epsilon_field(surface, r, rl, h=h)[1]), rl)
@@ -294,7 +323,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     eps_l1 = refinement_estimate(surface, rule, eps_l1_of)
     tau_l2 = refinement_estimate(surface, rule, tau_l2_of)
-    vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
+    vol = batch_volume(batch, rule)
     eps_linf = float(np.max(np.abs(eps)))
     tau = np.sqrt(batch.tau_norm_sq())
     tau_lnp1 = (integrate_batch(batch, tau ** (n + 1), rule) / vol) ** (1.0 / (n + 1))

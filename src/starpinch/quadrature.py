@@ -111,6 +111,14 @@ def integrate_batch(batch: SurfaceBatch, values, rule: SphericalRule,
     return _reduce(np.asarray(values, dtype=float) * area * rule.weights)
 
 
+def batch_volume(batch: SurfaceBatch, rule: SphericalRule, euclidean: bool = False) -> float:
+    """integrate_batch of ones, reduced once per batch and kept on it."""
+    key = (rule.order, euclidean)
+    if key not in batch.volumes:
+        batch.volumes[key] = integrate_batch(batch, np.ones(len(batch.rho)), rule, euclidean)
+    return batch.volumes[key]
+
+
 def refinement_estimate(surface: RadialSurface, rule: SphericalRule,
                         functional) -> IntegralEstimate:
     """A scalar functional of the surface with its refinement error.
@@ -138,8 +146,8 @@ def surface_integral(surface: RadialSurface, f, rule: SphericalRule,
 
 def surface_volume(surface: RadialSurface, rule: SphericalRule,
                    euclidean: bool = False) -> IntegralEstimate:
-    return surface_integral(surface, lambda b: np.ones(len(b.rho)), rule,
-                            euclidean=euclidean)
+    return refinement_estimate(surface, rule,
+                               lambda batch, rl: batch_volume(batch, rl, euclidean))
 
 
 def lp_norm(surface: RadialSurface, f, p: float, rule: SphericalRule) -> float:
@@ -147,6 +155,6 @@ def lp_norm(surface: RadialSurface, f, p: float, rule: SphericalRule) -> float:
     if p < 1.0:
         raise ValueError("p must be at least 1")
     batch = surface.fields(rule)
-    vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
+    vol = batch_volume(batch, rule)
     power = integrate_batch(batch, np.abs(np.asarray(f(batch), dtype=float)) ** p, rule)
     return (power / vol) ** (1.0 / p)

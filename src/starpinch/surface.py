@@ -249,6 +249,11 @@ class SurfaceBatch:
         H.flags.writeable = tau_sq.flags.writeable = False
         return H, tau_sq
 
+    @cached_property
+    def volumes(self) -> dict:
+        """(rule order, euclidean) -> volume, filled by quadrature.batch_volume."""
+        return {}
+
     def point(self, idx: int) -> "SurfacePointData":
         """The data of node ``idx``."""
         return SurfacePointData(

@@ -1,10 +1,16 @@
 """Command-line interface: config parsing, commands, exit codes, determinism."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import starpinch
 from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.config import load_config
@@ -223,3 +229,35 @@ class TestCalibrateCommand:
                        + str(out / "calibration_n2_r1.txt") + "\n")
         loaded = load_config(cfg)
         assert loaded.constants.c_n == pytest.approx(0.45, abs=1e-5)
+
+
+IMPORT_PROBE = """
+import json, sys
+import starpinch, starpinch.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+config, out = sys.argv[1:]
+codes = [starpinch.cli.main([cmd, "--config", config, "--out", out])
+         for cmd in ("report", "identities")]
+codes.append(starpinch.cli.main(["calibrate", "--n", "2", "--r", "1",
+                                 "--samples", "10000", "--out", out]))
+before = scipy_modules()
+codes.append(starpinch.cli.main(["pinch", "--config", config, "--out", out]))
+after = scipy_modules()
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_scipy_loads_only_with_the_hausdorff_pass(config_file, tmp_path):
+    # a fresh interpreter: this process has scipy loaded by other tests
+    env = dict(os.environ, PYTHONPATH=str(Path(starpinch.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_file),
+                           str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["before"] == []
+    assert "scipy.spatial" in seen["after"]
+    assert not any(m.startswith("scipy.optimize") for m in seen["after"])

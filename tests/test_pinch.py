@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
 import starpinch.pinch
 from starpinch.constants import ConstantsConfig
-from starpinch.errors import HypothesisError
+from starpinch.errors import HypothesisError, NumericalError
 from starpinch.pinch import (RunSettings, epsilon_field, fit_geodesic_sphere,
                              gate_overall, geodesic_sphere_chart,
                              hausdorff_distance, hypothesis_gate, run_pinch,
@@ -19,6 +20,7 @@ from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
 from starpinch.surface import RadialSurface
 
 EPS0_DEMO = 10.0  # generous black-box threshold so the conditional bound bites
+HAUSDORFF_DELTAS = [-1.0, -0.25, 0.0, 0.5, 1.0]
 
 
 def make_surface(delta, rho0=1.0, perturbation=(), n=2):
@@ -173,6 +175,65 @@ class TestSphereFit:
             assert fit.rms > 0.0
             assert fit.rms == pytest.approx(fits[0].rms, rel=1e-6)
 
+    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_jacobian_matches_central_differences(self, delta, dim):
+        model = SpaceFormModel(delta=delta, ambient_dim=dim)
+        radius = 2.0 if delta == 0.0 else model.model_radius
+        pts = 0.6 * radius * sphere_directions(40, dim, 57) * np.linspace(0.2, 1.0, 40)[:, None]
+        center = 0.15 * radius * sphere_directions(1, dim, 58)[0]
+        d, jac = starpinch.pinch._distance_jacobian(pts, center, model)
+        assert np.array_equal(d, geodesic_distance(pts, center, model))
+        h = 1e-6
+        for j in range(dim):
+            e = h * np.eye(dim)[j]
+            fd = (geodesic_distance(pts, center + e, model)
+                  - geodesic_distance(pts, center - e, model)) / (2.0 * h)
+            assert np.max(np.abs(jac[:, j] - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+    def test_sample_at_the_center_raises(self):
+        model = SpaceFormModel(delta=-1.0, ambient_dim=3)
+        center = np.array([0.1, 0.0, 0.0])
+        pts = np.vstack([sample_geodesic_sphere(model, center, 0.5, sphere_directions(8, 3, 59)),
+                         center])
+        with pytest.raises(NumericalError):
+            starpinch.pinch._distance_jacobian(pts, center, model)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        model = SpaceFormModel(delta=1.0, ambient_dim=3)
+        pts = make_surface(1.0, perturbation=(((3, 1), 0.04),)).fields(build_rule(2, 8)).X
+        monkeypatch.setattr(starpinch.pinch, "_MAX_STEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            fit_geodesic_sphere(pts, model)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_fit_does_not_amplify_roundoff(self, delta):
+        # a 1e-15 relative change of every node moves the fit by no more
+        surf = make_surface(delta, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+        rule = build_rule(2, 12)
+        batch = surf.fields(rule)
+        weights = batch.area_element * rule.weights
+        fit = fit_geodesic_sphere(batch.X, surf.model, weights=weights)
+        rng = np.random.Generator(np.random.Philox(60))
+        for _ in range(3):
+            noisy = batch.X * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=batch.X.shape))
+            moved = fit_geodesic_sphere(noisy, surf.model, weights=weights)
+            assert np.max(np.abs(moved.center - fit.center)) <= 1e-15
+            assert moved.rho0 == pytest.approx(fit.rho0, rel=1e-13, abs=0.0)
+            assert moved.rms == pytest.approx(fit.rms, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_few_iterations_on_the_acceptance_surfaces(self, delta):
+        # the six gated surfaces of the acceptance suite, as run_pinch fits them
+        for surf, order in ((make_surface(delta, perturbation=(((3, 1), 0.04),)), 12),
+                            (make_surface(delta, rho0=0.9, n=3,
+                                          perturbation=(("u1u2", 0.04),)), 8)):
+            rule = build_rule(surf.n, order)
+            batch = surf.fields(rule)
+            fit = fit_geodesic_sphere(batch.X, surf.model,
+                                      weights=batch.area_element * rule.weights)
+            assert 1 <= fit.iterations <= 8
+
     def test_chart_representation_consistency(self):
         # every sampled point must sit at geodesic distance rho from the center
         model = SpaceFormModel(delta=1.0, ambient_dim=3)
@@ -211,9 +272,6 @@ def brute_force_hausdorff(a, b, model):
     a_to_b = geodesic_distance(a[:, None, :], b[None, :, :], model).min(axis=1).max()
     b_to_a = geodesic_distance(b[:, None, :], a[None, :, :], model).min(axis=1).max()
     return float(max(a_to_b, b_to_a))
-
-
-HAUSDORFF_DELTAS = [-1.0, -0.25, 0.0, 0.5, 1.0]
 
 
 def chart_cloud(dim, scale):
@@ -283,7 +341,7 @@ class TestHausdorffExact:
         def no_tree(*args):
             raise AssertionError("k-d tree built before the chart check")
 
-        monkeypatch.setattr(starpinch.pinch, "cKDTree", no_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
         inside = np.array([[0.1, 0.0, 0.0]])
         outside = np.array([[2.5, 0.0, 0.0]])
