@@ -1,9 +1,11 @@
 """Numerical residuals for the integral identities and inequality chain.
 
-Each check returns a ResidualReport.  Identities pass when |value| stays
-within tolerance plus quadrature refinement error; inequalities pass when
-the gap is above minus that slack.  All residuals are volume-normalized so
-tolerances compare across surfaces of different size.
+Each check returns a ResidualReport.  An identity passes when |value| is at
+most its fixed tolerance, an inequality when its gap is at least minus that
+tolerance.  The quadrature refinement error (base rule vs doubled rule) is
+reported next to the value and never widens the verdict.  Integral
+residuals are volume-normalized so tolerances compare across surfaces of
+different size.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .symfun import curvature_profile
 IDENTITY = "identity"
 INEQUALITY = "inequality"
 
+INTEGRAL_TOLERANCE = 1e-8   # volume-normalized integral identities and gaps
+ALGEBRAIC_TOLERANCE = 1e-12  # pointwise Gauss identity, relative to |S|^2
+LEMMA_TOLERANCE = 1e-10     # pointwise tau^2 bound
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -34,10 +40,9 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        slack = self.tolerance + self.refinement_error
         if self.kind == IDENTITY:
-            return abs(self.value) <= slack
-        return self.value >= -slack
+            return abs(self.value) <= self.tolerance
+        return self.value >= -self.tolerance
 
 
 def residual_table(reports) -> str:
@@ -57,8 +62,8 @@ def _mean(batch, values, rule) -> float:
     return integrate_batch(batch, values, rule) / batch_volume(batch, rule)
 
 
-def hsiung_minkowski_residual(surface: RadialSurface, k: int, rule: SphericalRule,
-                              tolerance: float = 1e-8) -> ResidualReport:
+def hsiung_minkowski_residual(surface: RadialSurface, k: int,
+                              rule: SphericalRule) -> ResidualReport:
     """Normalized residual of int (H_{k+1} <Z,nu> + c_d(r) H_k) dv = 0."""
     if not 0 <= k <= surface.n - 1:
         raise ValueError(f"k must lie in [0, n-1], got {k}")
@@ -70,11 +75,11 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int, rule: SphericalRul
 
     est = refinement_estimate(surface, rule, lambda b, rl: _mean(b, integrand(b), rl))
     return ResidualReport(name=f"hsiung_minkowski_k{k}", value=est.value,
-                          tolerance=tolerance, refinement_error=est.refinement_error,
+                          tolerance=INTEGRAL_TOLERANCE, refinement_error=est.refinement_error,
                           kind=IDENTITY)
 
 
-def gauss_algebraic_check(point: SurfacePointData, tolerance: float = 1e-12) -> ResidualReport:
+def gauss_algebraic_check(point: SurfacePointData) -> ResidualReport:
     """Relative residual of tau^2 = n(n-1)(H^2 - H_2) at one point.
 
     Relative to the shape-operator scale |S|^2 = sum kappa_i^2 (the term
@@ -87,7 +92,7 @@ def gauss_algebraic_check(point: SurfacePointData, tolerance: float = 1e-12) -> 
     s_norm_sq = float(np.sum(prof.kappa**2))
     scale = max(prof.tau_sq, abs(rhs), s_norm_sq, 1e-300)
     value = abs(prof.tau_sq - rhs) / scale
-    return ResidualReport(name="gauss_algebraic", value=value, tolerance=tolerance,
+    return ResidualReport(name="gauss_algebraic", value=value, tolerance=ALGEBRAIC_TOLERANCE,
                           refinement_error=0.0, kind=IDENTITY)
 
 
@@ -96,8 +101,7 @@ def scalar_curvature(H2: float, n: int, delta: float) -> float:
     return n * (n - 1) * (H2 + delta)
 
 
-def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule,
-                               tolerance: float = 1e-8) -> ResidualReport:
+def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> ResidualReport:
     """Gap |B|_inf^(2n) |tau|_2^2 - |tau|_{n+1}^{2(n+1)} >= 0 (normalized norms)."""
     n = surface.n
 
@@ -110,23 +114,22 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule,
 
     est = refinement_estimate(surface, rule, gap)
     return ResidualReport(name="cauchy_schwarz_chain", value=est.value,
-                          tolerance=tolerance, refinement_error=est.refinement_error,
+                          tolerance=INTEGRAL_TOLERANCE, refinement_error=est.refinement_error,
                           kind=INEQUALITY)
 
 
-def lemma1_gap(point: SurfacePointData, r: int, K1: float,
-               tolerance: float = 1e-10) -> ResidualReport:
+def lemma1_gap(point: SurfacePointData, r: int, K1: float) -> ResidualReport:
     """Pointwise gap K1 (H H_r - H_{r+1}) - tau^2 >= 0."""
     prof = curvature_profile(point.kappa)
     if prof.H[r + 1] <= 0.0:
         raise HypothesisError(f"lemma gap needs H_{r+1} > 0, got {prof.H[r + 1]:.6g}")
     value = float(K1 * (prof.H[1] * prof.H[r] - prof.H[r + 1]) - prof.tau_sq)
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=value,
-                          tolerance=tolerance, refinement_error=0.0, kind=INEQUALITY)
+                          tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
 
 
-def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int, K1: float,
-                     tolerance: float = 1e-10) -> ResidualReport:
+def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int,
+                     K1: float) -> ResidualReport:
     """Worst-node version of lemma1_gap over a whole quadrature batch."""
     batch = surface.fields(rule)
     H = batch.mean_curvature_orders()
@@ -138,11 +141,11 @@ def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int, K1: fl
     tau_sq = batch.tau_norm_sq()
     gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),
-                          tolerance=tolerance, refinement_error=0.0, kind=INEQUALITY)
+                          tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
 
 
 def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
-                         rule: SphericalRule, tolerance: float = 1e-8) -> ResidualReport:
+                         rule: SphericalRule) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
     def eps_l1(batch, rl):
         return _mean(batch, np.abs(batch.mean_curvature_orders()[:, r] - h), rl)
@@ -150,17 +153,19 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
     tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, b.tau_norm_sq(), rl))
     eps = refinement_estimate(surface, rule, eps_l1)
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
-                          value=K2 * eps.value - tau.value, tolerance=tolerance,
+                          value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,
                           kind=INEQUALITY)
 
 
-def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule, Kn: float,
-                        tolerance: float = 1e-8) -> ResidualReport:
-    """Diagnostic gap Kn * int |H~| dv~ - V~^{(n-1)/n} for the flat immersion.
+def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule,
+                        Kn: float) -> ResidualReport:
+    """Gap Kn * int |H~| dv~ - V~^{(n-1)/n} for the flat immersion.
 
-    Runs on the Euclidean-metric data of the chart immersion; never gates
-    the pipeline because the sharp constant is configuration.
+    Runs on the Euclidean-metric data of the chart immersion with the
+    configured Kn (``Kn_MS``; the sharp constant is not derived here).  Like
+    every row of `starpinch identities` it gates that command (exit 2 when
+    it fails); `run_pinch` does not use it.
     """
     n = surface.n
 
@@ -170,5 +175,5 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule, Kn: float,
         return Kn * total_H - vol ** ((n - 1) / n)
 
     est = refinement_estimate(surface, rule, gap)
-    return ResidualReport(name="michael_simon", value=est.value, tolerance=tolerance,
+    return ResidualReport(name="michael_simon", value=est.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=est.refinement_error, kind=INEQUALITY)

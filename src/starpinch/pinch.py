@@ -290,16 +290,26 @@ class PinchReport:
     constants: ProofConstants
 
 
+# dH is a max of differences of O(rho0) distances, so it is resolved only to
+# rounding: on exact geodesic spheres (n = 2, 3; delta in [-1, 1]; geodesic
+# radii 1e-6 to 1e3; rules up to q = 64) it reads up to 15 eps * rho0, while
+# their bound is often exactly 0.  The bound verdict allows this much.
+_DH_ROUNDING = 1e-13
+
+
 @dataclass(frozen=True)
 class RunSettings:
     quad_order: int = 16
     h_fixed: float | None = None
     constants: ConstantsConfig = ConstantsConfig()
-    enforce_bound: bool = True
 
 
 def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSettings()) -> PinchReport:
-    """Execute the full pipeline and return every intermediate quantity."""
+    """Execute the full pipeline and return every intermediate quantity.
+
+    Raises NumericalError when the bound applies and dH exceeds it by more
+    than rounding (_DH_ROUNDING * rho0); dH_refinement is never added.
+    """
     n = surface.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must lie in [1, n-1], got r={r}")
@@ -347,9 +357,8 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)
     applicable = gate_overall(gates) and eps_gate
-    slack = max(1e-8, dH_ref)
-    bound_ok = (dH <= bound + slack) if applicable else True
-    if settings.enforce_bound and applicable and not bound_ok:
+    bound_ok = not applicable or dH <= bound + _DH_ROUNDING * fit.rho0
+    if not bound_ok:
         raise NumericalError(
             f"stability bound violated: dH = {dH:.6g} > bound = {bound:.6g}"
         )
@@ -436,20 +445,19 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
 
     The base perturbation coefficients are multiplied by each amplitude in
     turn (so amplitude 1 reproduces the base surface).  Rows whose gates
-    fail are flagged and excluded from the log-log regression.
+    fail are flagged and excluded from the log-log regression.  The study
+    is ``monotone`` when dH never increases from one amplitude to the next.
     """
     amps = [float(a) for a in amplitudes]
     if any(a2 >= a1 for a1, a2 in zip(amps, amps[1:])):
         raise ValueError("amplitudes must be strictly decreasing")
     rows = []
-    reports = []
     for a in amps:
         scaled = RadialSurface(
             n=base_surface.n, model=base_surface.model, rho0=base_surface.rho0,
             perturbation=tuple((key, a * amp) for key, amp in base_surface.perturbation),
         )
         rep = run_pinch(scaled, r, settings)
-        reports.append(rep)
         rows.append(ScalingRow(
             amplitude=a, eps_l1=rep.eps_l1, eps_linf=rep.eps_linf,
             tau_l2=rep.tau_l2, tau_lnp1=rep.tau_lnp1, R0=rep.R0,
@@ -468,8 +476,7 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
                                 residual=float(np.sqrt(np.mean(resid**2))),
                                 points=len(usable))
 
-    tol = max(max(rep.dH_refinement for rep in reports), 1e-12)
-    monotone = all(r1.dH + tol >= r2.dH for r1, r2 in zip(reports, reports[1:]))
+    monotone = all(r1.dH >= r2.dH for r1, r2 in zip(rows, rows[1:]))
     return ScalingStudy(rows=tuple(rows), regression=regression, monotone=monotone)
 
 

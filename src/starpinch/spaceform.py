@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import HypothesisError
 
-# below |delta| * t^2 = 1e-8 the trig kernels switch to a 4-term series so
-# that values are continuous across delta = 0
-_SERIES_THRESHOLD = 1e-8
-
 
 @dataclass(frozen=True)
 class SpaceFormModel:
@@ -77,35 +73,32 @@ class SpaceFormModel:
             )
 
 
+# the closed forms stay within about 1 ulp of their flat limits as
+# delta t^2 -> 0 (cos, cosh -> 1; sin(kt)/k, sinh(kt)/k -> t), so the
+# kernels are continuous across delta = 0
 def c_delta(t, delta: float):
     """Cosine-like kernel: cos(sqrt(delta) t) / 1 / cosh(sqrt(-delta) t)."""
     t = np.asarray(t, dtype=float)
-    z = delta * t * t
-    series = 1.0 - z / 2.0 + z * z / 24.0 - z**3 / 720.0
     if delta > 0.0:
-        exact = np.cos(np.sqrt(delta) * t)
+        out = np.cos(np.sqrt(delta) * t)
     elif delta < 0.0:
-        exact = np.cosh(np.sqrt(-delta) * t)
+        out = np.cosh(np.sqrt(-delta) * t)
     else:
-        exact = np.ones_like(t)
-    out = np.where(np.abs(z) < _SERIES_THRESHOLD, series, exact)
+        out = np.ones_like(t)
     return out if out.ndim else float(out)
 
 
 def s_delta(t, delta: float):
     """Sine-like kernel: the solution of f'' + delta f = 0, f(0)=0, f'(0)=1."""
     t = np.asarray(t, dtype=float)
-    z = delta * t * t
-    series = t * (1.0 - z / 6.0 + z * z / 120.0 - z**3 / 5040.0)
     if delta > 0.0:
         rt = np.sqrt(delta)
-        exact = np.sin(rt * t) / rt
+        out = np.sin(rt * t) / rt
     elif delta < 0.0:
         rt = np.sqrt(-delta)
-        exact = np.sinh(rt * t) / rt
+        out = np.sinh(rt * t) / rt
     else:
-        exact = t.copy() if t.ndim else t
-    out = np.where(np.abs(z) < _SERIES_THRESHOLD, series, exact)
+        out = t.copy()
     return out if out.ndim else float(out)
 
 

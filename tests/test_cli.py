@@ -142,15 +142,20 @@ class TestCommands:
         assert code == 2
         assert "hsiung_minkowski" in capsys.readouterr().err
 
-    def test_order_sweep_decay(self, tmp_path):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(GOOD_CONFIG)
+    def test_coarse_rule_identities_exit_2(self, tmp_path, capsys):
+        # at q=4 the Hsiung-Minkowski residuals are 2.5e-6 to 8.6e-6, about
+        # their own refinement errors and far above the 1e-8 tolerance
+        cfg = tmp_path / "n3.ini"
+        cfg.write_text("[surface]\nn = 3\ndelta = -1.0\nrho0 = 0.9\n"
+                       "perturbation = u1u2:0.08 u1^2-u4^2:0.04\n\n[experiment]\nr = 1\n")
         out = tmp_path / "out"
         assert main(["identities", "--config", str(cfg), "--out", str(out),
-                     "--order-sweep"]) == 0
-        text = (out / "identities.csv").read_text()
-        assert "hsiung_minkowski_k0_order4," in text  # 12 // 4, floored at 4
-        assert "hsiung_minkowski_k0_order12," in text
+                     "--quad-order", "4"]) == 2
+        assert "hsiung_minkowski" in capsys.readouterr().err
+        rows = [r.split(",") for r in (out / "identities.csv").read_text().splitlines()
+                if r.startswith("hsiung_minkowski_k")]
+        assert [r[0] for r in rows] == [f"hsiung_minkowski_k{k}_order4" for k in range(3)]
+        assert all(r[-1] == "False" for r in rows)
 
     def test_pinch_writes_report(self, tmp_path):
         cfg = tmp_path / "exp.ini"

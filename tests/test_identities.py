@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from starpinch.constants import K2
-from starpinch.identities import (cauchy_schwarz_chain_check,
+from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
+                                  cauchy_schwarz_chain_check,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
                                   lemma1_gap_batch, michael_simon_ratio,
@@ -146,7 +147,7 @@ class TestLemmaGap:
 
     def test_r1_identity_on_perturbed_nodes(self):
         surf = make_surface(-1.0, perturbation=(((3, 3), 0.1),))
-        rep = lemma1_gap_batch(surf, build_rule(2, 16), 1, K1=2.0, tolerance=1e-10)
+        rep = lemma1_gap_batch(surf, build_rule(2, 16), 1, K1=2.0)
         assert abs(rep.value) < 1e-10 and rep.passed
 
     def test_r2_gap_with_calibrated_constants(self):
@@ -227,6 +228,14 @@ class TestRefinementError:
         base, doubled = (tau_l2_epsilon_bound(surface, 1, 0.9, 3.0, build_rule(2, q))
                          for q in (8, 16))
         assert base.refinement_error >= abs(base.value - doubled.value)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("kind, value", [(IDENTITY, 2e-8), (INEQUALITY, -2e-8)])
+    def test_refinement_error_never_widens_the_tolerance(self, kind, value):
+        rep = ResidualReport(name="x", value=value, tolerance=1e-8,
+                             refinement_error=5e-8, kind=kind)
+        assert not rep.passed
 
 
 class TestResidualTable:

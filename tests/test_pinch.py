@@ -375,6 +375,20 @@ class TestRunPinch:
         assert rep.applicable
         assert rep.dH <= rep.bound
 
+    @pytest.mark.parametrize("n, order", [(2, 16), (3, 8)])
+    def test_exact_flat_sphere_passes_its_zero_bound(self, n, order):
+        # eps = 0 exactly, so the bound is 0 while dH is a few ulps of rho0
+        rep = run_pinch(make_surface(0.0, n=n), 1, settings(order=order))
+        assert rep.bound == 0.0 and 0.0 < rep.dH <= 1e-13 * rep.rho0
+        assert rep.applicable and rep.bound_ok
+
+    def test_bound_violation_raises_whatever_the_refinement_error(self):
+        # flat, rho0 = 1e-6: dH = 3.29e-8 exceeds the bound 1.65e-8 while
+        # dH_refinement = 7.8e-8 is larger than the excess
+        surf = make_surface(0.0, rho0=1e-6, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+        with pytest.raises(NumericalError, match="stability bound violated"):
+            run_pinch(surf, 1, settings(order=16))
+
     def test_dh_consistent_with_dense_sampling_oracle(self):
         # the generic point-cloud estimator overestimates by at most the
         # tangential sample spacing (first order), and never undershoots
@@ -392,8 +406,7 @@ class TestRunPinch:
     def test_refinement_errors_are_doubled_rule_differences(self):
         surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
         h, _ = epsilon_field(surf, 1, build_rule(2, 8))
-        base, doubled = (run_pinch(surf, 1, RunSettings(quad_order=q, h_fixed=h,
-                                                        enforce_bound=False))
+        base, doubled = (run_pinch(surf, 1, RunSettings(quad_order=q, h_fixed=h))
                          for q in (8, 16))
         assert base.eps_l1_refinement == abs(base.eps_l1 - doubled.eps_l1)
         assert base.tau_l2_refinement == abs(base.tau_l2 - doubled.tau_l2)
