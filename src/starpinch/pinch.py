@@ -15,8 +15,11 @@ sphere fit starts from an algebraic chart-sphere fit.  Gauss-Newton with the
 closed-form Jacobian then minimizes the weighted sum of squares of
 d(center, X_i) - rho; run_pinch weights every base-rule node by its share of
 the surface volume.  Hausdorff distances are exact max-min values over the
-samples: a k-d tree in the chart (scipy.spatial, imported on the first pass)
-gives each point a certified ball of candidates; only those pairs are measured.
+samples.  Each point's candidates lie in a certified ball around its nearest
+sample in the chart; one k-nearest query on a k-d tree (scipy.spatial,
+imported on the first pass) returns them all unless its k-th nearest sample
+also lies in the ball, and only those points get a ball query.  Only
+candidate pairs are measured.
 """
 
 from __future__ import annotations
@@ -221,7 +224,8 @@ def hausdorff_distance(samples_a, samples_b, model: SpaceFormModel) -> float:
     """Max of the two directed sup-inf geodesic distances over sample sets.
 
     Exact: the value equals the brute-force max-min over every pair, bit
-    for bit, but only certified nearest-node candidates are measured.
+    for bit, but only certified nearest-node candidates are measured (one
+    k-nearest query per direction, a ball query only where it is needed).
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
@@ -230,25 +234,54 @@ def hausdorff_distance(samples_a, samples_b, model: SpaceFormModel) -> float:
     return max(_directed_hausdorff(a, b, model), _directed_hausdorff(b, a, model))
 
 
+# neighbours per point in the k-nearest query: the fastest of 2, 3 and 4 on
+# the scaling-n2 and pinch-n3 bench workloads
+_K_NEAREST = 3
+
+
 def _directed_hausdorff(a, b, model):
     """sup over a of the inf over b of the geodesic distance.
 
     For a fixed x, d(x, y) increases with |x - y|^2 / q(y), q = 1 + (delta/4)|y|^2
     (the Poincare w for delta < 0, the chordal argument for delta > 0).  So no
     node beats the Euclidean-nearest one y* at distance e unless it lies within
-    e * sqrt(max q / min q) of x; those candidates, from one k-d tree, are
-    measured with the same per-pair formula as a brute-force sweep.
+    e * sqrt(max q / min q) of x.  One k-nearest query on a k-d tree returns
+    every such candidate of x unless its K-th neighbour also lies in that
+    ball; only those points go to a ball query.  The candidates are measured
+    with the same per-pair formula as a brute-force sweep.
     """
     model.require_inside(a)
     model.require_inside(b)
     from scipy.spatial import cKDTree  # the one scipy use, loaded on the first pass
     scale = model.conformal_scale(b)  # 1/q
-    tree = cKDTree(b)
-    e, _ = tree.query(a)
+    # the unbalanced, uncompacted tree builds in half the time, which
+    # outweighs its slower queries on the bench workloads
+    tree = cKDTree(b, balanced_tree=False, compact_nodes=False)
+    # sorted by distance; padded with inf (index len(b)) when len(b) < K
+    dist, nodes = tree.query(a, k=_K_NEAREST)
     # 1e-9 relative covers rounding in e and q
-    near = tree.query_ball_point(a, e * (math.sqrt(scale.max() / scale.min()) * (1.0 + 1e-9)))
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(a))
-    idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=counts.sum())
+    radius = dist[:, 0] * (math.sqrt(scale.max() / scale.min()) * (1.0 + 1e-9))
+    # a K-th neighbour in the ball may hide more candidates, unless b has no more
+    fallback = (dist[:, -1] <= radius) & (len(b) > _K_NEAREST)
+    done = ~fallback
+    inside = dist[done] <= radius[done, None]
+    sup = _sup_of_nearest(a[done], b, nodes[done][inside], inside.sum(axis=1), model)
+    if fallback.any():
+        near = tree.query_ball_point(a[fallback], radius[fallback])
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                          count=counts.sum())
+        sup = max(sup, _sup_of_nearest(a[fallback], b, idx, counts, model))
+    return sup
+
+
+def _sup_of_nearest(a, b, idx, counts, model):
+    """Max over the rows of a of the min distance to their candidates.
+
+    Row i's candidates are the next counts[i] entries of idx (indices into b).
+    """
+    if len(a) == 0:
+        return -math.inf
     d = geodesic_distance(np.repeat(a, counts, axis=0), b[idx], model)
     starts = np.cumsum(counts) - counts
     return float(np.max(np.minimum.reduceat(d, starts)))

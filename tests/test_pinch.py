@@ -297,6 +297,21 @@ def hausdorff_case(draw):
     return a, b, model
 
 
+@pytest.fixture
+def counting_tree(monkeypatch):
+    """scipy's cKDTree, counting the ball queries of the Hausdorff search."""
+
+    class CountingTree(scipy.spatial.cKDTree):
+        ball_queries = 0
+
+        def query_ball_point(self, *args, **kwargs):
+            type(self).ball_queries += 1
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    return CountingTree
+
+
 class TestHausdorffExact:
     @given(hausdorff_case())
     @hyp_settings(max_examples=300, deadline=None)
@@ -336,6 +351,52 @@ class TestHausdorffExact:
         assert len(X) == 27648
         hausdorff_distance(sphere_pts, X, model)
         assert sum(pairs) <= 4 * (len(sphere_pts) + len(X))
+
+    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
+    def test_ball_fallback_and_sets_smaller_than_k(self, delta, counting_tree):
+        # every node of a centred sphere ties as the nearest to the origin, so
+        # the K-th neighbour lies inside the certified ball
+        model = SpaceFormModel(delta=delta, ambient_dim=3)
+        radius = 2.0 if delta == 0.0 else model.model_radius
+        sphere = 0.6 * radius * build_rule(2, 8).nodes
+        origin = np.zeros((1, 3))
+        assert hausdorff_distance(origin, sphere, model) == brute_force_hausdorff(
+            origin, sphere, model)
+        assert counting_tree.ball_queries > 0
+        k = starpinch.pinch._K_NEAREST
+        for size in range(1, k + 2):
+            for a, b in ((sphere, sphere[:size]), (sphere[:size], sphere[::-1][:size])):
+                assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
+
+    def test_scaling_surfaces_measure_under_two_pairs_per_sample(self, monkeypatch,
+                                                                  counting_tree):
+        # the scaling-n2 bench surfaces: no ball query, about one pair per point
+        directed = starpinch.pinch._directed_hausdorff
+        samples, pairs, active = [], [], []
+
+        def counting_directed(a, b, model):
+            samples.append(len(a))
+            active.append(True)
+            try:
+                return directed(a, b, model)
+            finally:
+                active.pop()
+
+        def counting_distance(x, y, m):
+            if active:
+                pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1],
+                                                             np.shape(y)[:-1]))))
+            return geodesic_distance(x, y, m)
+
+        monkeypatch.setattr(starpinch.pinch, "_directed_hausdorff", counting_directed)
+        monkeypatch.setattr(starpinch.pinch, "geodesic_distance", counting_distance)
+        for delta in (-1.0, 0.0, 1.0):
+            samples.clear()
+            pairs.clear()
+            surf = make_surface(delta, perturbation=(((3, 1), 0.08),))
+            run_pinch(surf, 1, settings(order=16))
+            assert samples and sum(pairs) < 2 * sum(samples)
+        assert counting_tree.ball_queries == 0
 
     def test_outside_chart_raises_before_the_tree(self, monkeypatch):
         def no_tree(*args):
