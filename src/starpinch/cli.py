@@ -37,7 +37,7 @@ from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
 from .pinch import (RunSettings, report_text, run_pinch, scaling_csv,
                     scaling_study)
 from .quadrature import batch_volume, build_rule, integrate_batch
-from .surface import starshape_report
+from .surface import B_sup_norm, evaluate_point, starshape_report
 from .symfun import calibrate, write_calibration
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"R0 = {star.R0!r}",
         f"R = {star.R!r}",
         f"volume = {vol!r}",
-        f"B_sup = {float(np.max(np.abs(batch.kappa)))!r}",
+        f"B_sup = {B_sup_norm(surface, rule)!r}",
         f"rho_min = {float(np.min(batch.rho))!r}",
         f"rho_max = {float(np.max(batch.rho))!r}",
     ]
@@ -156,7 +156,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _worst_gauss_point(surface, rule):
     batch = surface.fields(rule)
-    return batch.point(int(np.argmax(batch.tau_norm_sq())))
+    return evaluate_point(surface, batch.nodes[int(np.argmax(batch.tau_norm_sq()))])
 
 
 def cmd_pinch(cfg: ExperimentConfig, out_dir: Path) -> int:

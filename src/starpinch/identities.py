@@ -19,7 +19,7 @@ from .errors import HypothesisError
 from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
                          integrate_batch, refinement_estimate)
 from .spaceform import c_delta
-from .surface import RadialSurface, SurfacePointData
+from .surface import B_sup_norm, RadialSurface, SurfacePointData
 from .symfun import curvature_profile
 
 IDENTITY = "identity"
@@ -82,9 +82,13 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int,
 def gauss_algebraic_check(point: SurfacePointData) -> ResidualReport:
     """Relative residual of tau^2 = n(n-1)(H^2 - H_2) at one point.
 
-    Relative to the shape-operator scale |S|^2 = sum kappa_i^2 (the term
-    the trace identity subtracts); near umbilic points both sides cancel
-    against quantities of that size, so it is the meaningful denominator.
+    Both sides are symmetric functions of the point's Jacobi eigenvalues,
+    while a batch takes H_k and tau^2 from the invariants of M, so this
+    checks only the roundoff of the eigenvalue route, not the fields the
+    integrals read.  Relative to the shape-operator scale |S|^2 =
+    sum kappa_i^2 (the term the trace identity subtracts); near umbilic
+    points both sides cancel against quantities of that size, so it is the
+    meaningful denominator.
     """
     prof = curvature_profile(point.kappa)
     n = prof.n
@@ -107,7 +111,7 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> R
 
     def gap(batch, rl):
         tau = np.sqrt(batch.tau_norm_sq())
-        B_sup = float(np.max(np.abs(batch.kappa)))
+        B_sup = B_sup_norm(surface, rl)
         tau2_sq = _mean(batch, tau**2, rl)
         taun = _mean(batch, tau ** (n + 1), rl) ** (1.0 / (n + 1))
         return B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))

@@ -38,7 +38,7 @@ from .quadrature import (SphericalRule, batch_volume, build_rule, integrate_batc
                          refinement_estimate)
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
-from .surface import RadialSurface, starshape_report
+from .surface import B_sup_norm, RadialSurface, starshape_report
 from .symfun import partial_H_extremes
 
 # ---------------------------------------------------------------------------
@@ -372,9 +372,11 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     tau_lnp1 = (integrate_batch(batch, tau ** (n + 1), rule) / vol) ** (1.0 / (n + 1))
 
     H = batch.mean_curvature_orders()
-    B_sup = float(np.max(np.abs(batch.kappa)))
+    B_sup = B_sup_norm(surface, rule)
     minH_rplus1 = float(np.min(H[:, r + 1]))
-    minH_partial = float(np.min(partial_H_extremes(r + 1, batch.kappa)))
+    # H_{2;n,1} is the constant 1/C(n,2), so r = 1 reads no eigenvalue
+    minH_partial = (1.0 / math.comb(n, 2) if r == 1
+                    else float(np.min(partial_H_extremes(r + 1, batch.kappa))))
 
     consts = build_chain(n, r, model.delta, model, h=h, B_sup=B_sup, R0=star.R0,
                          R=star.R, volume=vol, minH_partial=minH_partial,

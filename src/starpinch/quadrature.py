@@ -6,12 +6,21 @@ Gauss-Chebyshev (second kind) layer for the sin^2 polar weight.  Weights
 are positive and sum to the sphere area, and spherical polynomials up to
 the rule order integrate exactly.
 
-Surface integrals use the h-metric area element of the batch and a
-compensated fixed-order reduction (math.fsum), so results do not depend on
-worker-thread count.  ``refinement_estimate`` is the one refinement
-estimate of the package: any scalar functional of the surface (an
-integral, a norm, an identity residual) carries the difference against the
-doubled-order rule as its refinement error.
+Surface integrals use the h-metric area element of the batch and an
+exactly rounded sum, so results depend neither on the order of the nodes
+nor on worker-thread count.  ``_reduce`` gives the float that math.fsum
+gives, without a Python loop: np.frexp writes each value as an integer
+significand of 53 bits times a power of two, the significand is split into
+its high 26 and low 27 bits, and np.bincount sums each half per exponent.
+Those sums are integers below 2^53, so they are exact, and each one scaled
+by its power of two is exact too; math.fsum of these few terms is then the
+correctly rounded total.  Non-finite values, exponents within 60 of the
+float64 limits and more than 2^26 values go to math.fsum directly.
+
+``refinement_estimate`` is the one refinement estimate of the package: any
+scalar functional of the surface (an integral, a norm, an identity
+residual) carries the difference against the doubled-order rule as its
+refinement error.
 
 L^p norms follow the volume-normalized convention
 
@@ -99,8 +108,23 @@ def _rule_s3(order: int) -> SphericalRule:
     return SphericalRule(n=3, order=order, nodes=nodes, weights=weights)
 
 
+# at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53
+_EXACT_TERMS = 2**26
+
+
 def _reduce(values: np.ndarray) -> float:
-    """Exactly rounded sum; independent of evaluation order and threading."""
+    """Exactly rounded sum, bitwise equal to math.fsum (see the module docstring)."""
+    if 0 < len(values) <= _EXACT_TERMS and np.isfinite(values).all():
+        significand, exponent = np.frexp(values)  # value = significand 2^exponent
+        low, high = int(exponent.min()), int(exponent.max())
+        if low > -1021 + 60 and high < 1024 - 60:
+            top = np.trunc(significand * 2.0**26)
+            bottom = significand * 2.0**53 - top * 2.0**27
+            bucket = exponent - low
+            scale = np.arange(low - 53, high - 52)
+            return math.fsum(np.concatenate([
+                np.ldexp(np.bincount(bucket, weights=top), scale + 27),
+                np.ldexp(np.bincount(bucket, weights=bottom), scale)]).tolist())
     return math.fsum(values.tolist())
 
 

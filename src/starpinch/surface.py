@@ -12,9 +12,16 @@ closed forms in them (no truncation error):
     B_ab = (2 rho_a rho_b - rho (rho_ab - rho delta_ab)) / W,
     dA = rho^(n-1) W,   g^(-1/2) = (I - d rho d rho^T / (W (rho + W))) / rho.
 
-The principal curvatures are the eigenvalues of M = g^(-1/2) B g^(-1/2) by
-four sweeps of cyclic Jacobi.  Blocks of nodes are evaluated node-last, as
-(d, N) directions and (n, n, N) forms, so contractions are einsums.
+The shape operator is q M with q = e^{-phi} and M = g^(-1/2) B g^(-1/2) -
+(d_nu~ phi) I, whose eigenvalues are kappa_tilde_i - d_nu~ phi (see below).
+A batch stores M, and H_k and tau^2 come from its invariants: the
+trace, the sum of the principal 2x2 minors, the determinant and the norm of
+the trace-free part.  The principal curvatures are the eigenvalues of q M
+by four sweeps of cyclic Jacobi, solved only where they are read: at every
+node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
+hold the maximum in ``B_sup_norm``.  The forms g, B and the normal nu are
+kept only by ``evaluate_point``.  Blocks of nodes are evaluated node-last,
+as (d, N) directions and (n, n, N) forms, so contractions are einsums.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -38,7 +45,6 @@ import numpy as np
 
 from .errors import HypothesisError
 from .spaceform import SpaceFormModel, geodesic_radius, s_delta
-from .symfun import mean_curvatures, umbilicity_defect_sq
 
 # ---------------------------------------------------------------------------
 # polynomial bases on the parameter sphere
@@ -173,8 +179,8 @@ class RadialSurface:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("hypersurface dimension must be >= 2")
+        if self.n not in (2, 3):
+            raise ValueError("hypersurface dimension must be 2 or 3")
         if self.model.ambient_dim != self.n + 1:
             raise ValueError("model ambient_dim must equal n+1")
         if self.rho0 <= 0.0:
@@ -216,14 +222,19 @@ def tangent_frames(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfaceBatch:
-    """Pointwise extrinsic data at a set of parameter nodes (h-metric)."""
+    """Pointwise extrinsic data at a set of parameter nodes (h-metric).
+
+    The shape operator is q M (see the module docstring); H_k and tau^2
+    come from the invariants of M, and the principal curvatures only when
+    ``kappa`` is first read.
+    """
 
     nodes: np.ndarray          # (N, n+1) unit parameter directions
     X: np.ndarray              # (N, n+1) immersion points in the chart
-    nu: np.ndarray             # (N, n+1) h-unit normal, chart components
-    g: np.ndarray              # (N, n, n) first fundamental form
-    B: np.ndarray              # (N, n, n) second fundamental form
-    kappa: np.ndarray          # (N, n) principal curvatures, ascending
+    M: np.ndarray              # (N, n, n) symmetric; the shape operator is q M
+    q: np.ndarray              # (N,) conformal factor e^{-phi}
+    H: np.ndarray              # (N, n+1) H_0..H_n, read-only
+    tau_sq: np.ndarray         # (N,) umbilicity defect tau^2, read-only
     support: np.ndarray        # (N,) <Z, nu> pairing
     r: np.ndarray              # (N,) geodesic radius of X
     area_element: np.ndarray   # (N,) h-volume density w.r.t. the round measure
@@ -233,39 +244,30 @@ class SurfaceBatch:
 
     @property
     def n(self) -> int:
-        return self.kappa.shape[1]
+        return self.M.shape[1]
 
     def mean_curvature_orders(self) -> np.ndarray:
-        """H_0..H_n at every node, shape (N, n+1); computed once, read-only."""
-        return self._symmetric_functions[0]
+        """H_0..H_n at every node, shape (N, n+1); read-only."""
+        return self.H
 
     def tau_norm_sq(self) -> np.ndarray:
-        """tau^2 at every node, shape (N,); computed once, read-only."""
-        return self._symmetric_functions[1]
+        """tau^2 at every node, shape (N,); read-only."""
+        return self.tau_sq
 
     @cached_property
-    def _symmetric_functions(self) -> tuple:
-        H, tau_sq = mean_curvatures(self.kappa), umbilicity_defect_sq(self.kappa)
-        H.flags.writeable = tau_sq.flags.writeable = False
-        return H, tau_sq
+    def kappa(self) -> np.ndarray:
+        """(N, n) principal curvatures, ascending; solved at the first read."""
+        return _principal_curvatures(self.M, self.q)
 
     @cached_property
     def volumes(self) -> dict:
         """(rule order, euclidean) -> volume, filled by quadrature.batch_volume."""
         return {}
 
-    def point(self, idx: int) -> "SurfacePointData":
-        """The data of node ``idx``."""
-        return SurfacePointData(
-            X=self.X[idx], nu=self.nu[idx], g_mat=self.g[idx], B_mat=self.B[idx],
-            kappa=self.kappa[idx], support=float(self.support[idx]),
-            r=float(self.r[idx]), area_element=float(self.area_element[idx]),
-        )
-
 
 @dataclass(frozen=True)
 class SurfacePointData:
-    """Spec view of a single node of a SurfaceBatch."""
+    """Pointwise data at one parameter direction, with its fundamental forms."""
 
     X: np.ndarray
     nu: np.ndarray
@@ -277,25 +279,24 @@ class SurfacePointData:
     area_element: float
 
 
-# nodes per block of evaluate_nodes: every n = 2 rule up to order 64 is one block
-_BLOCK = 8192
+# Nodes per block of evaluate_nodes.  A block's temporaries take about 2 MB
+# at 4096 n = 3 nodes and 6 MB at 8192.  Blocks this small lower the peak
+# memory and keep the temporaries below glibc's dynamic trim threshold
+# (twice the largest chunk it has unmapped, a few MB here): temporaries
+# above it are returned to the system and faulted back in at every block.
+_BLOCK = 4096
 
 
 def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     """All pointwise extrinsic data at the given parameter directions."""
-    u = np.asarray(nodes, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
+    u = _directions(surface, nodes)
     N, d = u.shape
     n = surface.n
-    if d != n + 1:
-        raise ValueError("nodes must be (N, n+1) unit vectors")
     tables = _polynomial_tables(surface)
     out = {
-        "X": np.empty((N, d)), "nu": np.empty((N, d)),
-        "g": np.empty((N, n, n)), "B": np.empty((N, n, n)), "kappa": np.empty((N, n)),
-        **{name: np.empty(N) for name in ("support", "r", "area_element", "H_tilde",
-                                          "area_element_euclid", "rho")},
+        "X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
+        **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
+                                          "H_tilde", "area_element_euclid", "rho")},
     }
     # every operation is per node, so blocks of nodes give the same bits as
     # one pass while the temporaries stay bounded by the block size
@@ -303,7 +304,28 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
         block = slice(start, start + _BLOCK)
         for name, value in _node_block(surface, tables, u[block].T.copy(), start).items():
             out[name][block] = value
+    out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
     return SurfaceBatch(nodes=u, **out)
+
+
+def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
+    """Pointwise data at a single parameter direction, with g, B and nu."""
+    u = _directions(surface, u)[:1]
+    f = _node_block(surface, _polynomial_tables(surface), u.T.copy(), 0, forms=True)
+    return SurfacePointData(
+        X=f["X"][0], nu=f["nu"][0], g_mat=f["g"][0], B_mat=f["B"][0],
+        kappa=_principal_curvatures(f["M"], f["q"])[0], support=float(f["support"][0]),
+        r=float(f["r"][0]), area_element=float(f["area_element"][0]),
+    )
+
+
+def _directions(surface: RadialSurface, nodes) -> np.ndarray:
+    u = np.asarray(nodes, dtype=float)
+    if u.ndim == 1:
+        u = u[None, :]
+    if u.shape[1] != surface.n + 1:
+        raise ValueError("nodes must be (N, n+1) unit vectors")
+    return u
 
 
 def _polynomial_tables(surface: RadialSurface) -> list:
@@ -347,13 +369,18 @@ def _polynomial_derivatives(tables: list, u: np.ndarray):
     return values[0], np.stack(values[1:d + 1]), hess
 
 
-def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int) -> dict:
-    """The SurfaceBatch fields of the nodes u (d, N); ``start`` offsets error indices.
+def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
+                forms: bool = False) -> dict:
+    """The SurfaceBatch fields of the nodes u (d, N), and with ``forms`` the h-metric
+    nu, g and B as well; ``start`` offsets error indices.
 
     With rho = P(c(t)) along c(t) = (u + t_a E_a)/|u + t_a E_a|:
     rho_a = E_a . grad P, rho_ab = E_a^T Hess(P) E_b - (u . grad P) delta_ab,
     X_a = rho_a u + rho E_a and X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
     """
+    if u.shape[1] == 1:  # np.einsum adds in another order along a node axis of length 1
+        twice = _node_block(surface, tables, np.repeat(u, 2, axis=1), start, forms)
+        return {name: value[:1] for name, value in twice.items()}
     n = surface.n
     frames = tangent_frames(u.T).transpose(1, 2, 0)  # (n, d, N)
     rho, grad, hess = _polynomial_derivatives(tables, u)
@@ -394,18 +421,49 @@ def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int)
     vw = v[:, None] * w[None, :]
     M = (B_mixed - c * (vw + vw.swapaxes(0, 1))
          + (c * c * np.einsum("aN,aN->N", w, v)) * vv) / (rho * rho)
-    del u, frames, grad, hess, rho_ab, vv, B_euc, w, vw  # bounds the block's peak memory
+    fields = {"nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
+              "B": (B_mixed / q).transpose(2, 0, 1)} if forms else {}
+    # bounds the block's peak memory
+    del u, frames, grad, hess, rho_ab, vv, g_euc, B_euc, nu_euc, B_mixed, w, vw
 
+    H, tau_sq = _curvature_invariants(M, q)
     r = np.asarray(geodesic_radius(X.T, surface.model))
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
     return {
-        "X": X.T, "nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
-        "B": (B_mixed / q).transpose(2, 0, 1), "kappa": (q * _jacobi_eigenvalues(M)).T,
+        **fields, "X": X.T, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
         "support": s_delta(r, delta) * (-rho / W), "r": r,
-        "area_element": area_euc / q**n,
-        "H_tilde": np.einsum("aaN->N", M) / n + dphi_nu,
+        "area_element": area_euc / q**n, "H_tilde": np.einsum("aaN->N", M) / n + dphi_nu,
         "area_element_euclid": area_euc, "rho": rho,
     }
+
+
+def _curvature_invariants(M: np.ndarray, q: np.ndarray) -> tuple:
+    """H_0..H_n (n+1, N) and tau^2 (N,) of the shape operators q M, M (n, n, N).
+
+    sigma_1..sigma_n of M are its trace, the sum of its principal 2x2 minors
+    and (n = 3) its determinant, so H_k = q^k sigma_k / C(n, k).  tau^2 is
+    q^2 |M - (tr M / n) I|_F^2 with the diagonal part written as
+    (1/n) sum_{i<j} (M_ii - M_jj)^2: near umbilic points these differences
+    are exact, so tau^2 keeps its relative accuracy where a route through
+    the eigenvalues loses it.
+    """
+    n = len(M)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    off = sum(M[i, j] * M[i, j] for i, j in pairs)
+    sigma = [np.ones_like(q), sum(M[i, i] for i in range(n)),
+             sum(M[i, i] * M[j, j] for i, j in pairs) - off]
+    if n == 3:
+        sigma.append(M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[1, 2])
+                     - M[0, 1] * (M[0, 1] * M[2, 2] - M[0, 2] * M[1, 2])
+                     + M[0, 2] * (M[0, 1] * M[1, 2] - M[0, 2] * M[1, 1]))
+    H = np.stack([q**k * s / math.comb(n, k) for k, s in enumerate(sigma)])
+    spread = sum((M[i, i] - M[j, j]) ** 2 for i, j in pairs) / n
+    return H, q * q * (spread + 2.0 * off)
+
+
+def _principal_curvatures(M: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Ascending principal curvatures (N, n) of the shape operators q M, M (N, n, n)."""
+    return (q * _jacobi_eigenvalues(M.transpose(1, 2, 0))).T
 
 
 def _jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -427,11 +485,6 @@ def _jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
             rp, rq = tuple(sorted((r, p))), tuple(sorted((r, q)))
             a[rp], a[rq] = cos * (a[rp] - t * a[rq]), cos * (t * a[rp] + a[rq])
     return np.sort([a[i, i] for i in range(n)], axis=0)
-
-
-def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
-    """Pointwise data at a single parameter direction."""
-    return evaluate_nodes(surface, np.asarray(u, dtype=float)[None, :]).point(0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +524,22 @@ def starshape_report(surface: RadialSurface, rule) -> StarshapeReport:
 
 
 def B_sup_norm(surface: RadialSurface, rule) -> float:
-    """Sup of the shape-operator spectral norm, max_i |kappa_i| over nodes."""
+    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the rule's nodes.
+
+    Bitwise equal to np.max(np.abs(batch.kappa)), but the Jacobi solve runs
+    only where the maximum can be.  A node's curvatures lie within
+    U = |H_1| + sqrt((n-1) tau^2 / n) of zero.  The largest |kappa| is at
+    least every q |M_ii| and the solved |kappa| of the node of largest U, so
+    only nodes whose U reaches the larger of these, less 256 ulps so that
+    ties survive rounding, are solved.  The solve is per node, so it gives
+    the same bits on those nodes alone.
+    """
     batch = surface.fields(rule)
-    return float(np.max(np.abs(batch.kappa)))
+    n = batch.n
+    upper = np.abs(batch.H[:, 1]) + np.sqrt((n - 1) / n * batch.tau_sq)
+    top = int(np.argmax(upper))
+    diagonal = np.max(np.abs(np.diagonal(batch.M, axis1=1, axis2=2)), axis=1)
+    lower = max(np.max(batch.q * diagonal), np.max(np.abs(
+        _principal_curvatures(batch.M[top:top + 1], batch.q[top:top + 1]))))
+    near = upper >= lower * (1.0 - 256 * np.finfo(float).eps)
+    return float(np.max(np.abs(_principal_curvatures(batch.M[near], batch.q[near]))))

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starpinch.quadrature import (build_rule, integrate_batch, lp_norm,
+from starpinch.quadrature import (_reduce, build_rule, integrate_batch, lp_norm,
                                   sphere_area, surface_integral, surface_volume)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
@@ -69,6 +71,40 @@ class TestRules:
             rule.nodes[0, 0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
+
+
+def _fsum_outcome(sum_of, values):
+    """The float a sum returns, bit for bit, or the type and text of what it raises."""
+    try:
+        return np.float64(sum_of(values)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def summands(draw):
+    """Arrays with cancellation, exponents over the whole float64 range, subnormals,
+    zeros, +-inf and nan, tiled up to lengths past 2^16."""
+    wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-950, 950))
+    if draw(st.booleans()):
+        wide = st.one_of(wide, st.floats(), st.sampled_from(_SPECIAL))
+    pattern = draw(st.lists(wide, max_size=30))
+    if draw(st.booleans()):  # cancel every term but a tiny remainder
+        pattern += [-x for x in pattern] + [draw(st.floats(-1e-12, 1e-12))]
+    length = draw(st.sampled_from([1, 2**11 + 1, 2**16 + 7]))  # at least, in whole copies
+    return np.tile(np.array(pattern, dtype=float), -(-length // max(len(pattern), 1)))
+
+
+class TestReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(summands())
+    def test_bitwise_equal_to_fsum(self, values):
+        assert _fsum_outcome(_reduce, values) == _fsum_outcome(
+            lambda v: math.fsum(v.tolist()), values)
 
 
 class TestSurfaceIntegral:

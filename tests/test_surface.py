@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,9 +96,10 @@ class TestRoundSpheres:
 
     def test_unit_normal_in_h_metric(self):
         surf = sphere(-1.0, 0.8, perturbation=(((2, 1), 0.05),))
-        batch = evaluate_nodes(surf, random_nodes(2, 100, seed=4))
-        scale = surf.model.conformal_scale(batch.X)
-        h_norms = scale * np.linalg.norm(batch.nu, axis=1)
+        points = [evaluate_point(surf, u) for u in random_nodes(2, 100, seed=4)]
+        X = np.array([p.X for p in points])
+        scale = surf.model.conformal_scale(X)
+        h_norms = scale * np.linalg.norm([p.nu for p in points], axis=1)
         assert np.max(np.abs(h_norms - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("n, perturbation", [
@@ -108,8 +110,9 @@ class TestRoundSpheres:
         # reference: inward null vector (SVD) of central-difference tangents
         surf = sphere(-1.0, 0.8, n=n, perturbation=perturbation)
         nodes = random_nodes(n, 20, seed=9)
-        batch = evaluate_nodes(surf, nodes)
-        nu_euc = batch.nu * surf.model.conformal_scale(batch.X)[:, None]
+        points = [evaluate_point(surf, u) for u in nodes]
+        X, nu = np.array([p.X for p in points]), np.array([p.nu for p in points])
+        nu_euc = nu * surf.model.conformal_scale(X)[:, None]
         t = 1e-5
 
         def immersion(w):
@@ -135,38 +138,36 @@ class TestExactDifferentiation:
         # Richardson-extrapolated central differences on the immersion map
         surf = sphere(-1.0, 1.0, n=n, perturbation=perturbation)
         nodes = random_nodes(n, 6, seed=5)
-        batch = evaluate_nodes(surf, nodes)
         frames = tangent_frames(nodes)
-        for idx in range(len(nodes)):
-            u = nodes[idx]
-            E = frames[idx]
+        for u, E in zip(nodes, frames):
+            point = evaluate_point(surf, u)
 
             def immersion(t):
                 w = u + t @ E
                 c = w / np.linalg.norm(w)
                 return surf.rho_values(c[None, :])[0] * c
 
-            g_fd, b_fd = _fd_forms(immersion, surf, batch, idx)
-            assert np.max(np.abs(g_fd - _euclid_g(batch, idx, surf))) < 1e-7
-            assert np.max(np.abs(b_fd - _euclid_b(batch, idx, surf))) < 1e-7
+            g_fd, b_fd = _fd_forms(immersion, surf, point)
+            assert np.max(np.abs(g_fd - _euclid_g(point, surf))) < 1e-7
+            assert np.max(np.abs(b_fd - _euclid_b(point, surf))) < 1e-7
 
 
-def _euclid_g(batch, idx, surf):
-    q = 1.0 + 0.25 * surf.model.delta * np.sum(batch.X[idx] ** 2)
-    return batch.g[idx] * q**2
+def _euclid_g(point, surf):
+    q = 1.0 + 0.25 * surf.model.delta * np.sum(point.X ** 2)
+    return point.g_mat * q**2
 
 
-def _euclid_b(batch, idx, surf):
+def _euclid_b(point, surf):
     # undo the conformal change: B_euclid = q * B_h + (nu~ . grad phi) g_euclid
     delta = surf.model.delta
-    X = batch.X[idx]
+    X = point.X
     q = 1.0 + 0.25 * delta * np.sum(X * X)
-    nu_euc = batch.nu[idx] / q
+    nu_euc = point.nu / q
     grad_phi = -(0.5 * delta) * X / q
-    return q * batch.B[idx] + float(nu_euc @ grad_phi) * _euclid_g(batch, idx, surf)
+    return q * point.B_mat + float(nu_euc @ grad_phi) * _euclid_g(point, surf)
 
 
-def _fd_forms(immersion, surf, batch, idx):
+def _fd_forms(immersion, surf, point):
     n = surf.n
 
     def second_derivs(h):
@@ -188,8 +189,8 @@ def _fd_forms(immersion, surf, batch, idx):
     Xa = (4 * Xa2 - Xa1) / 3
     Xab = (4 * Xab2 - Xab1) / 3
     g = Xa @ Xa.T
-    q = 1.0 + 0.25 * surf.model.delta * np.sum(batch.X[idx] ** 2)
-    nu_euc = batch.nu[idx] / q
+    q = 1.0 + 0.25 * surf.model.delta * np.sum(point.X ** 2)
+    nu_euc = point.nu / q
     b = np.einsum("abd,d->ab", Xab, nu_euc)
     return g, b
 
@@ -210,8 +211,12 @@ class TestOrientationAndConsistency:
         tiny = sphere(2.0**-1000, 1.0, perturbation=(((2, 0), 0.1),))
         b_flat = evaluate_nodes(flat, nodes)
         b_tiny = evaluate_nodes(tiny, nodes)
-        for name in ("g", "B", "kappa", "nu", "area_element", "support"):
+        for name in ("M", "H", "tau_sq", "kappa", "area_element", "support"):
             assert np.array_equal(getattr(b_flat, name), getattr(b_tiny, name)), name
+        for u in nodes:
+            p_flat, p_tiny = evaluate_point(flat, u), evaluate_point(tiny, u)
+            for name in ("g_mat", "B_mat", "nu", "kappa"):
+                assert np.array_equal(getattr(p_flat, name), getattr(p_tiny, name)), name
 
     def test_nonpositive_rho_raises(self):
         surf = sphere(0.0, 1.0, perturbation=(((2, 0), 4.0),))
@@ -250,9 +255,23 @@ class TestBlocks:
         whole = evaluate_nodes(surf, nodes)
         cuts = [0, 1, 5000, 13001, 21000, len(nodes)]
         parts = [evaluate_nodes(surf, nodes[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-        for f in dataclasses.fields(whole):
-            joined = np.concatenate([getattr(p, f.name) for p in parts])
-            assert np.array_equal(getattr(whole, f.name), joined), f.name
+        for name in [f.name for f in dataclasses.fields(whole)] + ["kappa"]:
+            joined = np.concatenate([getattr(p, name) for p in parts])
+            assert np.array_equal(getattr(whole, name), joined), name
+
+    @pytest.mark.parametrize("n, perturbation", [
+        (2, (((3, 1), 0.12), ((2, 0), 0.06))),
+        (3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04))),
+    ])
+    def test_one_node_is_the_batch_bit_for_bit(self, n, perturbation):
+        surf = sphere(1.0, 0.9, n=n, perturbation=perturbation)
+        batch = surf.fields(build_rule(n, 8))
+        for idx in range(0, len(batch.nodes), 7):
+            point = evaluate_point(surf, batch.nodes[idx])
+            assert np.array_equal(point.X, batch.X[idx])
+            assert np.array_equal(point.kappa, batch.kappa[idx])
+            assert (point.support, point.r, point.area_element) == (
+                batch.support[idx], batch.r[idx], batch.area_element[idx])
 
     def test_peak_memory_is_bounded_by_the_batch(self):
         surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.04),))
@@ -265,6 +284,9 @@ class TestBlocks:
             tracemalloc.stop()
         batch_bytes = sum(getattr(batch, f.name).nbytes for f in dataclasses.fields(batch))
         assert peak < 2.5 * batch_bytes
+        # a block's temporaries must stay below the allocator's trim threshold,
+        # or they are returned to the system and faulted back in at every block
+        assert peak - batch_bytes <= 3 * 2**20
 
 
 def symmetric_stacks(n, seed):
@@ -307,22 +329,77 @@ class TestEigenSolve:
     ])
     def test_kappa_are_the_pencil_eigenvalues(self, n, order, perturbation, delta):
         surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
-        batch = surf.fields(build_rule(n, order))
-        ref = np.array([scipy.linalg.eigh(B, g, eigvals_only=True)
-                        for B, g in zip(batch.B, batch.g)])
+        rule = build_rule(n, order)
+        batch = surf.fields(rule)
+        points = [evaluate_point(surf, u) for u in rule.nodes]
+        ref = np.array([scipy.linalg.eigh(p.B_mat, p.g_mat, eigvals_only=True) for p in points])
         assert np.max(np.abs(batch.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_symmetric_functions_are_computed_once(self):
+        # stored with the batch from the invariants of M; the eigenvalue route
+        # agrees to roundoff
         surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.08),))
         batch = surf.fields(build_rule(3, 8))
         H, tau_sq = batch.mean_curvature_orders(), batch.tau_norm_sq()
         assert batch.mean_curvature_orders() is H and batch.tau_norm_sq() is tau_sq
-        assert np.array_equal(H, mean_curvatures(batch.kappa))
-        assert np.array_equal(tau_sq, umbilicity_defect_sq(batch.kappa))
+        eps = np.finfo(float).eps
+        scale = np.max(np.abs(batch.kappa))
+        assert np.all(np.abs(H - mean_curvatures(batch.kappa))
+                      <= 16 * eps * scale ** np.arange(4))
+        assert np.all(np.abs(tau_sq - umbilicity_defect_sq(batch.kappa)) <= 16 * eps * scale**2)
         with pytest.raises(ValueError):
             H[0, 0] = 0.0
         with pytest.raises(ValueError):
             tau_sq[0] = 0.0
+
+
+def _tau_sq_exact(M):
+    """q = 1 tau^2 of one float matrix in rational arithmetic."""
+    M = [[Fraction(float(x)) for x in row] for row in M]
+    n = len(M)
+    mean = sum(M[i][i] for i in range(n)) / n
+    return float(sum((M[i][j] - (mean if i == j else 0)) ** 2
+                     for i in range(n) for j in range(n)))
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("a", [1e-2, 1e-4, 1e-6])
+    def test_tau_sq_near_umbilic_holds_to_a_few_ulps(self, a):
+        rng = np.random.Generator(np.random.Philox(31))
+        Q = np.linalg.qr(rng.normal(size=(50, 3, 3)))[0]
+        M = np.einsum("Nij,j,Nkj->Nik", Q, [1.0, 1.0 + a, 1.0 - a], Q)
+        M = 0.5 * (M + M.transpose(0, 2, 1))  # symmetric bit for bit, like the batch's M
+        _, tau_sq = surface_module._curvature_invariants(M.transpose(1, 2, 0), np.ones(50))
+        exact = np.array([_tau_sq_exact(m) for m in M])
+        assert np.all(np.abs(tau_sq - exact) <= 4 * np.finfo(float).eps * exact)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n, rho0, perturbation, orders", [
+        (2, 1.0, (((3, 1), 0.12), ((2, 0), 0.06)), (16, 32, 64)),  # identities, n = 2
+        (3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)), (8, 16, 32)),  # identities, n = 3
+        (3, 0.9, (("u1u2", 0.04),), (12, 24)),  # pinch-n3
+        (2, 0.7, (), (16,)),  # exact spheres: every node ties
+        (3, 0.9, (), (8,)),
+    ])
+    def test_b_sup_is_the_full_solve_bit_for_bit(self, monkeypatch, n, rho0, perturbation,
+                                                 orders, delta):
+        solved = []
+
+        def counted(M, q):
+            solved.append(len(q))
+            return principal_curvatures(M, q)
+
+        principal_curvatures = surface_module._principal_curvatures
+        monkeypatch.setattr(surface_module, "_principal_curvatures", counted)
+        surf = sphere(delta, rho0, n=n, perturbation=perturbation)
+        for order in orders:
+            rule = build_rule(n, order)
+            solved.clear()
+            b_sup = B_sup_norm(surf, rule)
+            pruned = sum(solved)
+            assert b_sup == float(np.max(np.abs(surf.fields(rule).kappa)))
+            assert solved[-1] == len(rule.nodes)
+            assert pruned < len(rule.nodes) / 2 if perturbation else pruned > len(rule.nodes)
 
 
 class TestReports:
