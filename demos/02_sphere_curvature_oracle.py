@@ -24,7 +24,7 @@ for delta in (-1.0, 0.0, 1.0):
         expected = c_delta(rho_geo, delta) / s_delta(rho_geo, delta)
         dev = float(np.max(np.abs(batch.kappa - expected)))
         sup_err = float(np.max(np.abs(batch.support + s_delta(rho_geo, delta))))
-        H = batch.mean_curvature_orders()
+        H = batch.H
         print(f"{delta:>+6.0f} {rho_geo:>8.2f} {expected:>16.10f} {dev:>12.2e} "
               f"{sup_err:>12.2e} {str(bool(np.min(H[:, 2]) > 0)):>8}")
 
@@ -34,7 +34,7 @@ for amp in (0.05, 0.10):
     surf = RadialSurface(n=2, model=SpaceFormModel(delta=-1.0, ambient_dim=3),
                          rho0=1.0, perturbation=(((3, 1), amp),))
     batch = surf.fields(rule)
-    H = batch.mean_curvature_orders()
+    H = batch.H
     print(f"  amplitude {amp:.2f}: kappa range [{batch.kappa.min():.4f}, "
           f"{batch.kappa.max():.4f}], min H_2 = {H[:, 2].min():.4f}, "
           f"support sign constant: {bool(np.all(batch.support < 0))}")

@@ -6,7 +6,6 @@ Commands::
     starpinch identities --config FILE [--out DIR]   residual table (CSV)
     starpinch pinch      --config FILE [--out DIR]   one stability run
     starpinch scaling    --config FILE [--out DIR]   amplitude family + regression
-    starpinch calibrate  --n N --r R [--samples S] [--seed S] [--out DIR]
 
 ``--quad-order`` sets the base quadrature order; every refinement error
 compares the base rule with the rule of doubled order.  It is reported,
@@ -17,8 +16,7 @@ applicable bound by more than rounding.
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 configuration error.  Every output file starts with a header block
 (config hash, constant provenance); runs with equal config hashes produce
-byte-identical files.  Only ``calibrate`` is seeded: ``--seed`` seeds its
-curvature sampler.
+byte-identical files.  No command draws random numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .pinch import (RunSettings, report_text, run_pinch, scaling_csv,
                     scaling_study)
 from .quadrature import batch_volume, build_rule, integrate_batch
 from .surface import B_sup_norm, evaluate_point, starshape_report
-from .symfun import calibrate, write_calibration
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -66,14 +63,6 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("identities", help="identity/inequality residuals"))
     common(sub.add_parser("pinch", help="single stability run"))
     common(sub.add_parser("scaling", help="amplitude scaling study"))
-
-    p_cal = sub.add_parser("calibrate", help="calibrate c_n and b-constants")
-    p_cal.add_argument("--n", type=int, required=True)
-    p_cal.add_argument("--r", type=int, required=True)
-    p_cal.add_argument("--samples", type=int, default=100_000)
-    p_cal.add_argument("--seed", type=int, default=31415)
-    p_cal.add_argument("--margin", type=float, default=0.1)
-    p_cal.add_argument("--out", default="out")
     return parser
 
 
@@ -90,7 +79,7 @@ def _header(cfg: ExperimentConfig, command: str) -> list:
         f"starpinch {command}",
         f"config_hash: {cfg.digest()}",
         f"constants: eps0={c.eps0!r} c_RS={c.c_RS!r} alpha={c.alpha!r} "
-        f"Kn_MS={c.Kn_MS!r} c_n={c.c_n!r} K1_mode={c.K1_mode} "
+        f"Kn_MS={c.Kn_MS!r} K1_mode={c.K1_mode} "
         "(configured, not derived; alpha is a placeholder)",
     ]
 
@@ -112,7 +101,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     rule = build_rule(cfg.n, cfg.quad_order)
     batch = surface.fields(rule)
     star = starshape_report(surface, rule)
-    H = batch.mean_curvature_orders()
+    H = batch.H
     vol = batch_volume(batch, rule)
     lines = [
         f"n = {cfg.n}",
@@ -156,7 +145,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _worst_gauss_point(surface, rule):
     batch = surface.fields(rule)
-    return evaluate_point(surface, batch.nodes[int(np.argmax(batch.tau_norm_sq()))])
+    return evaluate_point(surface, batch.nodes[int(np.argmax(batch.tau_sq))])
 
 
 def cmd_pinch(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -174,28 +163,11 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(n: int, r: int, samples: int, seed: int, margin: float,
-                  out_dir: Path) -> int:
-    if samples < 10_000:
-        raise ConfigError("calibration needs at least 10000 samples")
-    cal = calibrate(n, r, samples=samples, seed=seed, margin=margin)
-    if not np.isfinite(cal.c_n) or cal.c_n <= 0.0:
-        raise NumericalError("calibration produced a degenerate c_n")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"calibration_n{n}_r{r}.txt"
-    write_calibration(cal, path)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         out_dir = Path(args.out)
-        if args.command == "calibrate":
-            return cmd_calibrate(args.n, args.r, args.samples, args.seed,
-                                 args.margin, out_dir)
         cfg = _resolve(args)
         if args.command == "report":
             return cmd_report(cfg, out_dir)

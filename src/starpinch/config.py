@@ -19,13 +19,14 @@ A configuration file has three sections::
     alpha = 0.5
     Kn_MS = 1.0
     K1_mode = h
-    c_n = 0.45                          # optional; default is calibrated
-    b_consts = 1.0 1.0                  # optional
-    calibration_file = path             # optional; overrides c_n/b_consts
 
-All keys have defaults except the surface geometry, and keys the parser
-does not know are ignored.  The canonical hash covers every resolved
-value, so equal hashes imply byte-identical outputs.
+n is 2 or 3, the dimensions the surfaces support.  All keys have defaults
+except the surface geometry, and keys the parser does not know are
+ignored.  Among them are the former [constants] keys c_n, b_consts and
+calibration_file: at n = 2 and 3 the sharpened-Newton constant c_n is
+exact and every b-constant is 1, so nothing is left to configure.  The
+canonical hash covers every resolved value, so equal hashes imply
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .constants import ConstantsConfig
 from .errors import ConfigError
 from .spaceform import SpaceFormModel
 from .surface import RadialSurface, basis_function
-from .symfun import read_calibration
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class ExperimentConfig:
     constants: ConstantsConfig = field(default_factory=ConstantsConfig)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("surface.n must be at least 2")
+        if self.n not in (2, 3):
+            raise ConfigError(f"surface.n must be 2 or 3, got n={self.n}")
         if not 1 <= self.r <= self.n - 1:
             raise ConfigError(f"experiment.r must lie in [1, n-1], got r={self.r}")
         if self.rho0 <= 0.0:
@@ -95,8 +95,6 @@ class ExperimentConfig:
             f"c_RS={c.c_RS!r}",
             f"alpha={c.alpha!r}",
             f"Kn_MS={c.Kn_MS!r}",
-            f"c_n={c.c_n!r}",
-            f"b_consts={c.b_consts!r}",
             f"K1_mode={c.K1_mode}",
         ]
         return "\n".join(lines)
@@ -171,24 +169,10 @@ def load_config(path) -> ExperimentConfig:
 
     const_kwargs = {}
     for key, cast in (("eps0", float), ("c_RS", float), ("alpha", float),
-                      ("Kn_MS", float), ("c_n", float), ("K1_mode", str)):
+                      ("Kn_MS", float), ("K1_mode", str)):
         value = get("constants", key, cast, default=None)
         if value is not None:
             const_kwargs[key] = value
-    b_text = get("constants", "b_consts", str, default=None)
-    if b_text is not None:
-        try:
-            const_kwargs["b_consts"] = tuple(float(x) for x in b_text.split())
-        except ValueError as exc:
-            raise ConfigError(f"bad b_consts list: {b_text!r}") from exc
-    cal_path = get("constants", "calibration_file", str, default=None)
-    if cal_path is not None:
-        try:
-            cal = read_calibration(cal_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read calibration file {cal_path}: {exc}") from exc
-        const_kwargs.setdefault("c_n", cal.c_n)
-        const_kwargs.setdefault("b_consts", cal.b_consts)
     try:
         cfg_kwargs["constants"] = ConstantsConfig(**const_kwargs)
     except ValueError as exc:

@@ -10,7 +10,9 @@ eps1 = eps0^(2(n+1)) / K3 together with the stability bound
 
 eps0, c_RS and alpha belong to the black-box almost-umbilical stability
 theorem; they are configuration with documented defaults and are printed
-in every report so that no number masquerades as derived.  The conformal
+in every report so that no number masquerades as derived.  The
+sharpened-Newton constant c_n in K1 is derived: the exact value of
+``symfun.default_c_n``, recorded in the dependency ledger.  The conformal
 Sobolev constant c_{n,phi} defaults to Kn_MS * exp(n * sup|phi|) over the
 containment ball, a safe computable bound for the volume distortion.
 """
@@ -32,8 +34,6 @@ class ConstantsConfig:
     c_RS: float = 1.0          # its multiplicative constant
     alpha: float = 0.5         # its Hoelder exponent alpha(n, p) at p = n+1 (placeholder)
     Kn_MS: float = 1.0         # Michael-Simon constant K(n)
-    c_n: float | None = None   # sharpened-Newton constant; None -> calibrated default
-    b_consts: tuple | None = None
     K1_mode: str = "h"         # "h" (pinching level) or "Hr+1" (min H_{r+1} route)
 
     def __post_init__(self):
@@ -129,12 +129,11 @@ def build_chain(n: int, r: int, delta: float, model: SpaceFormModel, *,
     """Evaluate the whole chain for one surface, recording what it consumed."""
     from . import symfun
 
-    c_n = config.c_n if config.c_n is not None else symfun.default_c_n(n)
+    c_n = symfun.default_c_n(n)
     if config.K1_mode == "h":
-        K1_value = symfun.K1(n, r, minH_partial, h, B_sup, c_n, config.b_consts)
+        K1_value = symfun.K1(n, r, minH_partial, h, B_sup, c_n)
     else:
-        K1_value = symfun.K1_prime(n, r, minH_partial, minH_rplus1, B_sup, c_n,
-                                   config.b_consts)
+        K1_value = symfun.K1_prime(n, r, minH_partial, minH_rplus1, B_sup, c_n)
     K2_value = K2(delta, K1_value, R0, B_sup, R)
     c_phi = c_n_phi_default(model, n, R, config.Kn_MS)
     K3_value = K3(K2_value, c_phi, volume, n)

@@ -70,7 +70,7 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int,
     delta = surface.model.delta
 
     def integrand(batch):
-        H = batch.mean_curvature_orders()
+        H = batch.H
         return H[:, k + 1] * batch.support + c_delta(batch.r, delta) * H[:, k]
 
     est = refinement_estimate(surface, rule, lambda b, rl: _mean(b, integrand(b), rl))
@@ -110,7 +110,7 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> R
     n = surface.n
 
     def gap(batch, rl):
-        tau = np.sqrt(batch.tau_norm_sq())
+        tau = np.sqrt(batch.tau_sq)
         B_sup = B_sup_norm(surface, rl)
         tau2_sq = _mean(batch, tau**2, rl)
         taun = _mean(batch, tau ** (n + 1), rl) ** (1.0 / (n + 1))
@@ -136,13 +136,13 @@ def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int,
                      K1: float) -> ResidualReport:
     """Worst-node version of lemma1_gap over a whole quadrature batch."""
     batch = surface.fields(rule)
-    H = batch.mean_curvature_orders()
+    H = batch.H
     if np.any(H[:, r + 1] <= 0.0):
         bad = int(np.argmin(H[:, r + 1]))
         raise HypothesisError(
             f"lemma gap needs H_{r+1} > 0 everywhere; node {bad} has {H[bad, r + 1]:.6g}"
         )
-    tau_sq = batch.tau_norm_sq()
+    tau_sq = batch.tau_sq
     gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),
                           tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
@@ -152,9 +152,9 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
     def eps_l1(batch, rl):
-        return _mean(batch, np.abs(batch.mean_curvature_orders()[:, r] - h), rl)
+        return _mean(batch, np.abs(batch.H[:, r] - h), rl)
 
-    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, b.tau_norm_sq(), rl))
+    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, b.tau_sq, rl))
     eps = refinement_estimate(surface, rule, eps_l1)
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,

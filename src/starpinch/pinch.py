@@ -54,7 +54,7 @@ def epsilon_field(surface: RadialSurface, r: int, rule: SphericalRule,
     every node when r > 1.
     """
     batch = surface.fields(rule)
-    H = batch.mean_curvature_orders()
+    H = batch.H
     if r > 1 and np.any(H[:, r + 1] <= 0.0):
         bad = int(np.argmin(H[:, r + 1]))
         raise HypothesisError(
@@ -362,16 +362,16 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     def tau_l2_of(b, rl):
         # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
-        return math.sqrt(mean(b, np.sqrt(b.tau_norm_sq()) ** 2, rl))
+        return math.sqrt(mean(b, np.sqrt(b.tau_sq) ** 2, rl))
 
     eps_l1 = refinement_estimate(surface, rule, eps_l1_of)
     tau_l2 = refinement_estimate(surface, rule, tau_l2_of)
     vol = batch_volume(batch, rule)
     eps_linf = float(np.max(np.abs(eps)))
-    tau = np.sqrt(batch.tau_norm_sq())
+    tau = np.sqrt(batch.tau_sq)
     tau_lnp1 = (integrate_batch(batch, tau ** (n + 1), rule) / vol) ** (1.0 / (n + 1))
 
-    H = batch.mean_curvature_orders()
+    H = batch.H
     B_sup = B_sup_norm(surface, rule)
     minH_rplus1 = float(np.min(H[:, r + 1]))
     # H_{2;n,1} is the constant 1/C(n,2), so r = 1 reads no eigenvalue

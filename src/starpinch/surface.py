@@ -246,14 +246,6 @@ class SurfaceBatch:
     def n(self) -> int:
         return self.M.shape[1]
 
-    def mean_curvature_orders(self) -> np.ndarray:
-        """H_0..H_n at every node, shape (N, n+1); read-only."""
-        return self.H
-
-    def tau_norm_sq(self) -> np.ndarray:
-        """tau^2 at every node, shape (N,); read-only."""
-        return self.tau_sq
-
     @cached_property
     def kappa(self) -> np.ndarray:
         """(N, n) principal curvatures, ascending; solved at the first read."""

@@ -10,10 +10,11 @@ inequality into the pointwise bound
 
     tau^2 <= K1 (H H_r - H_{r+1}).
 
-The sharpened Newton constant c_n and the Maclaurin-chain constants
-b_{n,k,r} are not known in closed form; this module calibrates them by a
-seeded brute-force infimum over random positive curvature vectors (minus a
-safety margin) and can write/read the result as a small text file.
+For n = 2 and 3, the dimensions the pipeline runs at, the sharpened
+Newton constant c_n is exact (``default_c_n``) and every Maclaurin-chain
+constant b_{n,l,r} is 1.  For n >= 4 no closed form is known here;
+``calibrate`` estimates both by a seeded brute-force infimum over random
+positive curvature vectors, minus a safety margin.
 """
 
 from __future__ import annotations
@@ -187,8 +188,10 @@ def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float,
         c_n * min_k b_{n,k+1,r}^{2(k-1)} * (h / 2|B|) *
             sum_{k=1}^r (minH_partial^{1/(r-1)} / |B|)^{2(k-1)},
 
-    evaluated with the calibrated constants.  Note K1 grows like 1/h: a
-    weaker pinching hypothesis gives a weaker (larger) multiplier.
+    where b_consts[k-1] = b_{n,k+1,r} defaults to all ones.  That is exact
+    for r <= 2, where every chain index k+1 is 2 or r+1; the pipeline runs
+    at n <= 3 with c_n = default_c_n(n).  Note K1 grows like 1/h: a weaker
+    pinching hypothesis gives a weaker (larger) multiplier.
     """
     if r == 1:
         return float(n * (n - 1))
@@ -262,19 +265,25 @@ class Calibration:
 def sample_positive_curvatures(n: int, samples: int, seed: int) -> np.ndarray:
     """Deterministic positive curvature vectors, sorted ascending.
 
-    Mixes log-normal spread, moderate uniform values and near-umbilic
-    configurations (where the sharpened-Newton ratio attains its infimum).
+    Mixes log-normal spread, moderate uniform values, near-umbilic
+    configurations and scaled copies of the near-boundary family
+    (t, 2t, ..., 2t, 1) with 10^-4 <= t <= 10^-1.  At n = 3 that family
+    approaches the infimum 1/8 of the sharpened-Newton ratio, which is not
+    attained; the other groups stay about 1.5% above it, and the umbilic
+    limit is 1/6.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    n_log = samples // 3
-    n_uni = samples // 3
-    n_umb = samples - n_log - n_uni
+    n_log = n_uni = n_edge = samples // 4
+    n_umb = samples - n_log - n_uni - n_edge
     logn = np.exp(rng.normal(0.0, 0.9, size=(n_log, n)))
     uni = rng.uniform(0.05, 3.0, size=(n_uni, n))
     base = rng.uniform(0.3, 2.0, size=(n_umb, 1))
     spread = 10.0 ** rng.uniform(-3.0, -0.5, size=(n_umb, 1))
     umb = base * (1.0 + spread * rng.normal(0.0, 1.0, size=(n_umb, n)))
-    kappa = np.vstack([logn, uni, np.abs(umb) + 1e-6])
+    t = 10.0 ** rng.uniform(-4.0, -1.0, size=(n_edge, 1))
+    shape = np.hstack([t] + [2.0 * t] * (n - 2) + [np.ones_like(t)])
+    edge = rng.uniform(0.3, 2.0, size=(n_edge, 1)) * shape
+    kappa = np.vstack([logn, uni, np.abs(umb) + 1e-6, edge])
     return np.sort(kappa, axis=-1)
 
 
@@ -292,11 +301,14 @@ def _newton_tau_ratios(kappa: np.ndarray, k: int) -> np.ndarray:
 
 def calibrate(n: int, r: int, samples: int = 100_000, seed: int = 31415,
               margin: float = 0.1) -> Calibration:
-    """Brute-force calibration of c_n and b_{n,k,r} over random positive kappa.
+    """Brute-force estimate of c_n and b_{n,l,r} over random positive kappa.
 
     c_n is the sampled infimum over k of the sharpened-Newton ratio, scaled
-    down by the safety margin; b_{n,k,r} likewise for the partial-curvature
-    Maclaurin chain.  Deterministic for a given (seed, samples).
+    down by the safety margin; b_{n,l,r} likewise for the partial-curvature
+    Maclaurin chain, except that b_{n,l,r} = 1 for l in {2, r+1} by
+    construction (so every b is 1 for r <= 2).  A sampled infimum can only
+    lie above the true one; for n = 2 and 3 use the exact ``default_c_n``.
+    Deterministic for a given (seed, samples).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -322,47 +334,17 @@ def calibrate(n: int, r: int, samples: int = 100_000, seed: int = 31415,
                        samples=samples, margin=margin, raw_c_inf=raw_inf)
 
 
-def write_calibration(cal: Calibration, path) -> None:
-    lines = [
-        f"n = {cal.n}",
-        f"r = {cal.r}",
-        f"c_n = {cal.c_n!r}",
-        "b_consts = " + " ".join(repr(x) for x in cal.b_consts),
-        f"seed = {cal.seed}",
-        f"samples = {cal.samples}",
-        f"margin = {cal.margin!r}",
-        f"raw_c_inf = {cal.raw_c_inf!r}",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_calibration(path) -> Calibration:
-    data = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            data[key.strip()] = value.strip()
-    return Calibration(
-        n=int(data["n"]),
-        r=int(data["r"]),
-        c_n=float(data["c_n"]),
-        b_consts=tuple(float(x) for x in data["b_consts"].split()),
-        seed=int(data["seed"]),
-        samples=int(data["samples"]),
-        margin=float(data["margin"]),
-        raw_c_inf=float(data.get("raw_c_inf", "nan")),
-    )
-
-
-_DEFAULT_CN_CACHE: dict = {}
+# c_n = inf over k and positive kappa of the sharpened-Newton ratio
+# (H_k^2 - H_{k+1} H_{k-1}) / (tau^2 H_{k+1;n,1}^2).  At k = 1 the ratio is
+# identically n(n-1)/4.  At n = 3, k = 2 it tends to (1 - s + s^2) / (6 s^2)
+# along kappa = (t, s t, 1) as t -> 0, least at s = 2; the infimum 1/8 is
+# approached but not attained (the umbilic limit is 1/6).
+_EXACT_C_N = {2: 0.5, 3: 0.125}
 
 
 def default_c_n(n: int) -> float:
-    """Calibrated c_n with the package-default seed and sample count."""
-    if n not in _DEFAULT_CN_CACHE:
-        _DEFAULT_CN_CACHE[n] = calibrate(n, 1, samples=60_000).c_n
-    return _DEFAULT_CN_CACHE[n]
+    """The exact sharpened-Newton constant c_n for n = 2 and 3."""
+    if n not in _EXACT_C_N:
+        raise ValueError(f"c_n is known exactly only for n = 2 and 3, got n={n}; "
+                         "calibrate() estimates it for larger n")
+    return _EXACT_C_N[n]

@@ -83,6 +83,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_former_constant_keys_give_the_exact_constant_run(self, tmp_path):
+        # c_n is exact and the b-constants are 1, so old files load unchanged
+        base = tmp_path / "n3.ini"
+        base.write_text("[surface]\nn = 3\ndelta = -1.0\nrho0 = 0.9\n"
+                        "perturbation = u1u2:0.03\n\n[experiment]\nr = 2\nquad_order = 6\n\n"
+                        "[constants]\neps0 = 10.0\n")
+        old = tmp_path / "old.ini"
+        old.write_text(base.read_text() + "c_n = 0.3\nb_consts = 0.5 0.5\n"
+                       "calibration_file = " + str(tmp_path / "missing.txt") + "\n")
+        assert load_config(old) == load_config(base)
+        assert load_config(old).digest() == load_config(base).digest()
+        out = tmp_path / "out"
+        assert main(["pinch", "--config", str(old), "--out", str(out)]) == 0
+        ledger = [l for l in (out / "pinch.txt").read_text().splitlines()
+                  if l.startswith("depends_on:")]
+        assert len(ledger) == 1 and " c_n=0.125 " in ledger[0]
+
     def test_bad_perturbation_entry(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[surface]\nn = 2\nrho0 = 1.0\nperturbation = 9,9:0.1\n")
@@ -105,6 +122,15 @@ class TestCommands:
         cfg.write_text("[surface]\nn = 2\nrho0 = oops\n")
         assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "rho0" in capsys.readouterr().err
+
+    def test_unsupported_dimension_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "n4.ini"
+        cfg.write_text("[surface]\nn = 4\ndelta = 0.0\nrho0 = 1.0\n")
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "surface.n" in capsys.readouterr().err
+
+    def test_calibrate_command_is_gone(self, tmp_path):
+        assert main(["calibrate", "--n", "3", "--r", "2", "--out", str(tmp_path)]) == 3
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.ini"),
@@ -195,47 +221,6 @@ class TestCommands:
                      "--seed", "1"]) == 3
 
 
-class TestCalibrateCommand:
-    def test_writes_file_and_repeats(self, tmp_path):
-        out = tmp_path / "cal"
-        argv = ["calibrate", "--n", "2", "--r", "1", "--samples", "20000",
-                "--seed", "5", "--out", str(out)]
-        assert main(argv) == 0
-        first = (out / "calibration_n2_r1.txt").read_bytes()
-        assert main(argv) == 0
-        assert (out / "calibration_n2_r1.txt").read_bytes() == first
-
-    def test_n2_matches_exact_identity(self, tmp_path):
-        out = tmp_path / "cal"
-        assert main(["calibrate", "--n", "2", "--r", "1", "--samples", "30000",
-                     "--seed", "6", "--out", str(out)]) == 0
-        text = (out / "calibration_n2_r1.txt").read_text()
-        raw = float([l for l in text.splitlines() if l.startswith("raw_c_inf")][0].split("=")[1])
-        assert raw == pytest.approx(0.5, abs=1e-6)
-
-    def test_margin_zero_records_raw(self, tmp_path):
-        out = tmp_path / "cal"
-        assert main(["calibrate", "--n", "3", "--r", "2", "--samples", "20000",
-                     "--seed", "6", "--margin", "0.0", "--out", str(out)]) == 0
-        text = (out / "calibration_n3_r2.txt").read_text()
-        vals = dict(l.split(" = ") for l in text.splitlines() if " = " in l)
-        assert float(vals["c_n"]) == float(vals["raw_c_inf"])
-
-    def test_too_few_samples_exits_3(self, tmp_path):
-        assert main(["calibrate", "--n", "2", "--r", "1", "--samples", "100",
-                     "--out", str(tmp_path)]) == 3
-
-    def test_used_as_calibration_file(self, tmp_path):
-        out = tmp_path / "cal"
-        assert main(["calibrate", "--n", "2", "--r", "1", "--samples", "20000",
-                     "--seed", "5", "--out", str(out)]) == 0
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(GOOD_CONFIG + "calibration_file = "
-                       + str(out / "calibration_n2_r1.txt") + "\n")
-        loaded = load_config(cfg)
-        assert loaded.constants.c_n == pytest.approx(0.45, abs=1e-5)
-
-
 IMPORT_PROBE = """
 import json, sys
 import starpinch, starpinch.cli
@@ -246,8 +231,6 @@ def scipy_modules():
 config, out = sys.argv[1:]
 codes = [starpinch.cli.main([cmd, "--config", config, "--out", out])
          for cmd in ("report", "identities")]
-codes.append(starpinch.cli.main(["calibrate", "--n", "2", "--r", "1",
-                                 "--samples", "10000", "--out", out]))
 before = scipy_modules()
 codes.append(starpinch.cli.main(["pinch", "--config", config, "--out", out]))
 after = scipy_modules()
@@ -262,7 +245,7 @@ def test_scipy_loads_only_with_the_hausdorff_pass(config_file, tmp_path):
                            str(tmp_path / "out")], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["codes"] == [0, 0, 0]
     assert seen["before"] == []
     assert "scipy.spatial" in seen["after"]
     assert not any(m.startswith("scipy.optimize") for m in seen["after"])

@@ -18,7 +18,7 @@ def chain(delta=0.0, n=2, **overrides):
     model = SpaceFormModel(delta=delta, ambient_dim=n + 1)
     kwargs = dict(h=1.0, B_sup=1.2, R0=0.9, R=1.1, volume=4.0 * math.pi,
                   minH_partial=1.0, minH_rplus1=0.9,
-                  config=ConstantsConfig(c_n=0.45))
+                  config=ConstantsConfig())
     kwargs.update(overrides)
     return build_chain(n, 1, delta, model, **kwargs)
 
@@ -152,8 +152,8 @@ class TestChain:
             assert key in c.dependencies
 
     def test_K1_mode_switch(self):
-        c_h = chain(config=ConstantsConfig(c_n=0.45, K1_mode="h"))
-        c_m = chain(config=ConstantsConfig(c_n=0.45, K1_mode="Hr+1"))
+        c_h = chain(config=ConstantsConfig(K1_mode="h"))
+        c_m = chain(config=ConstantsConfig(K1_mode="Hr+1"))
         # r = 1: the h-mode is the exact dimensional constant
         assert c_h.K1 == 2.0
         assert c_m.K1 != c_h.K1

@@ -111,7 +111,7 @@ class TestGaussAlgebraic:
             batch = surf.fields(rule)
             n = surf.n
             H = mean_curvatures(batch.kappa)
-            tau_sq = batch.tau_norm_sq()
+            tau_sq = batch.tau_sq
             rhs = n * (n - 1) * (H[:, 1] ** 2 - H[:, 2])
             scale = np.maximum.reduce([np.abs(rhs), tau_sq,
                                        np.sum(batch.kappa**2, axis=1)])
@@ -157,7 +157,7 @@ class TestLemmaGap:
         batch = surf.fields(rule)
         from starpinch.symfun import partial_H_extremes
 
-        H = batch.mean_curvature_orders()
+        H = batch.H
         h = 2.0 * float(np.min(H[:, 2]))
         B_sup = float(np.max(np.abs(batch.kappa)))
         minH_partial = float(np.min(partial_H_extremes(3, batch.kappa)))
@@ -177,7 +177,7 @@ class TestTauEpsilonBound:
         rule = build_rule(2, 16)
         surf = make_surface(delta, perturbation=(((3, 1), 0.05),))
         batch = surf.fields(rule)
-        H = batch.mean_curvature_orders()
+        H = batch.H
         vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
         h = integrate_batch(batch, H[:, 1], rule) / vol
         from starpinch.surface import starshape_report
@@ -196,9 +196,9 @@ class TestTauEpsilonBound:
             surf = make_surface(0.0, perturbation=(((3, 1), a),))
             batch = surf.fields(rule)
             vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-            H = batch.mean_curvature_orders()
+            H = batch.H
             h = integrate_batch(batch, H[:, 1], rule) / vol
-            tau_int = integrate_batch(batch, batch.tau_norm_sq(), rule)
+            tau_int = integrate_batch(batch, batch.tau_sq, rule)
             eps_int = integrate_batch(batch, np.abs(H[:, 1] - h), rule)
             vals[a] = (tau_int, eps_int)
         tau_ratio = vals[0.05][0] / vals[0.025][0]

@@ -494,6 +494,20 @@ class TestRunPinch:
         expect = float(np.min(partial_H_extremes(3, batch.kappa)))
         assert rep.minH_partial == pytest.approx(expect, rel=1e-12)
 
+    def test_r2_uses_the_exact_c_n_and_samples_nothing(self, monkeypatch):
+        from starpinch import symfun
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("run_pinch must not sample curvatures")
+
+        monkeypatch.setattr(symfun, "sample_positive_curvatures", no_sampling)
+        surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.03),))
+        rep = run_pinch(surf, 2, settings(order=6))
+        deps = rep.constants.dependencies
+        assert deps["c_n"] == 0.125
+        assert rep.constants.K1 == symfun.K1(3, 2, deps["minH_partial"], deps["h"],
+                                             deps["B_sup"], 0.125)
+
     def test_rigid_motion_equivariance_flat(self):
         from test_identities import rotated_copy, rotation_z
 

@@ -184,7 +184,7 @@ class TestLpNorms:
 
     def test_umbilic_defect_vanishes_on_sphere(self):
         surf = flat_sphere(1.0)
-        got = lp_norm(surf, lambda b: np.sqrt(b.tau_norm_sq()), 1.0, build_rule(2, 8))
+        got = lp_norm(surf, lambda b: np.sqrt(b.tau_sq), 1.0, build_rule(2, 8))
         assert got < 1e-13
 
     def test_rejects_subunit_p(self):

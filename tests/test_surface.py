@@ -200,7 +200,7 @@ class TestOrientationAndConsistency:
         for delta in (-1.0, 0.0, 1.0):
             surf = sphere(delta, 1.0, perturbation=(((3, 2), 0.08),))
             batch = evaluate_nodes(surf, random_nodes(2, 300, seed=6))
-            H = batch.mean_curvature_orders()
+            H = batch.H
             assert float(np.min(H[:, 2])) > 0.0
 
     def test_flat_conformal_path_is_bitwise_euclidean(self):
@@ -331,8 +331,11 @@ class TestEigenSolve:
         surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
         rule = build_rule(n, order)
         batch = surf.fields(rule)
-        points = [evaluate_point(surf, u) for u in rule.nodes]
-        ref = np.array([scipy.linalg.eigh(p.B_mat, p.g_mat, eigvals_only=True) for p in points])
+        # g and B of every node from the one block that evaluate_point runs per node
+        forms = surface_module._node_block(surf, surface_module._polynomial_tables(surf),
+                                           rule.nodes.T.copy(), 0, forms=True)
+        ref = np.array([scipy.linalg.eigh(B, g, eigvals_only=True)
+                        for B, g in zip(forms["B"], forms["g"])])
         assert np.max(np.abs(batch.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_symmetric_functions_are_computed_once(self):
@@ -340,8 +343,7 @@ class TestEigenSolve:
         # agrees to roundoff
         surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.08),))
         batch = surf.fields(build_rule(3, 8))
-        H, tau_sq = batch.mean_curvature_orders(), batch.tau_norm_sq()
-        assert batch.mean_curvature_orders() is H and batch.tau_norm_sq() is tau_sq
+        H, tau_sq = batch.H, batch.tau_sq
         eps = np.finfo(float).eps
         scale = np.max(np.abs(batch.kappa))
         assert np.all(np.abs(H - mean_curvatures(batch.kappa))

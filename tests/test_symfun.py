@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from starpinch.errors import HypothesisError
 from starpinch import symfun
-from starpinch.symfun import (Calibration, K1, K1_prime, calibrate,
+from starpinch.symfun import (K1, K1_prime, calibrate,
                               curvature_profile, elementary_symmetric,
                               maclaurin_gaps, mean_curvatures, newton_gap,
                               normalized_mean_curvatures, partial_H,
-                              partial_H_extremes, read_calibration,
-                              sharpened_newton_gap, umbilicity_defect_sq,
-                              write_calibration)
+                              partial_H_extremes, sharpened_newton_gap,
+                              umbilicity_defect_sq)
 
 SQRT_11_3 = 1.9148542155126762
 CBRT_6 = 1.8171205928321397
@@ -207,7 +206,52 @@ class TestK1:
             K1_prime(3, 2, 1.0, 0.0, 1.0, 0.15)
 
 
+def sharpened_gaps(kappa, c):
+    """H_k^2 - H_{k+1}H_{k-1} - c tau^2 H_{k+1;n,1}^2 for k = 1..n-1, stacked."""
+    H = mean_curvatures(kappa)
+    tau_sq = umbilicity_defect_sq(kappa)
+    n = kappa.shape[-1]
+    return np.stack([H[:, k] ** 2 - H[:, k + 1] * H[:, k - 1]
+                     - c * tau_sq * partial_H_extremes(k + 1, kappa) ** 2
+                     for k in range(1, n)])
+
+
+class TestExactConstants:
+    def test_values(self):
+        assert symfun.default_c_n(2) == 0.5
+        assert symfun.default_c_n(3) == 0.125
+        with pytest.raises(ValueError):
+            symfun.default_c_n(4)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_k1_ratio_is_the_dimensional_constant(self, n):
+        # (H_1^2 - H_2) / (tau^2 H_{2;n,1}^2) = n(n-1)/4 for every kappa
+        kappa = np.sort(np.random.Generator(np.random.Philox(5)).uniform(
+            0.01, 3.0, size=(2000, n)), axis=1)
+        gap = sharpened_gaps(kappa, n * (n - 1) / 4.0)[0]
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(kappa) ** 2
+
+    def test_c3_is_sharp_at_the_t_2t_1_corner(self):
+        # kappa = (a, b, 1) with 0 < a <= b <= 1, dense near a = b/2 -> 0
+        v = np.unique(np.concatenate([np.linspace(0.0, 1.0, 401)[1:],
+                                      np.geomspace(1e-4, 1.0, 200),
+                                      2.0 * np.geomspace(1e-4, 0.5, 200)]))
+        a, b = np.meshgrid(v, v, indexing="ij")
+        keep = a <= b
+        grid = np.stack([a[keep], b[keep], np.ones(keep.sum())], axis=1)
+        assert np.min(sharpened_gaps(grid, 1.0 / 8.0)) >= -8 * np.finfo(float).eps
+        corner = np.array([[1e-3, 2e-3, 1.0]])
+        assert sharpened_gaps(corner, 1.0 / 8.0)[1, 0] > 0.0
+        assert sharpened_gaps(corner, 1.01 / 8.0)[1, 0] < 0.0
+
+
 class TestCalibration:
+    def test_sampler_reaches_the_n3_infimum(self):
+        # the near-boundary family (t, 2t, 1) gets within 1% of c_3 = 1/8;
+        # the umbilic limit is 1/6
+        raw = calibrate(3, 2).raw_c_inf
+        assert 1.0 / 8.0 <= raw <= 1.01 / 8.0
+
     def test_deterministic(self):
         a = calibrate(3, 2, samples=20_000, seed=9)
         b = calibrate(3, 2, samples=20_000, seed=9)
@@ -248,11 +292,3 @@ class TestCalibration:
             k1 = K1(n, r, minH_partial, h, B_sup, cal.c_n, cal.b_consts)
             gap = k1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
             assert float(np.min(gap)) >= -1e-10
-
-    def test_roundtrip_file(self, tmp_path):
-        cal = calibrate(3, 2, samples=20_000, seed=13)
-        path = tmp_path / "cal.txt"
-        write_calibration(cal, path)
-        back = read_calibration(path)
-        assert back == cal
-        assert isinstance(back, Calibration)
