@@ -37,7 +37,7 @@ for delta in (-1.0, 1.0):
     model = SpaceFormModel(delta=delta, ambient_dim=3)
     closed = geodesic_radius(x, model)
     s_grid = np.linspace(0.0, 0.6, 2001)
-    integrand = 1.0 / (1.0 + 0.25 * delta * s_grid**2)
+    integrand = 1.0 / model.conformal_factor(s_grid[:, None])
     w = np.ones_like(s_grid)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     simpson = float(np.sum(w * integrand) * (s_grid[1] - s_grid[0]) / 3.0)
@@ -56,7 +56,7 @@ for delta in (-1.0, 0.0, 1.0):
     d12 = geodesic_distance(pts[1], pts[2], model)
     d02 = geodesic_distance(pts[0], pts[2], model)
     z = position_vector(pts[0], model)
-    z_norm = float(np.linalg.norm(z)) * model.conformal_scale(pts[0])
+    z_norm = float(np.linalg.norm(z)) / model.conformal_factor(pts[0])
     expect = s_delta(geodesic_radius(pts[0], model), delta)
     print(f"  delta={delta:+}: d02 - (d01 + d12) = {d02 - (d01 + d12):+.3e} (<= 0), "
           f"|Z|_h - s_d(r) = {z_norm - expect:+.2e}")

@@ -11,12 +11,14 @@ Commands::
 compares the base rule with the rule of doubled order.  It is reported,
 never added to a threshold: ``identities`` exits 2 when a row's value
 misses its fixed tolerance, ``pinch`` and ``scaling`` when dH exceeds an
-applicable bound by more than rounding.
+applicable bound by more than rounding.  Every ``identities`` row, the
+worst-node Gauss identity included, reads the fields the integrals read.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 configuration error.  Every output file starts with a header block
-(config hash, constant provenance); runs with equal config hashes produce
-byte-identical files.  No command draws random numbers.
+3 configuration error (a nonpositive [experiment] h and amplitudes that do
+not strictly decrease among them).  Every output file starts with a header
+block (config hash, constant provenance); runs with equal config hashes
+produce byte-identical files.  No command draws random numbers.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ import numpy as np
 
 from . import identities as ident
 from .config import ExperimentConfig, load_config
-from .constants import describe
 from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
 from .pinch import (RunSettings, report_text, run_pinch, scaling_csv,
                     scaling_study)
 from .quadrature import batch_volume, build_rule, integrate_batch
-from .surface import B_sup_norm, evaluate_point, starshape_report
+from .surface import B_sup_norm, starshape_report
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -79,7 +80,7 @@ def _header(cfg: ExperimentConfig, command: str) -> list:
         f"starpinch {command}",
         f"config_hash: {cfg.digest()}",
         f"constants: eps0={c.eps0!r} c_RS={c.c_RS!r} alpha={c.alpha!r} "
-        f"Kn_MS={c.Kn_MS!r} K1_mode={c.K1_mode} "
+        f"Kn_MS={c.Kn_MS!r} "
         "(configured, not derived; alpha is a placeholder)",
     ]
 
@@ -132,7 +133,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
     reports = [ident.hsiung_minkowski_residual(surface, k, rule) for k in range(cfg.n)]
     reports.append(ident.cauchy_schwarz_chain_check(surface, rule))
     reports.append(ident.michael_simon_ratio(surface, rule, cfg.constants.Kn_MS))
-    reports.append(ident.gauss_algebraic_check(_worst_gauss_point(surface, rule)))
+    reports.append(ident.gauss_algebraic_check(surface, rule))
     reports = [replace(rep, name=f"{rep.name}_order{cfg.quad_order}") for rep in reports]
     _write(out_dir / "identities.csv", _header(cfg, "identities"),
            ident.residual_table(reports))
@@ -141,11 +142,6 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
         print(f"identity checks failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
-
-
-def _worst_gauss_point(surface, rule):
-    batch = surface.fields(rule)
-    return evaluate_point(surface, batch.nodes[int(np.argmax(batch.tau_sq))])
 
 
 def cmd_pinch(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -11,20 +11,23 @@ A configuration file has three sections::
     [experiment]
     r = 1
     quad_order = 16                     # refinement errors use 2 * quad_order
-    amplitudes = 0.08 0.04 0.02 0.01    # scaling command only
+    h = 1.0                             # pinching level, positive (default: mean of H_r)
+    amplitudes = 0.08 0.04 0.02 0.01    # scaling command only, strictly decreasing
 
     [constants]
     eps0 = 0.1
     c_RS = 1.0
     alpha = 0.5
     Kn_MS = 1.0
-    K1_mode = h
 
 n is 2 or 3, the dimensions the surfaces support.  All keys have defaults
 except the surface geometry, and keys the parser does not know are
 ignored.  Among them are the former [constants] keys c_n, b_consts and
 calibration_file: at n = 2 and 3 the sharpened-Newton constant c_n is
 exact and every b-constant is 1, so nothing is left to configure.  The
+former key K1_mode is not ignored: K1 always uses the pinching level h,
+so ``K1_mode = h`` loads like a file without the key and any other value
+is a configuration error, because it asked for a different lemma.  The
 canonical hash covers every resolved value, so equal hashes imply
 byte-identical outputs.
 """
@@ -62,6 +65,10 @@ class ExperimentConfig:
             raise ConfigError("surface.rho0 must be positive")
         if self.quad_order < 4:
             raise ConfigError("experiment.quad_order must be at least 4")
+        if any(a2 >= a1 for a1, a2 in zip(self.amplitudes, self.amplitudes[1:])):
+            raise ConfigError("experiment.amplitudes must be strictly decreasing")
+        if self.h_fixed is not None and not self.h_fixed > 0.0:
+            raise ConfigError(f"experiment.h must be positive, got h={self.h_fixed}")
         if self.delta > 0.0:
             import math
 
@@ -95,7 +102,6 @@ class ExperimentConfig:
             f"c_RS={c.c_RS!r}",
             f"alpha={c.alpha!r}",
             f"Kn_MS={c.Kn_MS!r}",
-            f"K1_mode={c.K1_mode}",
         ]
         return "\n".join(lines)
 
@@ -167,9 +173,13 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"bad amplitudes list: {amp_text!r}") from exc
 
+    # the pinching-level route is the only K1; another value would silently
+    # run a different lemma
+    if get("constants", "K1_mode", str, default="h") != "h":
+        raise ConfigError("[constants] K1_mode is removed: K1 always uses the pinching level h")
     const_kwargs = {}
     for key, cast in (("eps0", float), ("c_RS", float), ("alpha", float),
-                      ("Kn_MS", float), ("K1_mode", str)):
+                      ("Kn_MS", float)):
         value = get("constants", key, cast, default=None)
         if value is not None:
             const_kwargs[key] = value

@@ -10,11 +10,12 @@ eps1 = eps0^(2(n+1)) / K3 together with the stability bound
 
 eps0, c_RS and alpha belong to the black-box almost-umbilical stability
 theorem; they are configuration with documented defaults and are printed
-in every report so that no number masquerades as derived.  The
-sharpened-Newton constant c_n in K1 is derived: the exact value of
-``symfun.default_c_n``, recorded in the dependency ledger.  The conformal
-Sobolev constant c_{n,phi} defaults to Kn_MS * exp(n * sup|phi|) over the
-containment ball, a safe computable bound for the volume distortion.
+in every report so that no number masquerades as derived.  K1 is
+``symfun.K1`` at the pinching level h.  Its sharpened-Newton constant c_n
+is derived: the exact value of ``symfun.default_c_n``, recorded in the
+dependency ledger.  The conformal Sobolev constant c_{n,phi} defaults to
+Kn_MS * exp(n * sup|phi|) over the containment ball, a safe computable
+bound for the volume distortion.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ class ConstantsConfig:
     c_RS: float = 1.0          # its multiplicative constant
     alpha: float = 0.5         # its Hoelder exponent alpha(n, p) at p = n+1 (placeholder)
     Kn_MS: float = 1.0         # Michael-Simon constant K(n)
-    K1_mode: str = "h"         # "h" (pinching level) or "Hr+1" (min H_{r+1} route)
 
     def __post_init__(self):
         if min(self.eps0, self.c_RS, self.alpha, self.Kn_MS) <= 0.0:
             raise ValueError("constants must be strictly positive")
-        if self.K1_mode not in ("h", "Hr+1"):
-            raise ValueError(f"unknown K1_mode {self.K1_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -124,25 +122,19 @@ def final_bound(eps_l1: float, rho0: float, consts: ProofConstants):
 
 def build_chain(n: int, r: int, delta: float, model: SpaceFormModel, *,
                 h: float, B_sup: float, R0: float, R: float, volume: float,
-                minH_partial: float, minH_rplus1: float,
-                config: ConstantsConfig) -> ProofConstants:
+                minH_partial: float, config: ConstantsConfig) -> ProofConstants:
     """Evaluate the whole chain for one surface, recording what it consumed."""
     from . import symfun
 
     c_n = symfun.default_c_n(n)
-    if config.K1_mode == "h":
-        K1_value = symfun.K1(n, r, minH_partial, h, B_sup, c_n)
-    else:
-        K1_value = symfun.K1_prime(n, r, minH_partial, minH_rplus1, B_sup, c_n)
+    K1_value = symfun.K1(n, r, minH_partial, h, B_sup, c_n)
     K2_value = K2(delta, K1_value, R0, B_sup, R)
     c_phi = c_n_phi_default(model, n, R, config.Kn_MS)
     K3_value = K3(K2_value, c_phi, volume, n)
     gamma = gamma_exponent(config.alpha, n)
     deps = {
-        "n": n, "r": r, "delta": delta, "h": h,
-        "minH_partial": minH_partial, "minH_rplus1": minH_rplus1,
-        "B_sup": B_sup, "volume": volume, "R0": R0, "R": R,
-        "c_n": c_n, "K1_mode": config.K1_mode,
+        "n": n, "r": r, "delta": delta, "h": h, "minH_partial": minH_partial,
+        "B_sup": B_sup, "volume": volume, "R0": R0, "R": R, "c_n": c_n,
     }
     return ProofConstants(K1=K1_value, K2=K2_value, K3=K3_value,
                           eps1=eps1(config.eps0, K3_value, n),

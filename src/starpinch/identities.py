@@ -1,5 +1,7 @@
 """Numerical residuals for the integral identities and inequality chain.
 
+Every check reads the H_k, tau^2 and other fields of ``surface.fields(rule)``,
+the batch the integrals read; pointwise checks report their worst node.
 Each check returns a ResidualReport.  An identity passes when |value| is at
 most its fixed tolerance, an inequality when its gap is at least minus that
 tolerance.  The quadrature refinement error (base rule vs doubled rule) is
@@ -19,15 +21,14 @@ from .errors import HypothesisError
 from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
                          integrate_batch, refinement_estimate)
 from .spaceform import c_delta
-from .surface import B_sup_norm, RadialSurface, SurfacePointData
-from .symfun import curvature_profile
+from .surface import B_sup_norm, RadialSurface
 
 IDENTITY = "identity"
 INEQUALITY = "inequality"
 
 INTEGRAL_TOLERANCE = 1e-8   # volume-normalized integral identities and gaps
-ALGEBRAIC_TOLERANCE = 1e-12  # pointwise Gauss identity, relative to |S|^2
-LEMMA_TOLERANCE = 1e-10     # pointwise tau^2 bound
+ALGEBRAIC_TOLERANCE = 1e-12  # worst-node Gauss identity, relative to |S|^2
+LEMMA_TOLERANCE = 1e-10     # worst-node tau^2 bound
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,21 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int,
                           kind=IDENTITY)
 
 
-def gauss_algebraic_check(point: SurfacePointData) -> ResidualReport:
-    """Relative residual of tau^2 = n(n-1)(H^2 - H_2) at one point.
+def gauss_algebraic_check(surface: RadialSurface, rule: SphericalRule) -> ResidualReport:
+    """Worst relative residual of tau^2 = n(n-1)(H^2 - H_2) over the rule's nodes.
 
-    Both sides are symmetric functions of the point's Jacobi eigenvalues,
-    while a batch takes H_k and tau^2 from the invariants of M, so this
-    checks only the roundoff of the eigenvalue route, not the fields the
-    integrals read.  Relative to the shape-operator scale |S|^2 =
-    sum kappa_i^2 (the term the trace identity subtracts); near umbilic
-    points both sides cancel against quantities of that size, so it is the
-    meaningful denominator.
+    Reads the H_k and tau^2 of ``surface.fields(rule)``, the fields every
+    integral reads.  Relative to the shape-operator scale |S|^2 =
+    sum kappa_i^2 = n^2 H^2 - n(n-1) H_2 (the term the trace identity
+    subtracts); near umbilic points both sides cancel against quantities of
+    that size, so it is the meaningful denominator.
     """
-    prof = curvature_profile(point.kappa)
-    n = prof.n
-    rhs = float(n * (n - 1) * (prof.H[1] ** 2 - prof.H[2]))
-    s_norm_sq = float(np.sum(prof.kappa**2))
-    scale = max(prof.tau_sq, abs(rhs), s_norm_sq, 1e-300)
-    value = abs(prof.tau_sq - rhs) / scale
+    batch = surface.fields(rule)
+    n, H = batch.n, batch.H
+    rhs = n * (n - 1) * (H[:, 1] ** 2 - H[:, 2])
+    s_norm_sq = n * n * H[:, 1] ** 2 - n * (n - 1) * H[:, 2]
+    scale = np.maximum(np.maximum.reduce([batch.tau_sq, np.abs(rhs), s_norm_sq]), 1e-300)
+    value = float(np.max(np.abs(batch.tau_sq - rhs) / scale))
     return ResidualReport(name="gauss_algebraic", value=value, tolerance=ALGEBRAIC_TOLERANCE,
                           refinement_error=0.0, kind=IDENTITY)
 
@@ -122,19 +121,9 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> R
                           kind=INEQUALITY)
 
 
-def lemma1_gap(point: SurfacePointData, r: int, K1: float) -> ResidualReport:
-    """Pointwise gap K1 (H H_r - H_{r+1}) - tau^2 >= 0."""
-    prof = curvature_profile(point.kappa)
-    if prof.H[r + 1] <= 0.0:
-        raise HypothesisError(f"lemma gap needs H_{r+1} > 0, got {prof.H[r + 1]:.6g}")
-    value = float(K1 * (prof.H[1] * prof.H[r] - prof.H[r + 1]) - prof.tau_sq)
-    return ResidualReport(name=f"lemma_tau_bound_r{r}", value=value,
-                          tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
-
-
-def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int,
-                     K1: float) -> ResidualReport:
-    """Worst-node version of lemma1_gap over a whole quadrature batch."""
+def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
+               K1: float) -> ResidualReport:
+    """Worst-node gap K1 (H H_r - H_{r+1}) - tau^2 >= 0 over the rule's nodes."""
     batch = surface.fields(rule)
     H = batch.H
     if np.any(H[:, r + 1] <= 0.0):
@@ -142,8 +131,7 @@ def lemma1_gap_batch(surface: RadialSurface, rule: SphericalRule, r: int,
         raise HypothesisError(
             f"lemma gap needs H_{r+1} > 0 everywhere; node {bad} has {H[bad, r + 1]:.6g}"
         )
-    tau_sq = batch.tau_sq
-    gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
+    gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - batch.tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),
                           tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
 

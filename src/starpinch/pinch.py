@@ -208,9 +208,9 @@ def _distance_jacobian(pts, center, model: SpaceFormModel):
     d = np.asarray(geodesic_distance(pts, center, model))
     if not np.all(d > 0.0):
         raise NumericalError("sphere fit: a distance to the center is 0 or NaN (singular Jacobian)")
-    inv_qc = model.conformal_scale(center)
+    inv_qc = 1.0 / model.conformal_factor(center)
     diff = pts - center
-    scale = model.conformal_scale(pts) * inv_qc
+    scale = (1.0 / model.conformal_factor(pts)) * inv_qc
     t = np.einsum("ij,ij->i", diff, diff) * scale
     dt_dc = -2.0 * scale[:, None] * diff - (0.5 * model.delta * inv_qc) * t[:, None] * center
     return d, dt_dc / (2.0 * s_delta(d, model.delta))[:, None]
@@ -253,14 +253,14 @@ def _directed_hausdorff(a, b, model):
     model.require_inside(a)
     model.require_inside(b)
     from scipy.spatial import cKDTree  # the one scipy use, loaded on the first pass
-    scale = model.conformal_scale(b)  # 1/q
+    q = model.conformal_factor(b)
     # the unbalanced, uncompacted tree builds in half the time, which
     # outweighs its slower queries on the bench workloads
     tree = cKDTree(b, balanced_tree=False, compact_nodes=False)
     # sorted by distance; padded with inf (index len(b)) when len(b) < K
     dist, nodes = tree.query(a, k=_K_NEAREST)
     # 1e-9 relative covers rounding in e and q
-    radius = dist[:, 0] * (math.sqrt(scale.max() / scale.min()) * (1.0 + 1e-9))
+    radius = dist[:, 0] * (math.sqrt(q.max() / q.min()) * (1.0 + 1e-9))
     # a K-th neighbour in the ball may hide more candidates, unless b has no more
     fallback = (dist[:, -1] <= radius) & (len(b) > _K_NEAREST)
     done = ~fallback
@@ -380,7 +380,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     consts = build_chain(n, r, model.delta, model, h=h, B_sup=B_sup, R0=star.R0,
                          R=star.R, volume=vol, minH_partial=minH_partial,
-                         minH_rplus1=minH_rplus1, config=settings.constants)
+                         config=settings.constants)
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(starshaped=True, R0=star.R0, eps_linf=eps_linf, h=h,

@@ -5,13 +5,14 @@ hyperbolic, spherical) are realized on a single chart: the open ball of
 radius ``2/sqrt(|delta|)`` (all of R^(n+1) when ``delta == 0``) carrying
 the metric
 
-    h = (1 + (delta/4) |x|^2)^(-2)  h_euclid.
+    h = e^{2 phi} h_euclid,   e^{-phi} = q = 1 + (delta/4) |x|^2.
 
 For ``delta > 0`` this chart covers exactly the open upper half-sphere.
 Points are plain numpy arrays of chart coordinates; the model object only
-carries ``delta`` and the ambient dimension.  All distances are closed
-forms in the chart, validated in the tests against ray integration of the
-conformal line element.
+carries ``delta`` and the ambient dimension, and its ``conformal_factor``
+is the one place q is computed.  All distances are closed forms in the
+chart, validated in the tests against ray integration of the conformal
+line element.
 """
 
 from __future__ import annotations
@@ -42,22 +43,15 @@ class SpaceFormModel:
             return math.inf
         return 2.0 / math.sqrt(abs(self.delta))
 
-    def conformal_scale(self, x):
-        """e^phi = 1/(1 + (delta/4)|x|^2), the metric is (e^phi)^2 h_euclid."""
+    def conformal_factor(self, x):
+        """q = e^{-phi} = 1 + (delta/4)|x|^2; the metric is h_euclid / q^2."""
         x = np.asarray(x, dtype=float)
-        q = 1.0 + 0.25 * self.delta * np.sum(x * x, axis=-1)
-        return 1.0 / q
-
-    def phi(self, x):
-        """Logarithm of the conformal scale, phi = -log(1 + (delta/4)|x|^2)."""
-        x = np.asarray(x, dtype=float)
-        return -np.log1p(0.25 * self.delta * np.sum(x * x, axis=-1))
+        return 1.0 + 0.25 * self.delta * np.sum(x * x, axis=-1)
 
     def grad_phi(self, x):
-        """Euclidean gradient of phi in chart coordinates."""
+        """Euclidean gradient of phi = -log q in chart coordinates."""
         x = np.asarray(x, dtype=float)
-        q = 1.0 + 0.25 * self.delta * np.sum(x * x, axis=-1)
-        return -(0.5 * self.delta) * x / q[..., None]
+        return -(0.5 * self.delta) * x / self.conformal_factor(x)[..., None]
 
     def require_inside(self, x, margin: float = 0.0):
         """Raise if any point leaves the chart domain."""
@@ -176,7 +170,7 @@ def position_vector(x, model: SpaceFormModel):
     s = np.sqrt(np.sum(x * x, axis=-1))
     r = _radius_from_chart_norm(s, model.delta)
     # grad r has h-norm 1; in chart components it is e^{-phi} x/|x|
-    q = 1.0 + 0.25 * model.delta * s * s
+    q = model.conformal_factor(x)
     safe_s = np.where(s > 0.0, s, 1.0)
     scale = np.where(s > 0.0, s_delta(r, model.delta) * q / safe_s, 0.0)
     return np.asarray(scale)[..., None] * x

@@ -19,9 +19,11 @@ trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
 by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
-hold the maximum in ``B_sup_norm``.  The forms g, B and the normal nu are
-kept only by ``evaluate_point``.  Blocks of nodes are evaluated node-last,
-as (d, N) directions and (n, n, N) forms, so contractions are einsums.
+hold the maximum in ``B_sup_norm``.  Only ``evaluate_point`` returns the
+forms g, B and the normal nu; it serves callers that inspect one node (the
+tests do), and the pipeline never calls it.  Blocks of nodes are evaluated
+node-last, as (d, N) directions and (n, n, N) forms, so contractions are
+einsums.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -402,8 +404,8 @@ def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
     # float identity (q = 1, grad phi = 0), so the Euclidean case is
     # reproduced bit-for-bit
     delta = surface.model.delta
-    q = 1.0 + 0.25 * delta * np.einsum("iN,iN->N", X, X)  # q = e^{-phi}
-    dphi_nu = np.einsum("iN,Ni->N", nu_euc, surface.model.grad_phi(X.T))
+    q = surface.model.conformal_factor(X.T)  # e^{-phi}
+    dphi_nu = np.einsum("iN,iN->N", nu_euc, -(0.5 * delta) * X / q)  # grad phi = -grad q / q
     B_mixed = B_euc - dphi_nu * g_euc
 
     # g^{-1/2} = (I - c v v^T)/rho with c = 1/(W (rho + W)) (Sherman-Morrison),

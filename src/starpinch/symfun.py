@@ -5,7 +5,7 @@ curvatures: elementary symmetric polynomials sigma_k, the normalized mean
 curvatures H_k = sigma_k / C(n,k), the partial curvatures H_{l;i,j}
 obtained by deleting two entries, the umbilicity defect
 ``tau^2 = sum (kappa_i - H_1)^2``, the Newton and Maclaurin inequality
-gaps, and the explicit constants K1 / K1' that turn the sharpened Newton
+gaps, and the explicit constant K1 that turns the sharpened Newton
 inequality into the pointwise bound
 
     tau^2 <= K1 (H H_r - H_{r+1}).
@@ -199,26 +199,6 @@ def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float,
         raise ValueError("h and B_sup must be positive")
     if minH_partial <= 0.0:
         raise HypothesisError("min H_{r+1;n,1} must be positive for r >= 2")
-    factor = _k1_product(n, r, minH_partial, B_sup, c_n, b_consts) * (h / 2.0)
-    return 1.0 / factor
-
-
-def K1_prime(n: int, r: int, minH_partial: float, minH_rplus1: float, B_sup: float,
-             c_n: float, b_consts=None) -> float:
-    """Variant of K1 with (min H_{r+1})^(r/(r+1)) in place of h/2."""
-    if minH_rplus1 <= 0.0:
-        raise HypothesisError("min H_{r+1} must be positive")
-    if B_sup <= 0.0:
-        raise ValueError("B_sup must be positive")
-    if r >= 2 and minH_partial <= 0.0:
-        raise HypothesisError("min H_{r+1;n,1} must be positive for r >= 2")
-    factor = _k1_product(n, r, minH_partial, B_sup, c_n, b_consts)
-    factor *= minH_rplus1 ** (r / (r + 1.0))
-    return 1.0 / factor
-
-
-def _k1_product(n, r, minH_partial, B_sup, c_n, b_consts):
-    """Common factor c_n * min_k(b^{2(k-1)}) * (1/|B|) * sum_k (...)^{2(k-1)}."""
     if c_n <= 0.0:
         raise ValueError("c_n must be positive")
     b = _b_vector(r, b_consts)
@@ -229,7 +209,7 @@ def _k1_product(n, r, minH_partial, B_sup, c_n, b_consts):
             total += 1.0
         else:
             total += (minH_partial ** (1.0 / (r - 1)) / B_sup) ** (2 * (k - 1))
-    return c_n * min_b_pow * total / B_sup
+    return 1.0 / (c_n * min_b_pow * total / B_sup * (h / 2.0))
 
 
 def _b_vector(r, b_consts):

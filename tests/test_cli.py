@@ -8,12 +8,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starpinch
 from starpinch import surface as surface_module
 from starpinch.cli import main
-from starpinch.config import load_config
+from starpinch.config import ExperimentConfig, load_config
+from starpinch.constants import ConstantsConfig
 from starpinch.errors import ConfigError
 
 GOOD_CONFIG = textwrap.dedent("""\
@@ -64,6 +66,34 @@ class TestConfig:
         other = tmp_path / "other.ini"
         other.write_text(GOOD_CONFIG.replace("quad_order = 12", "quad_order = 14"))
         assert load_config(other).digest() != cfg.digest()
+
+    def test_digest_covers_every_field(self):
+        base = ExperimentConfig(n=3, delta=-1.0, r=1, rho0=0.9, perturbation=(("u1u2", 0.04),),
+                                quad_order=12, amplitudes=(0.06, 0.03))
+        changed = {"n": 2, "delta": 0.5, "r": 2, "rho0": 1.0,
+                   "perturbation": (("u1u2", 0.05),), "quad_order": 14,
+                   "amplitudes": (0.06, 0.02), "h_fixed": 0.5}
+        changed_constants = {"eps0": 10.0, "c_RS": 2.0, "alpha": 0.25, "Kn_MS": 2.0}
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(changed) | {"constants"} == names
+        assert set(changed_constants) == {f.name for f in dataclasses.fields(ConstantsConfig)}
+        variants = [dataclasses.replace(base, **{name: value}) for name, value in changed.items()]
+        variants += [dataclasses.replace(base, constants=dataclasses.replace(
+            base.constants, **{name: value})) for name, value in changed_constants.items()]
+        for variant in variants:
+            assert variant != base and variant.digest() != base.digest(), variant
+
+    def test_former_k1_route_key(self, config_file, tmp_path, capsys):
+        # the pinching-level K1 is the only one: "h" is the run without the key,
+        # any other value would silently run a different lemma
+        same = tmp_path / "h.ini"
+        same.write_text(GOOD_CONFIG + "K1_mode = h\n")
+        assert load_config(same) == load_config(config_file)
+        assert load_config(same).digest() == load_config(config_file).digest()
+        other = tmp_path / "other.ini"
+        other.write_text(GOOD_CONFIG + "K1_mode = Hr+1\n")
+        assert main(["pinch", "--config", str(other), "--out", str(tmp_path / "out")]) == 3
+        assert "K1_mode" in capsys.readouterr().err
 
     def test_missing_rho0(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -168,6 +198,23 @@ class TestCommands:
         assert code == 2
         assert "hsiung_minkowski" in capsys.readouterr().err
 
+    def test_gauss_row_reads_the_batch(self, tmp_path, capsys, monkeypatch):
+        # raise tau^2 by 1e-9 relative at one node of every batch the command evaluates
+        evaluate = surface_module.evaluate_nodes
+
+        def bumped(surface, nodes):
+            batch = evaluate(surface, nodes)
+            tau_sq = batch.tau_sq.copy()
+            tau_sq[np.argmax(tau_sq)] *= 1.0 + 1e-9
+            return dataclasses.replace(batch, tau_sq=tau_sq)
+
+        monkeypatch.setattr(surface_module, "evaluate_nodes", bumped)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(GOOD_CONFIG)
+        code = main(["identities", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "identity checks failed: gauss_algebraic_order12\n" in capsys.readouterr().err
+
     def test_coarse_rule_identities_exit_2(self, tmp_path, capsys):
         # at q=4 the Hsiung-Minkowski residuals are 2.5e-6 to 8.6e-6, about
         # their own refinement errors and far above the 1e-8 tolerance
@@ -201,6 +248,22 @@ class TestCommands:
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 1 + 3  # header + one row per amplitude
         assert any(l.startswith("# regression slope=") for l in lines)
+
+    @pytest.mark.parametrize("amplitudes", ["0.02 0.04", "0.04 0.04"])
+    def test_scaling_amplitudes_not_decreasing_exit_3(self, tmp_path, capsys, amplitudes):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(GOOD_CONFIG.replace("0.06 0.03 0.015", amplitudes))
+        assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "amplitudes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["0", "-1"])
+    def test_nonpositive_h_exits_3(self, tmp_path, capsys, h):
+        # at r = 2 it used to escape from K1 as a ValueError (exit 1)
+        cfg = tmp_path / "n3.ini"
+        cfg.write_text("[surface]\nn = 3\ndelta = -1.0\nrho0 = 0.9\n"
+                       f"perturbation = u1u2:0.04\n\n[experiment]\nr = 2\nh = {h}\n")
+        assert main(["pinch", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "experiment.h" in capsys.readouterr().err
 
     def test_scaling_without_amplitudes_exits_3(self, tmp_path):
         cfg = tmp_path / "sphere.ini"

@@ -17,8 +17,7 @@ TEN_POW_MINUS_TWO_THIRDS = 0.21544346900318834  # (1e-4)^(1/6)
 def chain(delta=0.0, n=2, **overrides):
     model = SpaceFormModel(delta=delta, ambient_dim=n + 1)
     kwargs = dict(h=1.0, B_sup=1.2, R0=0.9, R=1.1, volume=4.0 * math.pi,
-                  minH_partial=1.0, minH_rplus1=0.9,
-                  config=ConstantsConfig())
+                  minH_partial=1.0, config=ConstantsConfig())
     kwargs.update(overrides)
     return build_chain(n, 1, delta, model, **kwargs)
 
@@ -146,18 +145,9 @@ class TestChain:
         assert c.gamma == c.alpha / 6.0
 
     def test_dependency_ledger(self):
+        # exactly the values the chain consumed
         c = chain(delta=-1.0)
-        for key in ("n", "r", "delta", "h", "minH_partial", "B_sup",
-                    "volume", "R0", "R", "minH_rplus1"):
-            assert key in c.dependencies
-
-    def test_K1_mode_switch(self):
-        c_h = chain(config=ConstantsConfig(K1_mode="h"))
-        c_m = chain(config=ConstantsConfig(K1_mode="Hr+1"))
-        # r = 1: the h-mode is the exact dimensional constant
-        assert c_h.K1 == 2.0
-        assert c_m.K1 != c_h.K1
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            ConstantsConfig(K1_mode="bogus")
+        assert set(c.dependencies) == {"n", "r", "delta", "h", "minH_partial", "B_sup",
+                                       "volume", "R0", "R", "c_n"}
+        # r = 1: K1 is the exact dimensional constant n(n-1)
+        assert c.K1 == 2.0

@@ -1,5 +1,8 @@
 """Residual checks for the integral identities and the inequality chain."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,11 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   cauchy_schwarz_chain_check,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
-                                  lemma1_gap_batch, michael_simon_ratio,
-                                  scalar_curvature, tau_l2_epsilon_bound)
+                                  michael_simon_ratio, scalar_curvature,
+                                  tau_l2_epsilon_bound)
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
-from starpinch.surface import RadialSurface, basis_values, evaluate_point
+from starpinch.surface import RadialSurface, basis_values
 from starpinch.symfun import calibrate, mean_curvatures, K1
 
 
@@ -71,20 +74,27 @@ class TestHsiungMinkowski:
             hsiung_minkowski_residual(make_surface(0.0), 2, build_rule(2, 8))
 
 
+def fixed_fields(surface, rule, H, tau_sq):
+    """A stand-in surface whose batch at ``rule`` has the given H and tau^2 at every node."""
+    batch = surface.fields(rule)
+    N = len(batch.nodes)
+    batch = dataclasses.replace(batch, H=np.tile(H, (N, 1)), tau_sq=np.full(N, tau_sq))
+    return SimpleNamespace(fields=lambda rl: batch)
+
+
 class TestGaussAlgebraic:
-    def test_umbilic_point(self):
-        point = evaluate_point(make_surface(0.0, rho0=1.5), np.array([0.0, 0.0, 1.0]))
-        rep = gauss_algebraic_check(point)
+    def test_umbilic_batch(self):
+        rep = gauss_algebraic_check(make_surface(0.0, rho0=1.5), build_rule(2, 8))
         assert rep.value < 1e-15 and rep.passed
 
     def test_hand_value_two_dims(self):
-        # kappa = (0, 2): tau^2 = 2 and n(n-1)(H^2 - H_2) = 2
-        from dataclasses import replace
-
-        point = evaluate_point(make_surface(0.0), np.array([0.0, 0.0, 1.0]))
-        point = replace(point, kappa=np.array([0.0, 2.0]))
-        rep = gauss_algebraic_check(point)
-        assert rep.value < 1e-15
+        # kappa = (0, 2): H = (1, 1, 0), tau^2 = 2 = n(n-1)(H^2 - H_2), |S|^2 = 4
+        surf, rule = make_surface(0.0), build_rule(2, 8)
+        rep = gauss_algebraic_check(fixed_fields(surf, rule, [1.0, 1.0, 0.0], 2.0), rule)
+        assert rep.value == 0.0 and rep.passed
+        # tau^2 off by 1e-9 relative: the residual is 2e-9 / |S|^2
+        rep = gauss_algebraic_check(fixed_fields(surf, rule, [1.0, 1.0, 0.0], 2.0 + 2e-9), rule)
+        assert rep.value == pytest.approx(5e-10, rel=1e-6) and not rep.passed
 
     def test_random_batch_relative(self):
         rng = np.random.Generator(np.random.Philox(31))
@@ -141,13 +151,12 @@ class TestCauchySchwarz:
 
 class TestLemmaGap:
     def test_umbilic_equality_r1(self):
-        point = evaluate_point(make_surface(0.0, rho0=2.0), np.array([0.0, 1.0, 0.0]))
-        rep = lemma1_gap(point, 1, K1=2.0)
+        rep = lemma1_gap(make_surface(0.0, rho0=2.0), build_rule(2, 8), 1, K1=2.0)
         assert abs(rep.value) < 1e-14 and rep.passed
 
     def test_r1_identity_on_perturbed_nodes(self):
         surf = make_surface(-1.0, perturbation=(((3, 3), 0.1),))
-        rep = lemma1_gap_batch(surf, build_rule(2, 16), 1, K1=2.0)
+        rep = lemma1_gap(surf, build_rule(2, 16), 1, K1=2.0)
         assert abs(rep.value) < 1e-10 and rep.passed
 
     def test_r2_gap_with_calibrated_constants(self):
@@ -162,7 +171,7 @@ class TestLemmaGap:
         B_sup = float(np.max(np.abs(batch.kappa)))
         minH_partial = float(np.min(partial_H_extremes(3, batch.kappa)))
         k1 = K1(3, 2, minH_partial, h, B_sup, cal.c_n, cal.b_consts)
-        rep = lemma1_gap_batch(surf, rule, 2, k1)
+        rep = lemma1_gap(surf, rule, 2, k1)
         assert rep.value >= -1e-10 and rep.passed
 
 

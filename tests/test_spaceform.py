@@ -23,9 +23,9 @@ def model(delta, dim=3):
 
 
 def ray_integrated_radius(s, delta, panels=4000):
-    """Independent oracle: integrate the conformal line element along a ray."""
+    """Oracle independent of the closed forms: integrate the line element 1/q along a ray."""
     t = np.linspace(0.0, s, panels + 1)
-    integrand = 1.0 / (1.0 + 0.25 * delta * t * t)
+    integrand = 1.0 / model(delta).conformal_factor(t[:, None])
     # Simpson weights
     w = np.ones_like(t)
     w[1:-1:2] = 4.0
@@ -161,6 +161,21 @@ class TestDistance:
         assert geodesic_distance(a, b, m) == pytest.approx(expect, abs=1e-13)
 
 
+class TestConformalFactor:
+    def test_hand_values(self):
+        # q = 1 + (delta/4)|x|^2
+        assert model(1.0).conformal_factor(np.array([2.0, 0.0, 0.0])) == 2.0
+        assert model(-1.0).conformal_factor(np.array([0.0, 1.0, 0.0])) == 0.75
+        assert model(0.0).conformal_factor(np.array([3.0, -4.0, 5.0])) == 1.0
+
+    def test_grad_phi_is_the_gradient_of_minus_log_q(self):
+        x, t = np.array([0.3, -0.2, 0.5]), 1e-6
+        for delta in DELTAS:
+            m, steps = model(delta), t * np.eye(3)
+            phi_plus, phi_minus = (-np.log(m.conformal_factor(x + s)) for s in (steps, -steps))
+            assert np.allclose(m.grad_phi(x), (phi_plus - phi_minus) / (2 * t), rtol=0.0, atol=1e-9)
+
+
 class TestPositionVector:
     def test_flat_is_euclidean_position(self):
         x = np.array([0.2, -0.4, 0.6])
@@ -175,7 +190,7 @@ class TestPositionVector:
         m = model(-1.0)
         x = np.array([0.0, 0.0, 1.0])
         z = position_vector(x, m)
-        h_norm = float(np.linalg.norm(z)) * m.conformal_scale(x)
+        h_norm = float(np.linalg.norm(z)) / m.conformal_factor(x)
         # sinh(2 artanh(1/2)) = 4/3 exactly
         assert h_norm == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert h_norm == pytest.approx(s_delta(geodesic_radius(x, m), -1.0), abs=1e-12)

@@ -98,8 +98,7 @@ class TestRoundSpheres:
         surf = sphere(-1.0, 0.8, perturbation=(((2, 1), 0.05),))
         points = [evaluate_point(surf, u) for u in random_nodes(2, 100, seed=4)]
         X = np.array([p.X for p in points])
-        scale = surf.model.conformal_scale(X)
-        h_norms = scale * np.linalg.norm([p.nu for p in points], axis=1)
+        h_norms = np.linalg.norm([p.nu for p in points], axis=1) / surf.model.conformal_factor(X)
         assert np.max(np.abs(h_norms - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("n, perturbation", [
@@ -112,7 +111,7 @@ class TestRoundSpheres:
         nodes = random_nodes(n, 20, seed=9)
         points = [evaluate_point(surf, u) for u in nodes]
         X, nu = np.array([p.X for p in points]), np.array([p.nu for p in points])
-        nu_euc = nu * surf.model.conformal_scale(X)[:, None]
+        nu_euc = nu / surf.model.conformal_factor(X)[:, None]
         t = 1e-5
 
         def immersion(w):
@@ -153,17 +152,14 @@ class TestExactDifferentiation:
 
 
 def _euclid_g(point, surf):
-    q = 1.0 + 0.25 * surf.model.delta * np.sum(point.X ** 2)
-    return point.g_mat * q**2
+    return point.g_mat * surf.model.conformal_factor(point.X) ** 2
 
 
 def _euclid_b(point, surf):
     # undo the conformal change: B_euclid = q * B_h + (nu~ . grad phi) g_euclid
-    delta = surf.model.delta
-    X = point.X
-    q = 1.0 + 0.25 * delta * np.sum(X * X)
+    q = surf.model.conformal_factor(point.X)
     nu_euc = point.nu / q
-    grad_phi = -(0.5 * delta) * X / q
+    grad_phi = surf.model.grad_phi(point.X)
     return q * point.B_mat + float(nu_euc @ grad_phi) * _euclid_g(point, surf)
 
 
@@ -189,8 +185,7 @@ def _fd_forms(immersion, surf, point):
     Xa = (4 * Xa2 - Xa1) / 3
     Xab = (4 * Xab2 - Xab1) / 3
     g = Xa @ Xa.T
-    q = 1.0 + 0.25 * surf.model.delta * np.sum(point.X ** 2)
-    nu_euc = point.nu / q
+    nu_euc = point.nu / surf.model.conformal_factor(point.X)
     b = np.einsum("abd,d->ab", Xab, nu_euc)
     return g, b
 
@@ -272,6 +267,14 @@ class TestBlocks:
             assert np.array_equal(point.kappa, batch.kappa[idx])
             assert (point.support, point.r, point.area_element) == (
                 batch.support[idx], batch.r[idx], batch.area_element[idx])
+
+    @pytest.mark.parametrize("n, order", [(2, 32), (3, 12)])
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_q_is_the_conformal_factor_bit_for_bit(self, n, order, delta):
+        perturbation = (((3, 1), 0.12),) if n == 2 else (("u1u2", 0.08),)
+        surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
+        batch = surf.fields(build_rule(n, order))
+        assert np.array_equal(batch.q, surf.model.conformal_factor(batch.X))
 
     def test_peak_memory_is_bounded_by_the_batch(self):
         surf = sphere(-1.0, 0.9, n=3, perturbation=(("u1u2", 0.04),))

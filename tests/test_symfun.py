@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from starpinch.errors import HypothesisError
 from starpinch import symfun
-from starpinch.symfun import (K1, K1_prime, calibrate,
+from starpinch.symfun import (K1, calibrate,
                               curvature_profile, elementary_symmetric,
                               maclaurin_gaps, mean_curvatures, newton_gap,
                               normalized_mean_curvatures, partial_H,
@@ -184,26 +184,11 @@ class TestK1:
                 k1 * float(prof.H[1] * prof.H[1] - prof.H[2]), rel=1e-11, abs=1e-13
             )
 
-    def test_prime_coincides_when_factors_match(self):
-        n, r = 3, 2
-        args = dict(minH_partial=0.7, B_sup=1.4, c_n=0.15, b_consts=(1.0, 1.0))
-        h = 0.9
-        k1 = K1(n, r, h=h, **args)
-        k1p = K1_prime(n, r, minH_rplus1=(h / 2.0) ** ((r + 1) / r), **args)
-        assert k1p == pytest.approx(k1, rel=1e-14)
-
-    def test_prime_r1_uses_square_root(self):
-        # the replacement factor is minH_2^(1/2) at r = 1
-        v = K1_prime(2, 1, 1.0, 0.49, 1.0, 0.5)
-        assert v == pytest.approx(1.0 / (0.5 * 0.7), rel=1e-13)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             K1(3, 2, 1.0, -1.0, 1.0, 0.15)
         with pytest.raises(HypothesisError):
             K1(3, 2, -0.1, 1.0, 1.0, 0.15)
-        with pytest.raises(HypothesisError):
-            K1_prime(3, 2, 1.0, 0.0, 1.0, 0.15)
 
 
 def sharpened_gaps(kappa, c):
