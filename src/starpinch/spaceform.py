@@ -48,11 +48,6 @@ class SpaceFormModel:
         x = np.asarray(x, dtype=float)
         return 1.0 + 0.25 * self.delta * np.sum(x * x, axis=-1)
 
-    def grad_phi(self, x):
-        """Euclidean gradient of phi = -log q in chart coordinates."""
-        x = np.asarray(x, dtype=float)
-        return -(0.5 * self.delta) * x / self.conformal_factor(x)[..., None]
-
     def require_inside(self, x, margin: float = 0.0):
         """Raise if any point leaves the chart domain."""
         if self.delta == 0.0:

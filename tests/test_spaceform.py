@@ -168,13 +168,6 @@ class TestConformalFactor:
         assert model(-1.0).conformal_factor(np.array([0.0, 1.0, 0.0])) == 0.75
         assert model(0.0).conformal_factor(np.array([3.0, -4.0, 5.0])) == 1.0
 
-    def test_grad_phi_is_the_gradient_of_minus_log_q(self):
-        x, t = np.array([0.3, -0.2, 0.5]), 1e-6
-        for delta in DELTAS:
-            m, steps = model(delta), t * np.eye(3)
-            phi_plus, phi_minus = (-np.log(m.conformal_factor(x + s)) for s in (steps, -steps))
-            assert np.allclose(m.grad_phi(x), (phi_plus - phi_minus) / (2 * t), rtol=0.0, atol=1e-9)
-
 
 class TestPositionVector:
     def test_flat_is_euclidean_position(self):

@@ -159,7 +159,7 @@ def _euclid_b(point, surf):
     # undo the conformal change: B_euclid = q * B_h + (nu~ . grad phi) g_euclid
     q = surf.model.conformal_factor(point.X)
     nu_euc = point.nu / q
-    grad_phi = surf.model.grad_phi(point.X)
+    grad_phi = -(0.5 * surf.model.delta) * point.X / q
     return q * point.B_mat + float(nu_euc @ grad_phi) * _euclid_g(point, surf)
 
 
