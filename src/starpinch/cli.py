@@ -15,17 +15,17 @@ applicable bound by more than rounding.  Every ``identities`` row, the
 worst-node Gauss identity included, reads the fields the integrals read.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 configuration error (a nonpositive [experiment] h and amplitudes that do
-not strictly decrease among them).  Every output file starts with a header
-block (config hash, constant provenance); runs with equal config hashes
-produce byte-identical files.  No command draws random numbers.
+3 configuration error (also an unknown key or section, a nonpositive h or
+amplitudes that do not strictly decrease).  Every output file starts with
+a header block (config hash, constant provenance); runs with equal config
+hashes produce byte-identical files.  No command draws random numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +76,11 @@ def _resolve(args) -> ExperimentConfig:
 
 def _header(cfg: ExperimentConfig, command: str) -> list:
     c = cfg.constants
+    configured = " ".join(f"{f.name}={getattr(c, f.name)!r}" for f in fields(c))
     return [
         f"starpinch {command}",
         f"config_hash: {cfg.digest()}",
-        f"constants: eps0={c.eps0!r} c_RS={c.c_RS!r} alpha={c.alpha!r} "
-        f"Kn_MS={c.Kn_MS!r} "
-        "(configured, not derived; alpha is a placeholder)",
+        f"constants: {configured} (configured, not derived; alpha is a placeholder)",
     ]
 
 
@@ -154,8 +153,7 @@ def cmd_scaling(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.amplitudes:
         raise ConfigError("scaling requires [experiment] amplitudes")
     study = scaling_study(cfg.surface(), cfg.amplitudes, cfg.r, _settings(cfg))
-    body = scaling_csv(study)
-    _write(out_dir / "scaling.csv", _header(cfg, "scaling"), body)
+    _write(out_dir / "scaling.csv", _header(cfg, "scaling"), scaling_csv(study))
     return EXIT_OK
 
 

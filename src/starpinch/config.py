@@ -21,22 +21,22 @@ A configuration file has three sections::
     Kn_MS = 1.0
 
 n is 2 or 3, the dimensions the surfaces support.  All keys have defaults
-except the surface geometry, and keys the parser does not know are
-ignored.  Among them are the former [constants] keys c_n, b_consts and
-calibration_file: at n = 2 and 3 the sharpened-Newton constant c_n is
-exact and every b-constant is 1, so nothing is left to configure.  The
-former key K1_mode is not ignored: K1 always uses the pinching level h,
-so ``K1_mode = h`` loads like a file without the key and any other value
-is a configuration error, because it asked for a different lemma.  The
-canonical hash covers every resolved value, so equal hashes imply
-byte-identical outputs.
+except the surface geometry.  Keys match case-insensitively, and an
+unknown section or key is a configuration error.  Retired keys load as
+before: [constants] c_n, b_consts and calibration_file and [experiment]
+seed and quad_order_check are ignored (c_n is exact and every b-constant
+is 1 at n = 2, 3; no command draws random numbers; the check rule is of
+order 2 * quad_order), and [constants] K1_mode = h loads like a file
+without the key, while any other value is an error: K1 always uses the
+pinching level h.  The canonical hash covers every resolved value, so
+equal hashes imply byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .constants import ConstantsConfig
 from .errors import ConfigError
@@ -87,26 +87,22 @@ class ExperimentConfig:
                              perturbation=self.perturbation)
 
     def canonical_text(self) -> str:
+        """One name=value line per field, the constants' fields in place of ``constants``."""
         c = self.constants
-        pert = " ".join(f"{_key_text(k)}:{a!r}" for k, a in self.perturbation)
-        lines = [
-            f"n={self.n}",
-            f"delta={self.delta!r}",
-            f"r={self.r}",
-            f"rho0={self.rho0!r}",
-            f"perturbation={pert}",
-            f"quad_order={self.quad_order}",
-            "amplitudes=" + " ".join(repr(a) for a in self.amplitudes),
-            f"h_fixed={self.h_fixed!r}",
-            f"eps0={c.eps0!r}",
-            f"c_RS={c.c_RS!r}",
-            f"alpha={c.alpha!r}",
-            f"Kn_MS={c.Kn_MS!r}",
-        ]
-        return "\n".join(lines)
+        items = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "constants"]
+        items += [(f.name, getattr(c, f.name)) for f in fields(c)]
+        return "\n".join(f"{name}={_value_text(value)}" for name, value in items)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+
+def _value_text(value) -> str:
+    """repr, with tuples space-separated and (key, amplitude) entries as key:amplitude."""
+    if not isinstance(value, tuple):
+        return repr(value)
+    return " ".join(f"{_key_text(v[0])}:{v[1]!r}" if isinstance(v, tuple) else repr(v)
+                    for v in value)
 
 
 def _key_text(key) -> str:
@@ -125,8 +121,8 @@ def _parse_perturbation(text: str, n: int) -> tuple:
             amplitude = float(amp)
         except ValueError as exc:
             raise ConfigError(f"bad amplitude in perturbation entry {chunk!r}") from exc
-        key = tuple(int(p) for p in spec.split(",")) if n == 2 else spec
         try:
+            key = tuple(int(p) for p in spec.split(",")) if n == 2 else spec
             basis_function(n, key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -134,9 +130,37 @@ def _parse_perturbation(text: str, n: int) -> tuple:
     return tuple(entries)
 
 
+# [section] key -> (field, parser); the perturbation text is parsed once n is known
+_KEYS = {
+    ("surface", "n"): ("n", int),
+    ("surface", "delta"): ("delta", float),
+    ("surface", "rho0"): ("rho0", float),
+    ("surface", "perturbation"): ("perturbation", str),
+    ("experiment", "r"): ("r", int),
+    ("experiment", "quad_order"): ("quad_order", int),
+    ("experiment", "h"): ("h_fixed", float),
+    ("experiment", "amplitudes"): ("amplitudes", lambda text: tuple(map(float, text.split()))),
+    **{("constants", f.name): (f.name, float) for f in fields(ConstantsConfig)},
+}
+
+# keys of earlier versions -> the one value that still loads (None: any value)
+_RETIRED = {
+    ("constants", "c_n"): None,
+    ("constants", "b_consts"): None,
+    ("constants", "calibration_file"): None,
+    ("constants", "K1_mode"): "h",
+    ("experiment", "seed"): None,
+    ("experiment", "quad_order_check"): None,
+}
+
+# configparser lowercases keys; this finds their table spelling
+_SPELLING = {(section, key.lower()): (section, key) for section, key in [*_KEYS, *_RETIRED]}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # with no default section, [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -144,48 +168,33 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"configuration file not found: {path}")
 
-    def get(section, key, cast, default=None, required=False):
-        if parser.has_option(section, key):
+    values = {}
+    for section in parser.sections():
+        if not any(known == section for known, _ in _SPELLING):
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            spelled = _SPELLING.get((section, key))
+            if spelled is None:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            if spelled in _RETIRED:  # ignored, or read when only one value still loads
+                keep = _RETIRED[spelled]
+                if keep is not None and parser.get(section, key) != keep:
+                    raise ConfigError(f"[{section}] {spelled[1]} is removed: "
+                                      f"only {spelled[1]} = {keep} still loads")
+                continue
             raw = parser.get(section, key)
+            name, parse = _KEYS[spelled]
             try:
-                return cast(raw)
+                values[name] = parse(raw)
             except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-
-    n = get("surface", "n", int, default=2)
-    delta = get("surface", "delta", float, default=0.0)
-    rho0 = get("surface", "rho0", float, required=True)
-    pert_text = get("surface", "perturbation", str, default="")
-    perturbation = _parse_perturbation(pert_text, n) if pert_text else ()
-
-    cfg_kwargs = dict(
-        n=n, delta=delta, rho0=rho0, perturbation=perturbation,
-        r=get("experiment", "r", int, default=1),
-        quad_order=get("experiment", "quad_order", int, default=16),
-        h_fixed=get("experiment", "h", float, default=None),
-    )
-    amp_text = get("experiment", "amplitudes", str, default="")
+                raise ConfigError(f"bad value for [{section}] {spelled[1]}: {raw!r}") from exc
+    if "rho0" not in values:
+        raise ConfigError("missing required key [surface] rho0")
+    values["perturbation"] = _parse_perturbation(values.get("perturbation", ""),
+                                                 values.get("n", ExperimentConfig.n))
     try:
-        cfg_kwargs["amplitudes"] = tuple(float(a) for a in amp_text.split())
-    except ValueError as exc:
-        raise ConfigError(f"bad amplitudes list: {amp_text!r}") from exc
-
-    # the pinching-level route is the only K1; another value would silently
-    # run a different lemma
-    if get("constants", "K1_mode", str, default="h") != "h":
-        raise ConfigError("[constants] K1_mode is removed: K1 always uses the pinching level h")
-    const_kwargs = {}
-    for key, cast in (("eps0", float), ("c_RS", float), ("alpha", float),
-                      ("Kn_MS", float)):
-        value = get("constants", key, cast, default=None)
-        if value is not None:
-            const_kwargs[key] = value
-    try:
-        cfg_kwargs["constants"] = ConstantsConfig(**const_kwargs)
+        constants = ConstantsConfig(**{f.name: values.pop(f.name)
+                                       for f in fields(ConstantsConfig) if f.name in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ExperimentConfig(**cfg_kwargs)
+    return ExperimentConfig(**values, constants=constants)

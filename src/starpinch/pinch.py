@@ -28,11 +28,11 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import ConstantsConfig, ProofConstants, build_chain, final_bound
+from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
 from .errors import HypothesisError, NumericalError
 from .quadrature import (SphericalRule, batch_volume, build_rule, integrate_batch,
                          refinement_estimate)
@@ -459,6 +459,9 @@ class ScalingRow:
     gates_passed: bool
 
 
+SCALING_COLUMNS = tuple(f.name for f in fields(ScalingRow) if f.name != "gates_passed")
+
+
 @dataclass(frozen=True)
 class Regression:
     slope: float
@@ -493,12 +496,9 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
             perturbation=tuple((key, a * amp) for key, amp in base_surface.perturbation),
         )
         rep = run_pinch(scaled, r, settings)
-        rows.append(ScalingRow(
-            amplitude=a, eps_l1=rep.eps_l1, eps_linf=rep.eps_linf,
-            tau_l2=rep.tau_l2, tau_lnp1=rep.tau_lnp1, R0=rep.R0,
-            B_sup=rep.B_sup, rho0=rep.rho0, dH=rep.dH, bound=rep.bound,
-            applicable=rep.applicable, gates_passed=gate_overall(rep.gates),
-        ))
+        rows.append(ScalingRow(amplitude=a, gates_passed=gate_overall(rep.gates),
+                               **{c: getattr(rep, c) for c in SCALING_COLUMNS
+                                  if c != "amplitude"}))
 
     usable = [row for row in rows if row.gates_passed and row.eps_l1 > 0.0 and row.dH > 0.0]
     regression = None
@@ -515,20 +515,13 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
     return ScalingStudy(rows=tuple(rows), regression=regression, monotone=monotone)
 
 
-SCALING_COLUMNS = ("amplitude", "eps_l1", "eps_linf", "tau_l2", "tau_lnp1",
-                   "R0", "B_sup", "rho0", "dH", "bound", "applicable")
-
-
-def scaling_csv(study: ScalingStudy, header_lines=()) -> str:
+def scaling_csv(study: ScalingStudy) -> str:
     """Render a scaling study as CSV with the fixed column order."""
     buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
     writer = csv.writer(buf)
     writer.writerow(SCALING_COLUMNS)
     for row in study.rows:
-        writer.writerow([repr(getattr(row, col)) if col != "applicable" else row.applicable
-                         for col in SCALING_COLUMNS])
+        writer.writerow([repr(getattr(row, col)) for col in SCALING_COLUMNS])
     if study.regression is not None:
         reg = study.regression
         buf.write(f"# regression slope={reg.slope!r} intercept={reg.intercept!r} "
@@ -540,36 +533,15 @@ def scaling_csv(study: ScalingStudy, header_lines=()) -> str:
 
 
 def report_text(report: PinchReport) -> str:
-    """Stable key-value rendering of a PinchReport."""
-    from .constants import describe
-
-    lines = [
-        f"n = {report.n}",
-        f"r = {report.r}",
-        f"delta = {report.delta!r}",
-        f"h = {report.h!r}",
-        f"eps_l1 = {report.eps_l1!r}",
-        f"eps_l1_refinement = {report.eps_l1_refinement!r}",
-        f"eps_linf = {report.eps_linf!r}",
-        f"tau_l2 = {report.tau_l2!r}",
-        f"tau_l2_refinement = {report.tau_l2_refinement!r}",
-        f"tau_lnp1 = {report.tau_lnp1!r}",
-        f"R0 = {report.R0!r}",
-        f"R = {report.R!r}",
-        f"B_sup = {report.B_sup!r}",
-        f"minH_rplus1 = {report.minH_rplus1!r}",
-        f"minH_partial = {report.minH_partial!r}",
-        f"volume = {report.volume!r}",
-        "sphere_center = " + " ".join(repr(float(x)) for x in report.sphere_center),
-        f"rho0 = {report.rho0!r}",
-        f"fit_rms = {report.fit_rms!r}",
-        f"dH = {report.dH!r}",
-        f"dH_refinement = {report.dH_refinement!r}",
-        f"bound = {report.bound!r}",
-        f"applicable = {report.applicable}",
-        f"bound_ok = {report.bound_ok}",
-        "note: the fitted sphere is this artifact's proxy for the theorem's S_rho0",
-    ]
+    """Stable rendering of a PinchReport: one name = repr(value) line per field."""
+    lines = []
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == "sphere_center":
+            lines.append("sphere_center = " + " ".join(repr(float(x)) for x in value))
+        elif f.name not in ("gates", "constants"):
+            lines.append(f"{f.name} = {value!r}")
+    lines.append("note: the fitted sphere is this artifact's proxy for the theorem's S_rho0")
     for gate in report.gates:
         lines.append(f"gate {gate.name} = {'pass' if gate.passed else 'FAIL'} ({gate.detail})")
     lines.append(describe(report.constants))

@@ -133,24 +133,16 @@ S3_BASIS_KEYS = tuple(_S3_BASIS.keys())
 
 
 def basis_function(n: int, key):
-    """Monomial table for one basis function; key is (l, m) for n=2."""
+    """Monomial table for one basis function; key is (l, m) for n=2, a name for n=3."""
     if n == 2:
-        key = (int(key[0]), int(key[1])) if not isinstance(key, str) else _parse_lm(key)
         if key not in _SH2:
             raise ValueError(f"unknown spherical harmonic {key} (degree <= 4 supported)")
         return _SH2[key]
     if n == 3:
-        if isinstance(key, int):
-            key = S3_BASIS_KEYS[key]
         if key not in _S3_BASIS:
             raise ValueError(f"unknown S^3 basis function {key!r}")
         return _S3_BASIS[key]
     raise ValueError(f"no perturbation basis for n={n}")
-
-
-def _parse_lm(text: str):
-    l, m = text.split(",")
-    return (int(l), int(m))
 
 
 def basis_values(n: int, key, points) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line interface: config parsing, commands, exit codes, determinism."""
 
 import dataclasses
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,11 +14,15 @@ import numpy as np
 import pytest
 
 import starpinch
+from starpinch import config as config_module
 from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.config import ExperimentConfig, load_config
 from starpinch.constants import ConstantsConfig
 from starpinch.errors import ConfigError
+from starpinch.pinch import PinchReport, RunSettings, report_text, run_pinch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_CONFIG = textwrap.dedent("""\
     [surface]
@@ -136,6 +142,59 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_n2_perturbation_key_that_is_not_l_m(self, tmp_path):
+        # the int() parse of "u1u2" used to escape as a ValueError
+        p = tmp_path / "bad.ini"
+        p.write_text("[surface]\nn = 2\nrho0 = 1.0\nperturbation = u1u2:0.1\n")
+        with pytest.raises(ConfigError, match="u1u2"):
+            load_config(p)
+
+    @pytest.mark.parametrize("text, named", [
+        (GOOD_CONFIG.replace("eps0 = 10.0", "esp0 = 10.0"), "[constants] esp0"),
+        (GOOD_CONFIG.replace("[constants]", "[constant]"), "[constant]"),
+        ("[DEFAULT]\neps0 = 10.0\n" + GOOD_CONFIG, "[DEFAULT]"),
+    ], ids=["key", "section", "default_section"])
+    def test_unknown_key_or_section_exits_3(self, tmp_path, capsys, text, named):
+        # a misspelling used to fall back to the default without a word
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        assert main(["pinch", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # K1_mode = h is covered by test_former_k1_route_key
+    @pytest.mark.parametrize("section, line", [
+        ("constants", "c_n = 0.3"), ("constants", "b_consts = 0.5 0.5"),
+        ("constants", "calibration_file = runs/100%.txt"),  # ignored, so never interpolated
+        ("experiment", "seed = 11"), ("experiment", "quad_order_check = 16"),
+    ])
+    def test_each_retired_key_loads_like_a_file_without_it(self, config_file, tmp_path,
+                                                            section, line):
+        old = tmp_path / "old.ini"
+        old.write_text(GOOD_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert line in old.read_text()
+        assert load_config(old) == load_config(config_file)
+        assert load_config(old).digest() == load_config(config_file).digest()
+
+    def test_keys_match_case_insensitively(self, config_file, tmp_path):
+        upper = tmp_path / "upper.ini"
+        upper.write_text(GOOD_CONFIG + "C_RS = 2.0\n")
+        expected = dataclasses.replace(load_config(config_file),
+                                       constants=ConstantsConfig(eps0=10.0, c_RS=2.0))
+        assert load_config(upper) == expected
+
+    def test_documented_examples_load(self, tmp_path):
+        # the README's ini block and the example in the config module docstring
+        blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        doc = config_module.__doc__.split("::\n", 1)[1].splitlines()
+        example = itertools.takewhile(lambda line: not line or line.startswith("    "), doc)
+        blocks.append(textwrap.dedent("\n".join(example)))
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"example{i}.ini"
+            path.write_text(block)
+            assert load_config(path).rho0 > 0.0
+
 
 class TestCommands:
     def test_report_on_sphere_flags_zero_eps(self, tmp_path):
@@ -238,6 +297,14 @@ class TestCommands:
         text = (out / "pinch.txt").read_text()
         assert "bound_ok = True" in text
         assert "alpha is a placeholder" in text.lower() or "placeholder" in text
+
+    def test_report_text_has_one_line_per_field(self, config_file):
+        cfg = load_config(config_file)
+        report = run_pinch(cfg.surface(), cfg.r, RunSettings(quad_order=cfg.quad_order,
+                                                             constants=cfg.constants))
+        head = report_text(report).split("\nnote: ")[0].splitlines()
+        assert [line.split(" = ")[0] for line in head] == [
+            f.name for f in dataclasses.fields(PinchReport) if f.name not in ("gates", "constants")]
 
     def test_scaling_rows_and_summary(self, tmp_path):
         cfg = tmp_path / "exp.ini"
