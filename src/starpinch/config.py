@@ -168,6 +168,12 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"configuration file not found: {path}")
 
+    def get(section, key):  # interpolation stays on, so %% reads %
+        try:
+            return parser.get(section, key)
+        except configparser.InterpolationError as exc:
+            raise ConfigError(f"[{section}] {_SPELLING[section, key][1]}: {exc}") from exc
+
     values = {}
     for section in parser.sections():
         if not any(known == section for known, _ in _SPELLING):
@@ -178,11 +184,11 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key [{section}] {key}")
             if spelled in _RETIRED:  # ignored, or read when only one value still loads
                 keep = _RETIRED[spelled]
-                if keep is not None and parser.get(section, key) != keep:
+                if keep is not None and get(section, key) != keep:
                     raise ConfigError(f"[{section}] {spelled[1]} is removed: "
                                       f"only {spelled[1]} = {keep} still loads")
                 continue
-            raw = parser.get(section, key)
+            raw = get(section, key)
             name, parse = _KEYS[spelled]
             try:
                 values[name] = parse(raw)

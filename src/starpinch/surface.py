@@ -6,22 +6,27 @@ parameter n-sphere: real spherical harmonics (degree <= 4) for n = 2 and
 degree <= 2 sphere harmonics for n = 3.  The basis functions are
 polynomials in the ambient coordinates, so rho and its first and second
 derivatives are exact, and the fundamental forms of the radial graph are
-closed forms in them (no truncation error):
+closed forms in them (no truncation error).  On an orthonormal frame E_a of
+u-perp, v_a = rho_a = E_a . grad P and rho_ab = R_ab - s delta_ab, with R the
+symmetrized E_a^T Hess(P) E_b, s = u . grad P and W = sqrt(rho^2 + |v|^2):
 
-    g_ab = rho^2 delta_ab + rho_a rho_b,   W = sqrt(rho^2 + |d rho|^2),
-    B_ab = (2 rho_a rho_b - rho (rho_ab - rho delta_ab)) / W,
-    dA = rho^(n-1) W,   g^(-1/2) = (I - d rho d rho^T / (W (rho + W))) / rho.
+    g = rho^2 I + v v^T,   B = (2 v v^T - rho (R - (s + rho) I)) / W,   dA = rho^(n-1) W,
+    g^(-1/2) = K / rho   with   K = I - v v^T / (W (rho + W)).
 
 The shape operator is q M with q = e^{-phi} and M = g^(-1/2) B g^(-1/2) -
 (d_nu~ phi) I, whose eigenvalues are kappa_tilde_i - d_nu~ phi (see below).
+As K v = (rho/W) v, K^2 = I - v v^T / W^2 and d_nu~ phi = (delta/2) rho^2 / (q W),
+
+    M = (rho - s)/(rho W^3) v v^T - K R K/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I.
+
 A batch stores M, and H_k and tau^2 come from its invariants: the
 trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
 by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
-hold the maximum in ``B_sup_norm``.  Only ``evaluate_point`` returns the
-forms g, B and the normal nu; it serves callers that inspect one node (the
-tests do), and the pipeline never calls it.  Blocks of nodes are evaluated
+hold the maximum in ``B_sup_norm``.  Only ``evaluate_point`` builds g, B
+and the normal nu, for callers that inspect one node (the tests do); the
+pipeline never calls it.  Blocks of nodes are evaluated
 node-last, as (d, N) directions and (n, n, N) forms, so contractions are
 einsums.
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -265,12 +270,11 @@ class SurfacePointData:
     area_element: float
 
 
-# Nodes per block of evaluate_nodes.  A block's temporaries take about 2 MB
-# at 4096 n = 3 nodes and 6 MB at 8192.  Blocks this small lower the peak
-# memory and keep the temporaries below glibc's dynamic trim threshold
-# (twice the largest chunk it has unmapped, a few MB here): temporaries
-# above it are returned to the system and faulted back in at every block.
-_BLOCK = 4096
+# Nodes per block of evaluate_nodes: the temporaries of all blocks of a 65536-node
+# n = 3 rule peak at 1.7 MiB (4.1 MiB with g, B and nu at 4096 nodes), below
+# glibc's dynamic trim threshold (twice the largest chunk it has unmapped);
+# temporaries above it are returned to the system and faulted back in at every block.
+_BLOCK = 2048
 
 
 def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
@@ -279,11 +283,9 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     N, d = u.shape
     n = surface.n
     tables = _polynomial_tables(surface)
-    out = {
-        "X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
-        **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
-                                          "H_tilde", "area_element_euclid", "rho")},
-    }
+    out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
+           **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
+                                             "H_tilde", "area_element_euclid", "rho")}}
     # every operation is per node, so blocks of nodes give the same bits as
     # one pass while the temporaries stay bounded by the block size
     for start in range(0, N, _BLOCK):
@@ -306,9 +308,7 @@ def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
 
 
 def _directions(surface: RadialSurface, nodes) -> np.ndarray:
-    u = np.asarray(nodes, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
+    u = np.atleast_2d(np.asarray(nodes, dtype=float))
     if u.shape[1] != surface.n + 1:
         raise ValueError("nodes must be (N, n+1) unit vectors")
     return u
@@ -339,14 +339,15 @@ def _polynomial_derivatives(tables: list, u: np.ndarray):
     """P (N,), its ambient gradient (d, N) and Hessian (d, d, N) at the columns of u."""
     d, N = u.shape
     degree = max(max(expo) for expo in tables[0])
-    powers = list(accumulate([u] * degree, np.multiply, initial=np.ones((d, N))))  # u**k
+    powers = [None, *accumulate([u] * degree, np.multiply)]  # u**k
     monomials = {}
     values = []
     for table in tables:
         acc = np.zeros(N)
         for expo, coeff in table.items():
-            if expo not in monomials:
-                monomials[expo] = np.prod([powers[p][i] for i, p in enumerate(expo)], axis=0)
+            if expo not in monomials:  # 1.0 for the constant monomial
+                factors = [powers[p][i] for i, p in enumerate(expo) if p]
+                monomials[expo] = reduce(np.multiply, factors) if factors else 1.0
             acc += coeff * monomials[expo]
         values.append(acc)
     i, j = np.triu_indices(d)  # the (i, j) order of the Hessian tables
@@ -360,9 +361,8 @@ def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
     """The SurfaceBatch fields of the nodes u (d, N), and with ``forms`` the h-metric
     nu, g and B as well; ``start`` offsets error indices.
 
-    With rho = P(c(t)) along c(t) = (u + t_a E_a)/|u + t_a E_a|:
-    rho_a = E_a . grad P, rho_ab = E_a^T Hess(P) E_b - (u . grad P) delta_ab,
-    X_a = rho_a u + rho E_a and X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
+    Along c(t) = (u + t_a E_a)/|u + t_a E_a|, rho = P(c) has rho_a = E_a . grad P, and
+    X_a = rho_a u + rho E_a, X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
     """
     if u.shape[1] == 1:  # np.einsum adds in another order along a node axis of length 1
         twice = _node_block(surface, tables, np.repeat(u, 2, axis=1), start, forms)
@@ -372,45 +372,39 @@ def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
     rho, grad, hess = _polynomial_derivatives(tables, u)
     if np.any(rho <= 0.0):
         bad = int(np.argmin(rho))
-        raise HypothesisError(
-            f"radial graph is nonpositive at node {start + bad}: rho = {rho[bad]:.6g}"
-        )
+        raise HypothesisError(f"radial graph is nonpositive at node {start + bad}: "
+                              f"rho = {rho[bad]:.6g}")
     X = rho * u
     surface.model.require_inside(X.T, margin=1e-9)
 
     v = np.einsum("aiN,iN->aN", frames, grad)  # rho_a
-    rho_ab = np.einsum("aiN,biN->abN", np.einsum("ijN,ajN->aiN", hess, frames), frames)
-    rho_ab = 0.5 * (rho_ab + rho_ab.swapaxes(0, 1))
-    eye = np.eye(n)[:, :, None]
-    rho_ab -= np.einsum("iN,iN->N", u, grad) * eye
-    vv = v[:, None] * v[None, :]
+    R = np.einsum("aiN,biN->abN", np.einsum("ijN,ajN->aiN", hess, frames), frames)
+    R = 0.5 * (R + R.swapaxes(0, 1))  # rho_ab = R - s delta_ab
+    s = np.einsum("iN,iN->N", u, grad)
     W = np.sqrt(rho * rho + np.einsum("aN,aN->N", v, v))  # |rho u - rho_a E_a|
+    vv = v[:, None] * v[None, :]
 
-    g_euc = (rho * rho) * eye + vv
-    B_euc = (2.0 * vv - rho * (rho_ab - rho * eye)) / W
-    # rho u - rho_a E_a is normal to every X_a and pairs positively with u;
-    # its negation is the inward normal
-    nu_euc = -(rho * u - np.einsum("aN,aiN->iN", v, frames)) / W
-
-    # single conformal path: at delta = 0 every correction is an exact
-    # float identity (q = 1, grad phi = 0), so the Euclidean case is
-    # reproduced bit-for-bit
+    # one conformal path: q = 1 and d_nu~ phi = 0 exactly at delta = 0 (bitwise Euclidean)
     delta = surface.model.delta
     q = surface.model.conformal_factor(X.T)  # e^{-phi}
-    dphi_nu = np.einsum("iN,iN->N", nu_euc, -(0.5 * delta) * X / q)  # grad phi = -grad q / q
-    B_mixed = B_euc - dphi_nu * g_euc
+    dphi_nu = (0.5 * delta) * rho * rho / (q * W)  # nu~ . X = -rho^2 / W
 
-    # g^{-1/2} = (I - c v v^T)/rho with c = 1/(W (rho + W)) (Sherman-Morrison),
-    # so M = g^{-1/2} B g^{-1/2} has the pencil eigenvalues of (B, g)
+    # M of the module docstring, with K R K = R - (v w^T + w v^T) + c (w . v) v v^T
     c = 1.0 / (W * (rho + W))
-    w = np.einsum("abN,bN->aN", B_mixed, v)
+    w = c * np.einsum("abN,bN->aN", R, v)
     vw = v[:, None] * w[None, :]
-    M = (B_mixed - c * (vw + vw.swapaxes(0, 1))
-         + (c * c * np.einsum("aN,aN->N", w, v)) * vv) / (rho * rho)
-    fields = {"nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
-              "B": (B_mixed / q).transpose(2, 0, 1)} if forms else {}
-    # bounds the block's peak memory
-    del u, frames, grad, hess, rho_ab, vv, g_euc, B_euc, nu_euc, B_mixed, w, vw
+    M = ((((rho - s) / (W * W) - c * np.einsum("aN,aN->N", w, v)) * vv
+          + (vw + vw.swapaxes(0, 1)) - R) / (rho * W))
+    M[range(n), range(n)] += (s + rho) / (rho * W) - dphi_nu
+    fields = {}
+    if forms:  # -(rho u - rho_a E_a) is normal to every X_a and pairs negatively with u
+        eye = np.eye(n)[:, :, None]
+        g_euc = (rho * rho) * eye + vv
+        B_mixed = (2.0 * vv - rho * (R - (s + rho) * eye)) / W - dphi_nu * g_euc
+        nu_euc = (np.einsum("aN,aiN->iN", v, frames) - rho * u) / W
+        fields = {"nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
+                  "B": (B_mixed / q).transpose(2, 0, 1)}
+    del u, frames, grad, hess, R, vv, w, vw  # bounds the block's peak memory
 
     H, tau_sq = _curvature_invariants(M, q)
     r = np.asarray(geodesic_radius(X.T, surface.model))

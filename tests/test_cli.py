@@ -162,6 +162,19 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_lone_percent_exits_3(self, tmp_path, capsys):
+        # configparser's interpolation error used to escape as a traceback (exit 1)
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text(GOOD_CONFIG.replace("2,0:0.02", "2,0:0.02%"))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "[surface] perturbation" in capsys.readouterr().err
+
+    def test_double_percent_still_reads_percent(self, tmp_path):
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text(GOOD_CONFIG.replace("2,0:0.02", "2,0:0.02%%"))
+        with pytest.raises(ConfigError, match="entry '2,0:0.02%'"):
+            load_config(cfg)
+
     # K1_mode = h is covered by test_former_k1_route_key
     @pytest.mark.parametrize("section, line", [
         ("constants", "c_n = 0.3"), ("constants", "b_consts = 0.5 0.5"),
