@@ -11,8 +11,8 @@ and cli (the command-line front end).
 
 from .constants import ConstantsConfig, ProofConstants, final_bound
 from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
-from .pinch import (PinchReport, RunSettings, fit_geodesic_sphere,
-                    hausdorff_distance, run_pinch, scaling_study)
+from .pinch import (PinchReport, RunSettings, fit_geodesic_sphere, run_pinch,
+                    scaling_study)
 from .quadrature import SphericalRule, build_rule, lp_norm, surface_integral
 from .spaceform import (SpaceFormModel, c_delta, geodesic_distance,
                         geodesic_radius, position_vector, s_delta)
@@ -32,7 +32,6 @@ __all__ = [
     "PinchReport",
     "RunSettings",
     "fit_geodesic_sphere",
-    "hausdorff_distance",
     "run_pinch",
     "scaling_study",
     "SphericalRule",

@@ -368,27 +368,20 @@ IMPORT_PROBE = """
 import json, sys
 import starpinch, starpinch.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 config, out = sys.argv[1:]
 codes = [starpinch.cli.main([cmd, "--config", config, "--out", out])
-         for cmd in ("report", "identities")]
-before = scipy_modules()
-codes.append(starpinch.cli.main(["pinch", "--config", config, "--out", out]))
-after = scipy_modules()
-print(json.dumps({"codes": codes, "before": before, "after": after}))
+         for cmd in ("report", "identities", "pinch", "scaling")]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_scipy_loads_only_with_the_hausdorff_pass(config_file, tmp_path):
+def test_no_command_loads_scipy(config_file, tmp_path):
     # a fresh interpreter: this process has scipy loaded by other tests
     env = dict(os.environ, PYTHONPATH=str(Path(starpinch.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_file),
                            str(tmp_path / "out")], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["codes"] == [0, 0, 0]
-    assert seen["before"] == []
-    assert "scipy.spatial" in seen["after"]
-    assert not any(m.startswith("scipy.optimize") for m in seen["after"])
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["scipy"] == []

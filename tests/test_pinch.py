@@ -2,25 +2,20 @@
 
 import numpy as np
 import pytest
-import scipy.spatial
-from hypothesis import given
-from hypothesis import settings as hyp_settings
-from hypothesis import strategies as st
 
 import starpinch.pinch
 from starpinch.constants import ConstantsConfig
 from starpinch.errors import HypothesisError, NumericalError
-from starpinch.pinch import (RunSettings, epsilon_field, fit_geodesic_sphere,
-                             gate_overall, geodesic_sphere_chart,
-                             hausdorff_distance, hypothesis_gate, run_pinch,
+from starpinch.pinch import (RunSettings, SphereFit, distance_to_geodesic_sphere,
+                             epsilon_field, fit_geodesic_sphere, gate_overall,
+                             geodesic_sphere_chart, hypothesis_gate, run_pinch,
                              sample_geodesic_sphere, scaling_csv, scaling_study)
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
-                                 geodesic_distance, geodesic_radius, s_delta)
+                                 geodesic_distance, s_delta)
 from starpinch.surface import RadialSurface
 
 EPS0_DEMO = 10.0  # generous black-box threshold so the conditional bound bites
-HAUSDORFF_DELTAS = [-1.0, -0.25, 0.0, 0.5, 1.0]
 
 
 def make_surface(delta, rho0=1.0, perturbation=(), n=2):
@@ -175,7 +170,7 @@ class TestSphereFit:
             assert fit.rms > 0.0
             assert fit.rms == pytest.approx(fits[0].rms, rel=1e-6)
 
-    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
+    @pytest.mark.parametrize("delta", [-1.0, -0.25, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [3, 4])
     def test_jacobian_matches_central_differences(self, delta, dim):
         model = SpaceFormModel(delta=delta, ambient_dim=dim)
@@ -246,176 +241,18 @@ class TestSphereFit:
         assert np.max(np.abs(np.linalg.norm(pts - euc_center, axis=1) - euc_radius)) < 1e-14
 
 
-class TestHausdorff:
-    def test_identical_sets(self):
-        model = SpaceFormModel(delta=0.0, ambient_dim=3)
-        pts = sphere_directions(100, 3, 61)
-        assert hausdorff_distance(pts, pts, model) == 0.0
+def brute_force_hausdorff(a, b, model, chunk=512):
+    """Max of the two directed sup-min geodesic distances, by a full sweep.
 
-    def test_concentric_flat_spheres(self):
-        model = SpaceFormModel(delta=0.0, ambient_dim=3)
-        dirs = sphere_directions(4000, 3, 62)
-        a = 1.0 * dirs
-        b = 1.1 * dirs
-        d = hausdorff_distance(a, b, model)
-        assert d == pytest.approx(0.1, abs=5e-3)
-
-    def test_concentric_geodesic_spheres(self):
-        model = SpaceFormModel(delta=-1.0, ambient_dim=3)
-        dirs = sphere_directions(4000, 3, 63)
-        a = sample_geodesic_sphere(model, np.zeros(3), 0.8, dirs)
-        b = sample_geodesic_sphere(model, np.zeros(3), 0.95, dirs)
-        assert hausdorff_distance(a, b, model) == pytest.approx(0.15, abs=5e-3)
-
-
-def brute_force_hausdorff(a, b, model):
-    a_to_b = geodesic_distance(a[:, None, :], b[None, :, :], model).min(axis=1).max()
-    b_to_a = geodesic_distance(b[:, None, :], a[None, :, :], model).min(axis=1).max()
-    return float(max(a_to_b, b_to_a))
-
-
-def chart_cloud(dim, scale):
-    # coordinates in [-1, 1] scaled so that |x| <= scale
-    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
-    row = st.lists(coord, min_size=dim, max_size=dim)
-    return st.lists(row, min_size=1, max_size=30).map(
-        lambda rows: np.array(rows) * (scale / np.sqrt(dim)))
-
-
-@st.composite
-def hausdorff_case(draw):
-    delta = draw(st.sampled_from(HAUSDORFF_DELTAS))
-    dim = draw(st.sampled_from([3, 4]))
-    model = SpaceFormModel(delta=delta, ambient_dim=dim)
-    radius = 2.0 if delta == 0.0 else model.model_radius
-    a = draw(chart_cloud(dim, 0.95 * radius))
-    b = draw(chart_cloud(dim, 0.95 * radius))
-    # exact matches between the sets and repeated points within each
-    shared = draw(st.integers(0, min(len(a), len(b))))
-    a = np.concatenate([a, b[:shared], a[: draw(st.integers(0, len(a)))]])
-    b = np.concatenate([b, b[: draw(st.integers(0, len(b)))]])
-    return a, b, model
-
-
-@pytest.fixture
-def counting_tree(monkeypatch):
-    """scipy's cKDTree, counting the ball queries of the Hausdorff search."""
-
-    class CountingTree(scipy.spatial.cKDTree):
-        ball_queries = 0
-
-        def query_ball_point(self, *args, **kwargs):
-            type(self).ball_queries += 1
-            return super().query_ball_point(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-    return CountingTree
-
-
-class TestHausdorffExact:
-    @given(hausdorff_case())
-    @hyp_settings(max_examples=300, deadline=None)
-    def test_equals_brute_force(self, case):
-        a, b, model = case
-        assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
-
-    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
-    def test_ties_and_single_points(self, delta):
-        model = SpaceFormModel(delta=delta, ambient_dim=3)
-        radius = 2.0 if delta == 0.0 else model.model_radius
-        nodes = build_rule(2, 8).nodes
-        mirror = nodes * np.array([1.0, 1.0, -1.0])
-        on_plane = nodes * np.array([1.0, 1.0, 0.0])
-        for scale in (0.3, 0.9):
-            x = scale * radius * nodes
-            y = scale * radius * mirror
-            both = np.concatenate([x, y])
-            cases = [(x, x), (x, y), (x, both), (scale * radius * on_plane, both),
-                     (x[:1], y), (x[:1], y[:1]), (x[:1], x[:1])]
-            for a, b in cases:
-                assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
-
-    def test_measures_about_one_pair_per_point(self, monkeypatch):
-        surf = make_surface(-1.0, rho0=0.9, perturbation=(("u1u2", 0.04),), n=3)
-        model = surf.model
-        X = surf.fields(build_rule(3, 24)).X
-        sphere_pts = sample_geodesic_sphere(model, np.zeros(4), geodesic_radius(0.9, model),
-                                            sphere_directions(2048, 4, 64))
-        pairs = []
-
-        def counting(x, y, m):
-            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
-            return geodesic_distance(x, y, m)
-
-        monkeypatch.setattr(starpinch.pinch, "geodesic_distance", counting)
-        assert len(X) == 27648
-        hausdorff_distance(sphere_pts, X, model)
-        assert sum(pairs) <= 4 * (len(sphere_pts) + len(X))
-
-    @pytest.mark.parametrize("delta", HAUSDORFF_DELTAS)
-    def test_ball_fallback_and_sets_smaller_than_k(self, delta, counting_tree):
-        # every node of a centred sphere ties as the nearest to the origin, so
-        # the K-th neighbour lies inside the certified ball
-        model = SpaceFormModel(delta=delta, ambient_dim=3)
-        radius = 2.0 if delta == 0.0 else model.model_radius
-        sphere = 0.6 * radius * build_rule(2, 8).nodes
-        origin = np.zeros((1, 3))
-        assert hausdorff_distance(origin, sphere, model) == brute_force_hausdorff(
-            origin, sphere, model)
-        assert counting_tree.ball_queries > 0
-        k = starpinch.pinch._K_NEAREST
-        for size in range(1, k + 2):
-            for a, b in ((sphere, sphere[:size]), (sphere[:size], sphere[::-1][:size])):
-                assert hausdorff_distance(a, b, model) == brute_force_hausdorff(a, b, model)
-
-    def test_scaling_surfaces_measure_under_two_pairs_per_sample(self, monkeypatch,
-                                                                  counting_tree):
-        # the scaling-n2 bench surfaces: no ball query, about one pair per point
-        directed = starpinch.pinch._directed_hausdorff
-        samples, pairs, active = [], [], []
-
-        def counting_directed(a, b, model):
-            samples.append(len(a))
-            active.append(True)
-            try:
-                return directed(a, b, model)
-            finally:
-                active.pop()
-
-        def counting_distance(x, y, m):
-            if active:
-                pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1],
-                                                             np.shape(y)[:-1]))))
-            return geodesic_distance(x, y, m)
-
-        monkeypatch.setattr(starpinch.pinch, "_directed_hausdorff", counting_directed)
-        monkeypatch.setattr(starpinch.pinch, "geodesic_distance", counting_distance)
-        for delta in (-1.0, 0.0, 1.0):
-            samples.clear()
-            pairs.clear()
-            surf = make_surface(delta, perturbation=(((3, 1), 0.08),))
-            run_pinch(surf, 1, settings(order=16))
-            assert samples and sum(pairs) < 2 * sum(samples)
-        assert counting_tree.ball_queries == 0
-
-    def test_outside_chart_raises_before_the_tree(self, monkeypatch):
-        def no_tree(*args):
-            raise AssertionError("k-d tree built before the chart check")
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
-        model = SpaceFormModel(delta=-1.0, ambient_dim=3)
-        inside = np.array([[0.1, 0.0, 0.0]])
-        outside = np.array([[2.5, 0.0, 0.0]])
-        for a, b in ((inside, outside), (outside, inside)):
-            with pytest.raises(HypothesisError):
-                hausdorff_distance(a, b, model)
-
-    def test_empty_set_raises(self):
-        model = SpaceFormModel(delta=0.0, ambient_dim=3)
-        pts = sphere_directions(5, 3, 65)
-        for a, b in ((pts, np.empty((0, 3))), (np.empty((0, 3)), pts)):
-            with pytest.raises(ValueError, match="nonempty"):
-                hausdorff_distance(a, b, model)
+    Sweeps chunk x chunk blocks so that the temporaries stay small.
+    """
+    nearest_a, nearest_b = np.full(len(a), np.inf), np.full(len(b), np.inf)
+    for i in range(0, len(a), chunk):
+        for j in range(0, len(b), chunk):
+            d = geodesic_distance(a[i:i + chunk, None, :], b[None, j:j + chunk, :], model)
+            nearest_a[i:i + chunk] = np.minimum(nearest_a[i:i + chunk], d.min(axis=1))
+            nearest_b[j:j + chunk] = np.minimum(nearest_b[j:j + chunk], d.min(axis=0))
+    return float(max(nearest_a.max(), nearest_b.max()))
 
 
 class TestRunPinch:
@@ -444,25 +281,55 @@ class TestRunPinch:
         assert rep.applicable and rep.bound_ok
 
     def test_bound_violation_raises_whatever_the_refinement_error(self):
-        # flat, rho0 = 1e-6: dH = 3.29e-8 exceeds the bound 1.65e-8 while
-        # dH_refinement = 7.8e-8 is larger than the excess
+        # flat, rho0 = 1e-6: dH = 3.289e-8 exceeds the bound 1.65e-8; the
+        # verdict ignores dH_refinement (3.6e-10 here)
         surf = make_surface(0.0, rho0=1e-6, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
         with pytest.raises(NumericalError, match="stability bound violated"):
             run_pinch(surf, 1, settings(order=16))
 
-    def test_dh_consistent_with_dense_sampling_oracle(self):
-        # the generic point-cloud estimator overestimates by at most the
-        # tangential sample spacing (first order), and never undershoots
-        # the exact point-to-metric-sphere reduction used in run_pinch
-        surf = make_surface(0.0, perturbation=(((3, 1), 0.03),))
-        rep = run_pinch(surf, 1, settings(order=16))
-        grid = build_rule(2, 40).nodes
-        check = surf.fields(build_rule(2, 32))
-        sphere_pts = sample_geodesic_sphere(surf.model, rep.sphere_center,
-                                            rep.rho0, grid)
-        oracle = hausdorff_distance(check.X, sphere_pts, surf.model)
-        spacing = np.pi / 40.0
-        assert rep.dH - 1e-3 <= oracle <= rep.dH + 1.5 * spacing
+    @pytest.mark.parametrize("n, delta, perturbation", [
+        *(pytest.param(n, delta, perturbation, id=f"n{n}-delta{delta:+.0f}")
+          for n, perturbation in ((2, (((3, 1), 0.03),)), (3, (("u1u2", 0.04),)))
+          for delta in (-1.0, 0.0, 1.0)),
+        # far off-center: the fitted |c| is 0.14
+        pytest.param(2, -1.0, (((3, 1), 0.3), ((1, 0), 0.2)), id="n2-off-center"),
+    ])
+    def test_dh_consistent_with_dense_sampling_oracle(self, n, delta, perturbation):
+        # the sphere side never beats the surface side: the brute-force
+        # Hausdorff distance between a dense rule's nodes and the fitted
+        # sphere sampled along the same directions exceeds the nodes' own
+        # largest |d(c, x) - rho0| by at most the node spacing, and falls
+        # short of it only by the rounding of the sampled sphere points
+        surf = make_surface(delta, rho0=1.0 if n == 2 else 0.9, perturbation=perturbation, n=n)
+        rep = run_pinch(surf, 1, settings(order=8 if n == 2 else 4))
+        dense = build_rule(n, 32 if n == 2 else 12)
+        X = surf.fields(dense).X
+        sphere_pts = sample_geodesic_sphere(surf.model, rep.sphere_center, rep.rho0,
+                                            dense.nodes)
+        surface_side = float(np.max(distance_to_geodesic_sphere(
+            X, rep.sphere_center, rep.rho0, surf.model)))
+        oracle = brute_force_hausdorff(X, sphere_pts, surf.model)
+        assert surface_side - 1e-13 <= oracle <= surface_side + np.pi / dense.order
+        assert abs(rep.dH - surface_side) <= rep.dH_refinement
+
+    def test_dh_refinement_is_the_difference_of_the_node_maxima(self):
+        surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
+        rep = run_pinch(surf, 1, settings(order=12))
+        base, check = (float(np.max(distance_to_geodesic_sphere(
+            surf.fields(build_rule(2, q)).X, rep.sphere_center, rep.rho0, surf.model)))
+            for q in (12, 24))
+        assert rep.dH == check
+        assert rep.dH_refinement == abs(base - check)
+
+    def test_center_outside_the_surface_raises(self, monkeypatch):
+        # the surface side bounds dH only when the surface encloses the center
+        def outside(samples, model, weights=None):
+            return SphereFit(center=np.array([1.5, 0.0, 0.0]), rho0=1.0, rms=0.0,
+                             iterations=1)
+
+        monkeypatch.setattr(starpinch.pinch, "fit_geodesic_sphere", outside)
+        with pytest.raises(NumericalError, match="outside the surface"):
+            run_pinch(make_surface(0.0), 1, settings(order=8))
 
     def test_refinement_errors_are_doubled_rule_differences(self):
         surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
