@@ -255,6 +255,44 @@ def brute_force_hausdorff(a, b, model, chunk=512):
     return float(max(nearest_a.max(), nearest_b.max()))
 
 
+class TestSphereDistance:
+    """dH reads |d(c, x) - rho0|; check it against the nearest sphere samples."""
+
+    @pytest.mark.parametrize("delta", [-1.0, -0.25, 0.0, 0.5, 1.0])
+    def test_concentric_spheres_are_their_radius_gap_apart(self, delta):
+        # each point's nearest point on the other sphere lies on its own ray
+        model = SpaceFormModel(delta=delta, ambient_dim=3)
+        dirs = sphere_directions(600, 3, 63)
+        inner = sample_geodesic_sphere(model, np.zeros(3), 0.8, dirs)
+        outer = sample_geodesic_sphere(model, np.zeros(3), 0.95, dirs)
+        assert brute_force_hausdorff(inner, outer, model) == pytest.approx(0.15, abs=1e-13)
+        for pts, rho in ((inner, 0.95), (outer, 0.8)):
+            d = distance_to_geodesic_sphere(pts, np.zeros(3), rho, model)
+            assert np.max(np.abs(d - 0.15)) < 1e-13
+
+    @pytest.mark.parametrize("delta", [-1.0, -0.25, 0.0, 0.5, 1.0])
+    def test_exact_distance_is_the_nearest_sphere_point(self, delta):
+        model = SpaceFormModel(delta=delta, ambient_dim=3)
+        dirs = sphere_directions(2000, 3, 66)
+        scale = np.linspace(0.2, 1.4, 7)[:, None, None]
+        # centred: a point on the ray of a sample has that sample as nearest
+        sphere = sample_geodesic_sphere(model, np.zeros(3), 0.7, dirs)
+        pts = (scale * dirs[None, :40]).reshape(-1, 3)
+        nearest = geodesic_distance(pts[:, None, :], sphere[None, :, :], model).min(axis=1)
+        exact = distance_to_geodesic_sphere(pts, np.zeros(3), 0.7, model)
+        assert np.max(np.abs(nearest - exact)) < 1e-13
+        # off-centre: no sample is nearer than the exact distance, and the
+        # nearest is farther by at most the samples' spacing (0.055 at worst)
+        center = np.array([0.3, -0.1, 0.2])
+        sphere = sample_geodesic_sphere(model, center, 0.7, dirs)
+        assert np.max(distance_to_geodesic_sphere(sphere, center, 0.7, model)) < 1e-13
+        pts = (scale * sphere_directions(40, 3, 67)[None]).reshape(-1, 3)
+        nearest = geodesic_distance(pts[:, None, :], sphere[None, :, :], model).min(axis=1)
+        exact = distance_to_geodesic_sphere(pts, center, 0.7, model)
+        assert np.all(exact <= nearest + 1e-13)
+        assert np.max(nearest - exact) < 0.1
+
+
 class TestRunPinch:
     def test_geodesic_sphere_run(self):
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
@@ -321,7 +359,8 @@ class TestRunPinch:
         assert rep.dH == check
         assert rep.dH_refinement == abs(base - check)
 
-    def test_center_outside_the_surface_raises(self, monkeypatch):
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_center_outside_the_surface_raises(self, monkeypatch, delta):
         # the surface side bounds dH only when the surface encloses the center
         def outside(samples, model, weights=None):
             return SphereFit(center=np.array([1.5, 0.0, 0.0]), rho0=1.0, rms=0.0,
@@ -329,7 +368,7 @@ class TestRunPinch:
 
         monkeypatch.setattr(starpinch.pinch, "fit_geodesic_sphere", outside)
         with pytest.raises(NumericalError, match="outside the surface"):
-            run_pinch(make_surface(0.0), 1, settings(order=8))
+            run_pinch(make_surface(delta), 1, settings(order=8))
 
     def test_refinement_errors_are_doubled_rule_differences(self):
         surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
