@@ -11,11 +11,12 @@ exactly rounded sum, so results depend neither on the order of the nodes
 nor on worker-thread count.  ``_reduce`` gives the float that math.fsum
 gives, without a Python loop: np.frexp writes each value as an integer
 significand of 53 bits times a power of two, the significand is split into
-its high 26 and low 27 bits, and np.bincount sums each half per exponent.
-Those sums are integers below 2^53, so they are exact, and each one scaled
-by its power of two is exact too; math.fsum of these few terms is then the
-correctly rounded total.  Non-finite values, exponents within 60 of the
-float64 limits and more than 2^26 values go to math.fsum directly.
+its high 26 and low 27 bits, and np.bincount sums each half per exponent, in
+chunks that stay in cache.  Those sums are integers below 2^53, so they are
+exact, and each one scaled by its power of two is exact too; math.fsum of these
+few terms is then the correctly rounded total.  Non-finite values, exponents
+within 60 of the float64 limits, 512 values or fewer and more than 2^26 go to
+math.fsum directly.
 
 ``refinement_estimate`` is the one refinement estimate of the package: any
 scalar functional of the surface (an integral, a norm, an identity
@@ -108,23 +109,27 @@ def _rule_s3(order: int) -> SphericalRule:
     return SphericalRule(n=3, order=order, nodes=nodes, weights=weights)
 
 
-# at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53
-_EXACT_TERMS = 2**26
+# at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53;
+# math.fsum is faster up to _FSUM_TERMS values, and the temporaries of _CHUNK stay in cache
+_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
 
 
 def _reduce(values: np.ndarray) -> float:
     """Exactly rounded sum, bitwise equal to math.fsum (see the module docstring)."""
-    if 0 < len(values) <= _EXACT_TERMS and np.isfinite(values).all():
-        significand, exponent = np.frexp(values)  # value = significand 2^exponent
-        low, high = int(exponent.min()), int(exponent.max())
-        if low > -1021 + 60 and high < 1024 - 60:
+    if _FSUM_TERMS < len(values) <= _EXACT_TERMS and np.isfinite(values).all():
+        sums, low, high = np.zeros((2, 2099)), 1024, -1073  # by frexp exponent + 1074
+        for start in range(0, len(values), _CHUNK):
+            significand, exponent = np.frexp(values[start:start + _CHUNK])  # 2^exponent
+            lo, hi = int(exponent.min()), int(exponent.max())
             top = np.trunc(significand * 2.0**26)
-            bottom = significand * 2.0**53 - top * 2.0**27
-            bucket = exponent - low
+            bucket, span = exponent - lo, slice(lo + 1074, hi + 1075)
+            sums[0, span] += np.bincount(bucket, weights=top)
+            sums[1, span] += np.bincount(bucket, weights=significand * 2.0**53 - top * 2.0**27)
+            low, high = min(low, lo), max(high, hi)
+        if low > -1021 + 60 and high < 1024 - 60:
             scale = np.arange(low - 53, high - 52)
-            return math.fsum(np.concatenate([
-                np.ldexp(np.bincount(bucket, weights=top), scale + 27),
-                np.ldexp(np.bincount(bucket, weights=bottom), scale)]).tolist())
+            terms = np.ldexp(sums[:, low + 1074:high + 1075], [scale + 27, scale])
+            return math.fsum(terms.ravel().tolist())
     return math.fsum(values.tolist())
 
 

@@ -46,15 +46,15 @@ class SpaceFormModel:
     def conformal_factor(self, x):
         """q = e^{-phi} = 1 + (delta/4)|x|^2; the metric is h_euclid / q^2."""
         x = np.asarray(x, dtype=float)
-        return 1.0 + 0.25 * self.delta * np.sum(x * x, axis=-1)
+        return self.conformal_factor_of_norm_sq(np.sum(x * x, axis=-1))
 
-    def require_inside(self, x, margin: float = 0.0):
-        """Raise if any point leaves the chart domain."""
-        if self.delta == 0.0:
-            return
-        x = np.asarray(x, dtype=float)
-        norms = np.sqrt(np.sum(x * x, axis=-1))
-        if np.any(norms >= self.model_radius * (1.0 - margin)):
+    def conformal_factor_of_norm_sq(self, norm_sq):
+        """conformal_factor from the squared chart norms |x|^2."""
+        return 1.0 + 0.25 * self.delta * norm_sq
+
+    def require_norms_inside(self, norms, margin: float = 0.0):
+        """Raise if any point, given by its chart norm |x|, leaves the chart domain."""
+        if self.delta != 0.0 and np.any(norms >= self.model_radius * (1.0 - margin)):
             where = "chart of the upper half-sphere" if self.delta > 0.0 else "conformal ball"
             raise HypothesisError(
                 f"point outside the {where} "
@@ -94,13 +94,14 @@ def s_delta(t, delta: float):
 def geodesic_radius(x, model: SpaceFormModel):
     """Distance from the chart origin, r(x) = d(p0, x)."""
     x = np.asarray(x, dtype=float)
-    model.require_inside(x)
     s = np.sqrt(np.sum(x * x, axis=-1))
-    r = _radius_from_chart_norm(s, model.delta)
+    model.require_norms_inside(s)
+    r = radius_from_chart_norm(s, model.delta)
     return r if np.ndim(r) else float(r)
 
 
-def _radius_from_chart_norm(s, delta: float):
+def radius_from_chart_norm(s, delta: float):
+    """geodesic_radius from the chart norms s = |x|."""
     s = np.asarray(s, dtype=float)
     if delta == 0.0:
         return s
@@ -131,12 +132,12 @@ def geodesic_distance(x, y, model: SpaceFormModel):
     """Distance in the space-form metric between chart points (broadcasting)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    model.require_inside(x)
-    model.require_inside(y)
     delta = model.delta
     if delta == 0.0:
         d = np.sqrt(np.sum((x - y) ** 2, axis=-1))
         return d if np.ndim(d) else float(d)
+    model.require_norms_inside(np.sqrt(np.sum(x * x, axis=-1)))
+    model.require_norms_inside(np.sqrt(np.sum(y * y, axis=-1)))
     k = math.sqrt(abs(delta))
     u = 0.5 * k * x
     v = 0.5 * k * y
@@ -161,9 +162,9 @@ def position_vector(x, model: SpaceFormModel):
     position vector.  At the origin Z = 0.
     """
     x = np.asarray(x, dtype=float)
-    model.require_inside(x)
     s = np.sqrt(np.sum(x * x, axis=-1))
-    r = _radius_from_chart_norm(s, model.delta)
+    model.require_norms_inside(s)
+    r = radius_from_chart_norm(s, model.delta)
     # grad r has h-norm 1; in chart components it is e^{-phi} x/|x|
     q = model.conformal_factor(x)
     safe_s = np.where(s > 0.0, s, 1.0)

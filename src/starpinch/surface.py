@@ -6,18 +6,26 @@ parameter n-sphere: real spherical harmonics (degree <= 4) for n = 2 and
 degree <= 2 sphere harmonics for n = 3.  The basis functions are
 polynomials in the ambient coordinates, so rho and its first and second
 derivatives are exact, and the fundamental forms of the radial graph are
-closed forms in them (no truncation error).  On an orthonormal frame E_a of
-u-perp, v_a = rho_a = E_a . grad P and rho_ab = R_ab - s delta_ab, with R the
-symmetrized E_a^T Hess(P) E_b, s = u . grad P and W = sqrt(rho^2 + |v|^2):
+closed forms in them (no truncation error).  Take the orthonormal frame
+E_a = e_a - beta w_a w (a < n) of u-perp, the rows of the Householder reflection
+I - beta w w^T with w = u + sigma e_n, sigma = +1 where u_n >= 0 (-0.0 too) and -1
+elsewhere, and beta = 2/|w|^2 = 1/(1 + |u_n|); it is never built.  With the
+ambient partials P_i, P_ij of P, s = u . grad P, y = Hess(P) w and
+t = beta y - (beta^2/2)(w . y) w, the tangential derivatives rho_a = E_a . grad P
+and R = E Hess(P) E^T (symmetric by construction; rho_ab = R_ab - s delta_ab)
+and, with W = sqrt(rho^2 + |v|^2), the forms are
 
+    v_a = rho_a = P_a - beta w_a (s + sigma P_n),   R_ab = P_ab - (w_a t_b + t_a w_b),
     g = rho^2 I + v v^T,   B = (2 v v^T - rho (R - (s + rho) I)) / W,   dA = rho^(n-1) W,
     g^(-1/2) = K / rho   with   K = I - v v^T / (W (rho + W)).
 
 The shape operator is q M with q = e^{-phi} and M = g^(-1/2) B g^(-1/2) -
 (d_nu~ phi) I, whose eigenvalues are kappa_tilde_i - d_nu~ phi (see below).
 As K v = (rho/W) v, K^2 = I - v v^T / W^2 and d_nu~ phi = (delta/2) rho^2 / (q W),
+with c = 1/(W (rho + W)), z = c R v and p = z + ((rho - s)/W^2 - c z . v) v / 2,
 
-    M = (rho - s)/(rho W^3) v v^T - K R K/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I.
+    M = (rho - s)/(rho W^3) v v^T - K R K/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I
+      = (v p^T + p v^T - R)/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I.
 
 A batch stores M, and H_k and tau^2 come from its invariants: the
 trace, the sum of the principal 2x2 minors, the determinant and the norm of
@@ -26,9 +34,9 @@ by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
 hold the maximum in ``B_sup_norm``.  Only ``evaluate_point`` builds g, B
 and the normal nu, for callers that inspect one node (the tests do); the
-pipeline never calls it.  Blocks of nodes are evaluated
-node-last, as (d, N) directions and (n, n, N) forms, so contractions are
-einsums.
+pipeline never calls it.  Blocks of nodes are evaluated node-last, as (d, N)
+directions and (n, n, N) matrices, and every operation is elementwise across
+nodes, so a block of one node gives the bits of any other block.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -51,7 +59,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import HypothesisError
-from .spaceform import SpaceFormModel, geodesic_radius, s_delta
+from .spaceform import SpaceFormModel, radius_from_chart_norm, s_delta
 
 # ---------------------------------------------------------------------------
 # polynomial bases on the parameter sphere
@@ -203,22 +211,6 @@ class RadialSurface:
         return self._cache[key]
 
 
-def tangent_frames(u: np.ndarray) -> np.ndarray:
-    """Orthonormal frames of u-perp via one Householder reflection per node.
-
-    Returns (N, n, d) rows, a view of node-last (n, d, N) frames; deterministic
-    and well-conditioned for every unit vector (the reflector norm is bounded
-    below by sqrt(2)).
-    """
-    u = np.asarray(u, dtype=float).T
-    v = u.copy()
-    v[-1] += np.where(u[-1] >= 0.0, 1.0, -1.0)
-    frames = -2.0 * (v[:-1] / np.einsum("iN,iN->N", v, v))[:, None, :] * v[None, :, :]
-    idx = np.arange(len(u) - 1)
-    frames[idx, idx] += 1.0
-    return frames.transpose(2, 0, 1)
-
-
 @dataclass(frozen=True)
 class SurfaceBatch:
     """Pointwise extrinsic data at a set of parameter nodes (h-metric).
@@ -271,9 +263,9 @@ class SurfacePointData:
 
 
 # Nodes per block of evaluate_nodes: the temporaries of all blocks of a 65536-node
-# n = 3 rule peak at 1.7 MiB (4.1 MiB with g, B and nu at 4096 nodes), below
-# glibc's dynamic trim threshold (twice the largest chunk it has unmapped);
-# temporaries above it are returned to the system and faulted back in at every block.
+# n = 3 rule peak at 1.2 MiB (traced; 4.1 MiB for a kernel that built g, B and nu at
+# 4096 nodes), below glibc's dynamic trim threshold (twice the largest chunk it has
+# unmapped); temporaries above it are returned to the system and faulted back in.
 _BLOCK = 2048
 
 
@@ -282,7 +274,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     u = _directions(surface, nodes)
     N, d = u.shape
     n = surface.n
-    tables = _polynomial_tables(surface)
+    plan = _polynomial_plan(surface)
     out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
            **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
                                              "H_tilde", "area_element_euclid", "rho")}}
@@ -290,7 +282,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     # one pass while the temporaries stay bounded by the block size
     for start in range(0, N, _BLOCK):
         block = slice(start, start + _BLOCK)
-        for name, value in _node_block(surface, tables, u[block].T.copy(), start).items():
+        for name, value in _node_block(surface, plan, u[block].T.copy(), start).items():
             out[name][block] = value
     out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
     return SurfaceBatch(nodes=u, **out)
@@ -299,7 +291,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
 def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
     """Pointwise data at a single parameter direction, with g, B and nu."""
     u = _directions(surface, u)[:1]
-    f = _node_block(surface, _polynomial_tables(surface), u.T.copy(), 0, forms=True)
+    f = _node_block(surface, _polynomial_plan(surface), u.T.copy(), 0, forms=True)
     return SurfacePointData(
         X=f["X"][0], nu=f["nu"][0], g_mat=f["g"][0], B_mat=f["B"][0],
         kappa=_principal_curvatures(f["M"], f["q"])[0], support=float(f["support"][0]),
@@ -314,9 +306,10 @@ def _directions(surface: RadialSurface, nodes) -> np.ndarray:
     return u
 
 
-def _polynomial_tables(surface: RadialSurface) -> list:
-    """Monomial tables {exponents: coefficient} of P = rho0 (1 + sum_k amp_k B_k),
-    of dP/dx_i (i < d) and of d2P/dx_i dx_j (i <= j), in that order."""
+def _polynomial_plan(surface: RadialSurface) -> tuple:
+    """How to evaluate P = rho0 (1 + sum_k amp_k B_k), dP/dx_i and d2P/dx_i dx_j
+    (i, j < d), in that order: (degree, monomials, rows), where a monomial is its
+    (power, axis) factors and rows[k] lists (coefficient, monomial index)."""
     d = surface.n + 1
     table = {(0,) * d: surface.rho0}
     for key, amp in surface.perturbation:
@@ -332,31 +325,47 @@ def _polynomial_tables(surface: RadialSurface) -> list:
         return out
 
     grad = [diff(table, i) for i in range(d)]
-    return [table] + grad + [diff(grad[i], j) for i in range(d) for j in range(i, d)]
+    tables = [table] + grad + [diff(grad[min(i, j)], max(i, j))
+                               for i in range(d) for j in range(d)]
+    index = {}
+    rows = [[(coeff, index.setdefault(expo, len(index))) for expo, coeff in tab.items()]
+            for tab in tables]
+    monomials = [[(p, i) for i, p in enumerate(expo) if p] for expo in index]
+    return max(max(expo) for expo in table), monomials, rows
 
 
-def _polynomial_derivatives(tables: list, u: np.ndarray):
-    """P (N,), its ambient gradient (d, N) and Hessian (d, d, N) at the columns of u."""
+def _polynomial_derivatives(plan: tuple, u: np.ndarray) -> tuple:
+    """P (N,), its ambient gradient (d, N) and Hessian (d, d, N) at the columns of u;
+    the Hessian is symmetric bit for bit."""
+    degree, monomials, rows = plan
     d, N = u.shape
-    degree = max(max(expo) for expo in tables[0])
     powers = [None, *accumulate([u] * degree, np.multiply)]  # u**k
-    monomials = {}
-    values = []
-    for table in tables:
-        acc = np.zeros(N)
-        for expo, coeff in table.items():
-            if expo not in monomials:  # 1.0 for the constant monomial
-                factors = [powers[p][i] for i, p in enumerate(expo) if p]
-                monomials[expo] = reduce(np.multiply, factors) if factors else 1.0
-            acc += coeff * monomials[expo]
-        values.append(acc)
-    i, j = np.triu_indices(d)  # the (i, j) order of the Hessian tables
-    hess = np.empty((d, d, N))
-    hess[i, j] = hess[j, i] = values[d + 1:]
-    return values[0], np.stack(values[1:d + 1]), hess
+    values = [reduce(np.multiply, [powers[p][i] for p, i in factors]) if factors else 1.0
+              for factors in monomials]  # 1.0 for the constant monomial
+    out = np.zeros((len(rows), N))
+    for acc, row in zip(out, rows):
+        for coeff, m in row:
+            acc += coeff * values[m]
+    return out[0].copy(), out[1:d + 1], out[d + 1:].reshape(d, d, N)  # out dies with grad
 
 
-def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
+def _tangential_derivatives(u: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> tuple:
+    """s = u . grad P, rho_a = E_a . grad P (n, N) and R = E Hess(P) E^T (n, n, N)
+    from u, grad P (d, N) and Hess(P) (d, d, N) by the Householder identities of the
+    module docstring; also returns w and beta."""
+    n = len(u) - 1
+    sigma = np.where(u[n] >= 0.0, 1.0, -1.0)  # +1 at u_n = -0.0, where np.copysign gives -1
+    w = u.copy()
+    w[n] += sigma
+    beta = 1.0 / (1.0 + np.abs(u[n]))  # 2 / |w|^2
+    s = reduce(np.add, u * grad)
+    v = grad[:n] - (beta * (s + sigma * grad[n])) * w[:n]
+    y = reduce(np.add, hess * w[:, None])  # Hess(P) w
+    t = beta * y[:n] - (0.5 * beta * beta * reduce(np.add, w * y)) * w[:n]
+    return s, v, hess[:n, :n] - (w[:n, None] * t + t[:, None] * w[:n]), w, beta
+
+
+def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int,
                 forms: bool = False) -> dict:
     """The SurfaceBatch fields of the nodes u (d, N), and with ``forms`` the h-metric
     nu, g and B as well; ``start`` offsets error indices.
@@ -364,56 +373,51 @@ def _node_block(surface: RadialSurface, tables: list, u: np.ndarray, start: int,
     Along c(t) = (u + t_a E_a)/|u + t_a E_a|, rho = P(c) has rho_a = E_a . grad P, and
     X_a = rho_a u + rho E_a, X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
     """
-    if u.shape[1] == 1:  # np.einsum adds in another order along a node axis of length 1
-        twice = _node_block(surface, tables, np.repeat(u, 2, axis=1), start, forms)
-        return {name: value[:1] for name, value in twice.items()}
-    n = surface.n
-    frames = tangent_frames(u.T).transpose(1, 2, 0)  # (n, d, N)
-    rho, grad, hess = _polynomial_derivatives(tables, u)
+    n, model = surface.n, surface.model
+    rho, grad, hess = _polynomial_derivatives(plan, u)
     if np.any(rho <= 0.0):
         bad = int(np.argmin(rho))
         raise HypothesisError(f"radial graph is nonpositive at node {start + bad}: "
                               f"rho = {rho[bad]:.6g}")
     X = rho * u
-    surface.model.require_inside(X.T, margin=1e-9)
-
-    v = np.einsum("aiN,iN->aN", frames, grad)  # rho_a
-    R = np.einsum("aiN,biN->abN", np.einsum("ijN,ajN->aiN", hess, frames), frames)
-    R = 0.5 * (R + R.swapaxes(0, 1))  # rho_ab = R - s delta_ab
-    s = np.einsum("iN,iN->N", u, grad)
-    W = np.sqrt(rho * rho + np.einsum("aN,aN->N", v, v))  # |rho u - rho_a E_a|
-    vv = v[:, None] * v[None, :]
+    norm_sq = reduce(np.add, X * X)  # np.sum's order: q and r are those of the points X
+    norm = np.sqrt(norm_sq)
+    model.require_norms_inside(norm, margin=1e-9)
+    s, v, R, w, beta = _tangential_derivatives(u, grad, hess)
+    del grad, hess  # frees the polynomial rows; with the del below, bounds the peak memory
+    W = np.sqrt(rho * rho + reduce(np.add, v * v))  # |rho u - rho_a E_a|
 
     # one conformal path: q = 1 and d_nu~ phi = 0 exactly at delta = 0 (bitwise Euclidean)
-    delta = surface.model.delta
-    q = surface.model.conformal_factor(X.T)  # e^{-phi}
+    delta = model.delta
+    q = model.conformal_factor_of_norm_sq(norm_sq)  # e^{-phi}
     dphi_nu = (0.5 * delta) * rho * rho / (q * W)  # nu~ . X = -rho^2 / W
 
-    # M of the module docstring, with K R K = R - (v w^T + w v^T) + c (w . v) v v^T
+    # M through z and p of the module docstring, as K R K = R - (v z^T + z v^T)
+    # + c (z . v) v v^T; symmetric bit for bit, like R
     c = 1.0 / (W * (rho + W))
-    w = c * np.einsum("abN,bN->aN", R, v)
-    vw = v[:, None] * w[None, :]
-    M = ((((rho - s) / (W * W) - c * np.einsum("aN,aN->N", w, v)) * vv
-          + (vw + vw.swapaxes(0, 1)) - R) / (rho * W))
+    z = c * reduce(np.add, R * v[:, None])
+    p = z + (0.5 * ((rho - s) / (W * W) - c * reduce(np.add, z * v))) * v
+    M = (v[:, None] * p + p[:, None] * v - R) / (rho * W)
     M[range(n), range(n)] += (s + rho) / (rho * W) - dphi_nu
     fields = {}
     if forms:  # -(rho u - rho_a E_a) is normal to every X_a and pairs negatively with u
         eye = np.eye(n)[:, :, None]
+        vv = v[:, None] * v[None, :]
         g_euc = (rho * rho) * eye + vv
         B_mixed = (2.0 * vv - rho * (R - (s + rho) * eye)) / W - dphi_nu * g_euc
-        nu_euc = (np.einsum("aN,aiN->iN", v, frames) - rho * u) / W
+        tangent = np.vstack([v, 0.0 * rho]) - (beta * reduce(np.add, v * w[:n])) * w
+        nu_euc = (tangent - rho * u) / W  # tangent = rho_a E_a
         fields = {"nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
                   "B": (B_mixed / q).transpose(2, 0, 1)}
-    del u, frames, grad, hess, R, vv, w, vw  # bounds the block's peak memory
+    del u, R, w, z, p
 
     H, tau_sq = _curvature_invariants(M, q)
-    r = np.asarray(geodesic_radius(X.T, surface.model))
+    r = radius_from_chart_norm(norm, delta)
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
     return {
         **fields, "X": X.T, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
-        "support": s_delta(r, delta) * (-rho / W), "r": r,
-        "area_element": area_euc / q**n, "H_tilde": np.einsum("aaN->N", M) / n + dphi_nu,
-        "area_element_euclid": area_euc, "rho": rho,
+        "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q**n,
+        "H_tilde": np.trace(M) / n + dphi_nu, "area_element_euclid": area_euc, "rho": rho,
     }
 
 
@@ -436,7 +440,7 @@ def _curvature_invariants(M: np.ndarray, q: np.ndarray) -> tuple:
         sigma.append(M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[1, 2])
                      - M[0, 1] * (M[0, 1] * M[2, 2] - M[0, 2] * M[1, 2])
                      + M[0, 2] * (M[0, 1] * M[1, 2] - M[0, 2] * M[1, 1]))
-    H = np.stack([q**k * s / math.comb(n, k) for k, s in enumerate(sigma)])
+    H = np.array([q**k * s / math.comb(n, k) for k, s in enumerate(sigma)])
     spread = sum((M[i, i] - M[j, j]) ** 2 for i, j in pairs) / n
     return H, q * q * (spread + 2.0 * off)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starpinch.quadrature import (_reduce, build_rule, integrate_batch, lp_norm,
-                                  sphere_area, surface_integral, surface_volume)
+from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, build_rule, integrate_batch,
+                                  lp_norm, sphere_area, surface_integral, surface_volume)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
 
@@ -88,15 +88,19 @@ _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201
 @st.composite
 def summands(draw):
     """Arrays with cancellation, exponents over the whole float64 range, subnormals,
-    zeros, +-inf and nan, tiled up to lengths past 2^16."""
+    zeros, +-inf and nan, tiled to lengths past 2^16 and at the math.fsum cutoff and the
+    chunk size, each minus one, exactly and plus one."""
     wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-950, 950))
     if draw(st.booleans()):
         wide = st.one_of(wide, st.floats(), st.sampled_from(_SPECIAL))
     pattern = draw(st.lists(wide, max_size=30))
     if draw(st.booleans()):  # cancel every term but a tiny remainder
         pattern += [-x for x in pattern] + [draw(st.floats(-1e-12, 1e-12))]
-    length = draw(st.sampled_from([1, 2**11 + 1, 2**16 + 7]))  # at least, in whole copies
-    return np.tile(np.array(pattern, dtype=float), -(-length // max(len(pattern), 1)))
+    length = draw(st.sampled_from([1, 2**11 + 1, 2**16 + 7, _FSUM_TERMS - 1, _FSUM_TERMS,
+                                   _FSUM_TERMS + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    # whole copies (one at least) padded with zeros to the length; empty if the pattern is
+    values = np.tile(np.array(pattern, dtype=float), max(length // max(len(pattern), 1), 1))
+    return np.pad(values, (0, max(length - len(values), 0) if pattern else 0))
 
 
 class TestReduce:

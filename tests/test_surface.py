@@ -14,13 +14,25 @@ from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
 from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
                                basis_values, evaluate_nodes, evaluate_point,
-                               starshape_report, tangent_frames)
+                               starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
 
 def sphere(delta, rho_chart, n=2, perturbation=()):
     model = SpaceFormModel(delta=delta, ambient_dim=n + 1)
     return RadialSurface(n=n, model=model, rho0=rho_chart, perturbation=perturbation)
+
+
+def tangent_frames(u):
+    """Oracle: (N, n, d) orthonormal frames of u-perp, the rows a < n of the Householder
+    reflection I - 2 w w^T / |w|^2 with w = u + sign(u_n) e_n (sign +1 at u_n = -0.0)."""
+    u = np.asarray(u, dtype=float).T
+    v = u.copy()
+    v[-1] += np.where(u[-1] >= 0.0, 1.0, -1.0)
+    frames = -2.0 * (v[:-1] / np.einsum("iN,iN->N", v, v))[:, None, :] * v[None, :, :]
+    idx = np.arange(len(u) - 1)
+    frames[idx, idx] += 1.0
+    return frames.transpose(2, 0, 1)
 
 
 def random_nodes(n, count, seed):
@@ -37,6 +49,26 @@ class TestFrames:
             gram = np.einsum("nad,nbd->nab", E, E)
             assert np.max(np.abs(gram - np.eye(n))) < 1e-14
             assert np.max(np.abs(np.einsum("nad,nd->na", E, u))) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_contractions_match_the_frames(self, n):
+        # u_n at the sign switch of the reflector (+-0.0), at the poles and at +-1e-300
+        rng = np.random.Generator(np.random.Philox(41))
+        last = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
+        equator = random_nodes(n - 1, len(last), seed=42)
+        u = np.column_stack([equator * np.where(np.abs(last) == 1.0, 0.0, 1.0)[:, None], last])
+        u = np.concatenate([u, random_nodes(n, 50, seed=43)])
+        grad = rng.normal(size=u.shape)
+        hess = rng.normal(size=(len(u), n + 1, n + 1))
+        hess = hess + hess.transpose(0, 2, 1)
+        s, v, R, _, _ = surface_module._tangential_derivatives(
+            u.T.copy(), grad.T.copy(), hess.transpose(1, 2, 0).copy())
+        E = tangent_frames(u)
+        assert np.max(np.abs(s - np.einsum("Nd,Nd->N", u, grad))) <= 1e-14
+        assert np.max(np.abs(v.T - np.einsum("Nad,Nd->Na", E, grad))) <= 1e-14
+        R = R.transpose(2, 0, 1)
+        assert np.array_equal(R, R.transpose(0, 2, 1))
+        assert np.max(np.abs(R - np.einsum("Nad,Nde,Nbe->Nab", E, hess, E))) <= 1e-14
 
 
 class TestBasis:
@@ -248,7 +280,8 @@ class TestBlocks:
         nodes = build_rule(3, 24).nodes
         assert len(nodes) >= 3 * surface_module._BLOCK
         whole = evaluate_nodes(surf, nodes)
-        cuts = [0, 1, 5000, 13001, 21000, len(nodes)]
+        block = surface_module._BLOCK  # parts of 1 node and of a block minus 1, exact, plus 1
+        cuts = [0, 1, block, 2 * block, 3 * block + 1, 13001, 21000, len(nodes)]
         parts = [evaluate_nodes(surf, nodes[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
         for name in [f.name for f in dataclasses.fields(whole)] + ["kappa"]:
             joined = np.concatenate([getattr(p, name) for p in parts])
@@ -380,7 +413,7 @@ class TestEigenSolve:
         rule = build_rule(n, order)
         batch = surf.fields(rule)
         # g and B of every node from the one block that evaluate_point runs per node
-        forms = surface_module._node_block(surf, surface_module._polynomial_tables(surf),
+        forms = surface_module._node_block(surf, surface_module._polynomial_plan(surf),
                                            rule.nodes.T.copy(), 0, forms=True)
         ref = np.array([scipy.linalg.eigh(B, g, eigvals_only=True)
                         for B, g in zip(forms["B"], forms["g"])])
