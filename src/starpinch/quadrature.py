@@ -15,8 +15,8 @@ its high 26 and low 27 bits, and np.bincount sums each half per exponent, in
 chunks that stay in cache.  Those sums are integers below 2^53, so they are
 exact, and each one scaled by its power of two is exact too; math.fsum of these
 few terms is then the correctly rounded total.  Non-finite values, exponents
-within 60 of the float64 limits, 512 values or fewer and more than 2^26 go to
-math.fsum directly.
+within 60 of the float64 limits, and arrays of at most 512 or more than 2^26
+values go to math.fsum directly.
 
 ``refinement_estimate`` is the one refinement estimate of the package: any
 scalar functional of the surface (an integral, a norm, an identity
@@ -119,7 +119,7 @@ def _reduce(values: np.ndarray) -> float:
     if _FSUM_TERMS < len(values) <= _EXACT_TERMS and np.isfinite(values).all():
         sums, low, high = np.zeros((2, 2099)), 1024, -1073  # by frexp exponent + 1074
         for start in range(0, len(values), _CHUNK):
-            significand, exponent = np.frexp(values[start:start + _CHUNK])  # 2^exponent
+            significand, exponent = np.frexp(values[start:start + _CHUNK])
             lo, hi = int(exponent.min()), int(exponent.max())
             top = np.trunc(significand * 2.0**26)
             bucket, span = exponent - lo, slice(lo + 1074, hi + 1075)

@@ -10,9 +10,9 @@ the metric
 For ``delta > 0`` this chart covers exactly the open upper half-sphere.
 Points are plain numpy arrays of chart coordinates; the model object only
 carries ``delta`` and the ambient dimension, and its ``conformal_factor``
-is the one place q is computed.  All distances are closed forms in the
-chart, validated in the tests against ray integration of the conformal
-line element.
+(of points or of squared chart norms) is the one place q is computed.  All
+distances are closed forms in the chart, validated in the tests against ray
+integration of the conformal line element.
 """
 
 from __future__ import annotations
