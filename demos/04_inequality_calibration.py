@@ -16,8 +16,8 @@ the exact ones.
 
 import numpy as np
 
-from starpinch.symfun import (calibrate, curvature_profile, default_c_n,
-                              maclaurin_gaps, mean_curvatures, newton_gap,
+from starpinch.symfun import (calibrate, default_c_n, maclaurin_gaps,
+                              mean_curvatures, newton_gap,
                               sample_positive_curvatures,
                               sharpened_newton_gap, umbilicity_defect_sq,
                               partial_H_extremes, K1)
@@ -29,11 +29,8 @@ rng_seed = 97
 for n in (2, 3, 4, 5, 6):
     kappa = np.sort(np.random.Generator(np.random.Philox(rng_seed)).uniform(
         0.05, 2.5, size=(100_000, n)), axis=1)
-    H = mean_curvatures(kappa)
-    newton_min = min(float(np.min(H[:, k] ** 2 - H[:, k + 1] * H[:, k - 1]))
-                     for k in range(1, n))
-    roots = np.stack([H[:, k] ** (1.0 / k) for k in range(1, n + 1)], axis=1)
-    mac_min = float(np.min(roots[:, :-1] - roots[:, 1:]))
+    newton_min = min(float(np.min(newton_gap(kappa, k))) for k in range(1, n))
+    mac_min = float(np.min(maclaurin_gaps(kappa, n - 1)))
     print(f"  n={n}: min Newton gap {newton_min:+.3e}, min Maclaurin gap {mac_min:+.3e}")
 
 print()
@@ -48,9 +45,8 @@ for n in (2, 3, 4):
 
 print()
 print("Worked example (n=2, kappa=(0,2)): Newton gap 1, tau^2 = 2, H_{2;2,1} = 1")
-prof = curvature_profile([0.0, 2.0])
 for c_n in (0.0, 0.25, 0.45, 0.5):
-    print(f"  c_n = {c_n:.2f}: sharpened gap = {sharpened_newton_gap(prof, 1, c_n):+.4f}")
+    print(f"  c_n = {c_n:.2f}: sharpened gap = {sharpened_newton_gap([0.0, 2.0], 1, c_n):+.4f}")
 
 print()
 print("=" * 72)
@@ -77,5 +73,5 @@ for n, r in ((2, 1), (3, 2), (4, 3)):
 
 print()
 print("Maclaurin chain for kappa = (1, 2, 3):",
-      np.array2string(maclaurin_gaps(curvature_profile([1.0, 2.0, 3.0]), 2), precision=6),
-      " Newton gap k=1:", f"{newton_gap(curvature_profile([1.0, 2.0, 3.0]), 1):.6f}")
+      np.array2string(maclaurin_gaps([1.0, 2.0, 3.0], 2), precision=6),
+      " Newton gap k=1:", f"{newton_gap([1.0, 2.0, 3.0], 1):.6f}")

@@ -1,12 +1,12 @@
 """Numerical pipeline for curvature pinching of starshaped hypersurfaces.
 
 Modules: spaceform (conformal ball models of the three space forms),
-symfun (symmetric-function calculus on principal curvatures), surface
-(radial graphs and pointwise extrinsic data), quadrature (sphere rules and
-normalized L^p norms), identities (residual checks for the integral
-identities and inequality chain), constants (the explicit constant chain
-K1..K3, eps1 and the stability bound), pinch (the stability experiment)
-and cli (the command-line front end).
+symfun (symmetric-function calculus on curvature arrays, batched along
+the last axis), surface (radial graphs and pointwise extrinsic data),
+quadrature (sphere rules and normalized L^p norms), identities (residual
+checks for the integral identities and inequality chain), constants (the
+explicit constant chain K1..K3, eps1 and the stability bound), pinch (the
+stability experiment) and cli (the command-line front end).
 """
 
 from .constants import ConstantsConfig, ProofConstants, final_bound
@@ -17,9 +17,8 @@ from .quadrature import SphericalRule, build_rule, lp_norm, surface_integral
 from .spaceform import (SpaceFormModel, c_delta, geodesic_distance,
                         geodesic_radius, position_vector, s_delta)
 from .surface import RadialSurface, evaluate_point, starshape_report
-from .symfun import (CurvatureProfile, calibrate, curvature_profile,
-                     elementary_symmetric, maclaurin_gaps, newton_gap,
-                     normalized_mean_curvatures, partial_H)
+from .symfun import (calibrate, elementary_symmetric, maclaurin_gaps,
+                     mean_curvatures, newton_gap, partial_H_extremes)
 
 __all__ = [
     "ConstantsConfig",
@@ -47,14 +46,12 @@ __all__ = [
     "RadialSurface",
     "evaluate_point",
     "starshape_report",
-    "CurvatureProfile",
     "calibrate",
-    "curvature_profile",
     "elementary_symmetric",
     "maclaurin_gaps",
+    "mean_curvatures",
     "newton_gap",
-    "normalized_mean_curvatures",
-    "partial_H",
+    "partial_H_extremes",
 ]
 
 __version__ = "0.1.0"

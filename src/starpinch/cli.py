@@ -15,8 +15,9 @@ applicable bound by more than rounding.  Every ``identities`` row, the
 worst-node Gauss identity included, reads the fields the integrals read.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 configuration error (also an unknown key or section, a nonpositive h or
-amplitudes that do not strictly decrease).  Every output file starts with
+3 configuration error (also an unknown key or section, a number that is
+nan or infinite, a nonpositive h or amplitudes that do not strictly
+decrease).  Every output file starts with
 a header block (config hash, constant provenance); runs with equal config
 hashes produce byte-identical files.  No command draws random numbers.
 """

@@ -20,9 +20,10 @@ A configuration file has three sections::
     alpha = 0.5
     Kn_MS = 1.0
 
-n is 2 or 3, the dimensions the surfaces support.  All keys have defaults
-except the surface geometry.  Keys match case-insensitively, and an
-unknown section or key is a configuration error.  Retired keys load as
+n is 2 or 3, the dimensions the surfaces support.  Every number is
+finite: nan and infinities are configuration errors.  All keys have
+defaults except the surface geometry.  Keys match case-insensitively, and
+an unknown section or key is a configuration error.  Retired keys load as
 before: [constants] c_n, b_consts and calibration_file and [experiment]
 seed and quad_order_check are ignored (c_n is exact and every b-constant
 is 1 at n = 2, 3; no command draws random numbers; the check rule is of
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .constants import ConstantsConfig
@@ -70,8 +72,6 @@ class ExperimentConfig:
         if self.h_fixed is not None and not self.h_fixed > 0.0:
             raise ConfigError(f"experiment.h must be positive, got h={self.h_fixed}")
         if self.delta > 0.0:
-            import math
-
             limit = 2.0 / math.sqrt(self.delta)
             if self.rho0 >= 0.95 * limit:
                 raise ConfigError(
@@ -111,6 +111,14 @@ def _key_text(key) -> str:
     return str(key)
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_perturbation(text: str, n: int) -> tuple:
     entries = []
     for chunk in text.split():
@@ -118,7 +126,7 @@ def _parse_perturbation(text: str, n: int) -> tuple:
         if not sep:
             raise ConfigError(f"perturbation entry {chunk!r} must look like key:amplitude")
         try:
-            amplitude = float(amp)
+            amplitude = _finite(amp)
         except ValueError as exc:
             raise ConfigError(f"bad amplitude in perturbation entry {chunk!r}") from exc
         try:
@@ -133,14 +141,14 @@ def _parse_perturbation(text: str, n: int) -> tuple:
 # [section] key -> (field, parser); the perturbation text is parsed once n is known
 _KEYS = {
     ("surface", "n"): ("n", int),
-    ("surface", "delta"): ("delta", float),
-    ("surface", "rho0"): ("rho0", float),
+    ("surface", "delta"): ("delta", _finite),
+    ("surface", "rho0"): ("rho0", _finite),
     ("surface", "perturbation"): ("perturbation", str),
     ("experiment", "r"): ("r", int),
     ("experiment", "quad_order"): ("quad_order", int),
-    ("experiment", "h"): ("h_fixed", float),
-    ("experiment", "amplitudes"): ("amplitudes", lambda text: tuple(map(float, text.split()))),
-    **{("constants", f.name): (f.name, float) for f in fields(ConstantsConfig)},
+    ("experiment", "h"): ("h_fixed", _finite),
+    ("experiment", "amplitudes"): ("amplitudes", lambda text: tuple(map(_finite, text.split()))),
+    **{("constants", f.name): (f.name, _finite) for f in fields(ConstantsConfig)},
 }
 
 # keys of earlier versions -> the one value that still loads (None: any value)

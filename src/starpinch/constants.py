@@ -37,8 +37,8 @@ class ConstantsConfig:
     Kn_MS: float = 1.0         # Michael-Simon constant K(n)
 
     def __post_init__(self):
-        if min(self.eps0, self.c_RS, self.alpha, self.Kn_MS) <= 0.0:
-            raise ValueError("constants must be strictly positive")
+        if not all(0.0 < x < math.inf for x in (self.eps0, self.c_RS, self.alpha, self.Kn_MS)):
+            raise ValueError("constants must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

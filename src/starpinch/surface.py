@@ -158,19 +158,6 @@ def basis_function(n: int, key):
     raise ValueError(f"no perturbation basis for n={n}")
 
 
-def basis_values(n: int, key, points) -> np.ndarray:
-    """Evaluate one basis function at unit vectors (batched)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros(pts.shape[:-1])
-    for coeff, expo in basis_function(n, key):
-        term = np.full(pts.shape[:-1], coeff)
-        for axis, p in enumerate(expo):
-            if p:
-                term = term * pts[..., axis] ** p
-        out += term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # surfaces
 
@@ -183,7 +170,7 @@ class RadialSurface:
     model: SpaceFormModel
     rho0: float
     perturbation: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -197,11 +184,16 @@ class RadialSurface:
             basis_function(self.n, key)  # validates the key
 
     def rho_values(self, points) -> np.ndarray:
+        """rho at unit vectors (..., n+1), bit for bit the rho of ``fields``."""
         pts = np.asarray(points, dtype=float)
-        vals = np.ones(pts.shape[:-1])
-        for key, amp in self.perturbation:
-            vals = vals + amp * basis_values(self.n, key, pts)
-        return self.rho0 * vals
+        u = pts.reshape(-1, self.n + 1).T.copy()
+        return _polynomial_derivatives(self._plan(), u)[0].reshape(pts.shape[:-1])
+
+    def _plan(self) -> tuple:
+        """The polynomial plan of rho (``_polynomial_plan``), built once per surface."""
+        if "plan" not in self._cache:
+            self._cache["plan"] = _polynomial_plan(self)
+        return self._cache["plan"]
 
     def fields(self, rule) -> "SurfaceBatch":
         """Batch of pointwise data at the nodes of a quadrature rule (cached)."""
@@ -274,7 +266,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     u = _directions(surface, nodes)
     N, d = u.shape
     n = surface.n
-    plan = _polynomial_plan(surface)
+    plan = surface._plan()
     out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
            **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
                                              "H_tilde", "area_element_euclid", "rho")}}
@@ -291,7 +283,7 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
 def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
     """Pointwise data at a single parameter direction, with g, B and nu."""
     u = _directions(surface, u)[:1]
-    f = _node_block(surface, _polynomial_plan(surface), u.T.copy(), 0, forms=True)
+    f = _node_block(surface, surface._plan(), u.T.copy(), 0, forms=True)
     return SurfacePointData(
         X=f["X"][0], nu=f["nu"][0], g_mat=f["g"][0], B_mat=f["B"][0],
         kappa=_principal_curvatures(f["M"], f["q"])[0], support=float(f["support"][0]),
@@ -482,10 +474,15 @@ class StarshapeReport:
     R: float
 
 
-def _constant_sign(values: np.ndarray, atol: float = 1e-12):
-    """Common sign of the support values, or the offending node index."""
+def _constant_sign(values: np.ndarray):
+    """Common sign of the support values, or the offending node index.
+
+    A value counts as zero within 1e-12 min(1, max |value|): relative to the
+    scale below unit size, so a tiny flat sphere keeps its verdict, and the
+    absolute 1e-12 above it.
+    """
     values = np.asarray(values, dtype=float)
-    if np.any(np.abs(values) <= atol):
+    if np.any(np.abs(values) <= 1e-12 * min(1.0, np.max(np.abs(values)))):
         return None, int(np.argmin(np.abs(values)))
     signs = np.sign(values)
     if np.all(signs == signs[0]):

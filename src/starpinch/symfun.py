@@ -1,12 +1,12 @@
 """Symmetric-function calculus on principal curvature vectors.
 
-Everything here is exact algebra on a vector kappa of n principal
-curvatures: elementary symmetric polynomials sigma_k, the normalized mean
-curvatures H_k = sigma_k / C(n,k), the partial curvatures H_{l;i,j}
-obtained by deleting two entries, the umbilicity defect
-``tau^2 = sum (kappa_i - H_1)^2``, the Newton and Maclaurin inequality
-gaps, and the explicit constant K1 that turns the sharpened Newton
-inequality into the pointwise bound
+Everything here is exact algebra on curvature arrays (..., n), batched
+along the last axis: elementary symmetric polynomials sigma_k, the
+normalized mean curvatures H_k = sigma_k / C(n,k), the partial curvatures
+H_{l;n,1} obtained by deleting the largest and the smallest entry, the
+umbilicity defect ``tau^2 = sum (kappa_i - H_1)^2``, the Newton and
+Maclaurin inequality gaps, and the explicit constant K1 that turns the
+sharpened Newton inequality into the pointwise bound
 
     tau^2 <= K1 (H H_r - H_{r+1}).
 
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HypothesisError
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials and normalized mean curvatures
+# symmetric functions of the curvatures along the last axis
 
 
 def elementary_symmetric(kappa) -> np.ndarray:
@@ -46,19 +46,12 @@ def elementary_symmetric(kappa) -> np.ndarray:
     return sigma
 
 
-def normalized_mean_curvatures(sigma, n: int) -> np.ndarray:
-    """H_k = sigma_k / C(n,k) for k = 0..n."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape[-1] != n + 1:
-        raise ValueError("sigma must have length n+1")
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    return sigma / binom
-
-
 def mean_curvatures(kappa) -> np.ndarray:
-    """Shorthand: H_0..H_n straight from a curvature vector (batched)."""
+    """H_0..H_n along the last axis, H_k = sigma_k / C(n,k)."""
     kappa = np.asarray(kappa, dtype=float)
-    return normalized_mean_curvatures(elementary_symmetric(kappa), kappa.shape[-1])
+    n = kappa.shape[-1]
+    return elementary_symmetric(kappa) / np.array([math.comb(n, k) for k in range(n + 1)],
+                                                  dtype=float)
 
 
 def umbilicity_defect_sq(kappa) -> np.ndarray:
@@ -66,60 +59,6 @@ def umbilicity_defect_sq(kappa) -> np.ndarray:
     kappa = np.asarray(kappa, dtype=float)
     mean = kappa.mean(axis=-1, keepdims=True)
     return np.sum((kappa - mean) ** 2, axis=-1)
-
-
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """All pointwise symmetric-function data for one curvature vector."""
-
-    kappa: np.ndarray
-    sigma: np.ndarray
-    H: np.ndarray
-    tau_sq: float
-
-    @property
-    def n(self) -> int:
-        return len(self.kappa)
-
-
-def curvature_profile(kappa) -> CurvatureProfile:
-    kappa = np.sort(np.asarray(kappa, dtype=float))
-    if kappa.ndim != 1 or kappa.size < 2:
-        raise ValueError("kappa must be a vector of at least 2 curvatures")
-    sigma = elementary_symmetric(kappa)
-    H = normalized_mean_curvatures(sigma, kappa.size)
-    return CurvatureProfile(kappa=kappa, sigma=sigma, H=H, tau_sq=float(umbilicity_defect_sq(kappa)))
-
-
-# ---------------------------------------------------------------------------
-# partial curvatures H_{l;i,j}
-
-
-@dataclass(frozen=True)
-class PartialMeanCurvature:
-    value: float
-    l: int
-    i: int
-    j: int
-
-
-def partial_H(l: int, i: int, j: int, kappa) -> PartialMeanCurvature:
-    """H_{l;i,j}: sigma_{l-2} of kappa with entries i and j removed, over C(n,l).
-
-    Indices are 1-based (kappa_1..kappa_n, matching the sorted convention);
-    for l = 2 the value is the dimensional constant 1/C(n,2).
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    if not 2 <= l <= n + 1:
-        raise ValueError(f"l must lie in [2, n+1], got l={l} with n={n}")
-    if i == j:
-        raise ValueError("indices i and j must be distinct")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices must lie in 1..n")
-    rest = np.delete(kappa, [i - 1, j - 1], axis=-1)
-    sig = elementary_symmetric(rest)[..., l - 2]
-    return PartialMeanCurvature(value=float(sig) / math.comb(n, l), l=l, i=i, j=j)
 
 
 def partial_H_extremes(l: int, kappa_sorted) -> np.ndarray:
@@ -140,37 +79,40 @@ def partial_H_extremes(l: int, kappa_sorted) -> np.ndarray:
 # inequality gaps
 
 
-def newton_gap(profile: CurvatureProfile, k: int) -> float:
-    """H_k^2 - H_{k+1} H_{k-1}, nonnegative for all real curvature vectors."""
-    H = profile.H
-    if not 1 <= k <= profile.n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k}")
-    return float(H[k] ** 2 - H[k + 1] * H[k - 1])
+def _check_index(name: str, k: int, n: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"{name} must lie in [1, n-1], got {name}={k}")
 
 
-def sharpened_newton_gap(profile: CurvatureProfile, k: int, c_n: float) -> float:
+def newton_gap(kappa, k: int) -> np.ndarray:
+    """H_k^2 - H_{k+1} H_{k-1} along the last axis, nonnegative for real curvatures."""
+    H = mean_curvatures(kappa)
+    _check_index("k", k, H.shape[-1] - 1)
+    return H[..., k] ** 2 - H[..., k + 1] * H[..., k - 1]
+
+
+def sharpened_newton_gap(kappa, k: int, c_n: float) -> np.ndarray:
     """Newton gap minus c_n * tau^2 * H_{k+1;n,1}^2 (the sharpened estimate)."""
-    if not 1 <= k <= profile.n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k}")
-    hp = partial_H_extremes(k + 1, profile.kappa)
-    return newton_gap(profile, k) - c_n * profile.tau_sq * float(hp) ** 2
+    kappa = np.sort(np.asarray(kappa, dtype=float), axis=-1)
+    gap = newton_gap(kappa, k)
+    return gap - c_n * umbilicity_defect_sq(kappa) * partial_H_extremes(k + 1, kappa) ** 2
 
 
-def maclaurin_gaps(profile: CurvatureProfile, r: int) -> np.ndarray:
-    """The chain gaps H_k^(1/k) - H_{k+1}^(1/(k+1)) for k = 1..r.
+def maclaurin_gaps(kappa, r: int) -> np.ndarray:
+    """The chain gaps H_k^(1/k) - H_{k+1}^(1/(k+1)) for k = 1..r, along a new last axis.
 
     Requires H_{r+1} > 0; the positivity cascade (H_s > 0 for s <= r) is
     asserted before any fractional root is taken.
     """
-    H = profile.H
-    if not 1 <= r <= profile.n - 1:
-        raise ValueError(f"r must lie in [1, n-1], got r={r}")
-    if H[r + 1] <= 0.0:
-        raise HypothesisError(f"Maclaurin chain needs H_{r+1} > 0, got {H[r + 1]:.6g}")
-    if np.any(H[1 : r + 1] <= 0.0):
+    H = mean_curvatures(kappa)
+    _check_index("r", r, H.shape[-1] - 1)
+    if np.any(H[..., r + 1] <= 0.0):
+        raise HypothesisError(f"Maclaurin chain needs H_{r+1} > 0, "
+                              f"got {np.min(H[..., r + 1]):.6g}")
+    if np.any(H[..., 1 : r + 1] <= 0.0):
         raise HypothesisError("positivity cascade violated: some H_s <= 0 despite H_{r+1} > 0")
-    roots = [H[k] ** (1.0 / k) for k in range(1, r + 2)]
-    return np.array([roots[k - 1] - roots[k] for k in range(1, r + 1)])
+    roots = H[..., 1 : r + 2] ** (1.0 / np.arange(1, r + 2))
+    return roots[..., :-1] - roots[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +211,9 @@ def sample_positive_curvatures(n: int, samples: int, seed: int) -> np.ndarray:
 
 def _newton_tau_ratios(kappa: np.ndarray, k: int) -> np.ndarray:
     """(H_k^2 - H_{k+1}H_{k-1}) / (tau^2 H_{k+1;n,1}^2), NaN where degenerate."""
-    H = mean_curvatures(kappa)
     tau_sq = umbilicity_defect_sq(kappa)
     hp = partial_H_extremes(k + 1, kappa)
-    num = H[..., k] ** 2 - H[..., k + 1] * H[..., k - 1]
+    num = newton_gap(kappa, k)
     den = tau_sq * hp**2
     scale = np.max(kappa, axis=-1) ** 2
     ok = tau_sq > 1e-6 * scale * kappa.shape[-1]

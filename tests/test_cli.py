@@ -345,6 +345,29 @@ class TestCommands:
         assert main(["pinch", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "experiment.h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, old, new, named", [
+        ("pinch", "eps0 = 10.0", "eps0 = nan", "[constants] eps0"),
+        ("pinch", "eps0 = 10.0", "eps0 = 10.0\nalpha = inf", "[constants] alpha"),
+        ("pinch", "quad_order = 8", "quad_order = 8\nh = inf", "[experiment] h"),
+        ("pinch", "rho0 = 1.0", "rho0 = nan", "[surface] rho0"),
+        ("pinch", "rho0 = 1.0", "rho0 = inf", "[surface] rho0"),
+        ("pinch", "delta = 0.0", "delta = nan", "[surface] delta"),
+        ("pinch", "3,1:0.04", "3,1:nan", "perturbation entry '3,1:nan'"),
+        ("scaling", "0.06 0.03", "0.06 nan", "[experiment] amplitudes"),
+    ], ids=["eps0", "alpha", "h", "rho0_nan", "rho0_inf", "delta", "perturbation",
+            "amplitude"])
+    def test_non_finite_number_exits_3(self, tmp_path, capsys, command, old, new, named):
+        # each used to run: exit 0 with a nan or inf bound, or exit 1 as "not starshaped"
+        text = (GOOD_CONFIG.replace("delta = -1.0", "delta = 0.0")
+                .replace("quad_order = 12", "quad_order = 8"))
+        assert old in text
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scaling_without_amplitudes_exits_3(self, tmp_path):
         cfg = tmp_path / "sphere.ini"
         cfg.write_text(SPHERE_CONFIG)

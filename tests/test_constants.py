@@ -22,6 +22,13 @@ def chain(delta=0.0, n=2, **overrides):
     return build_chain(n, 1, delta, model, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["eps0", "c_RS", "alpha", "Kn_MS"])
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_configured_constants_are_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConstantsConfig(**{name: value})
+
+
 class TestK2:
     def test_flat_arithmetic(self):
         assert K2(0.0, 1.0, 1.0, 2.0, 3.0) == pytest.approx(7.0, rel=1e-15)

@@ -15,7 +15,7 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   tau_l2_epsilon_bound)
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
-from starpinch.surface import RadialSurface, basis_values
+from starpinch.surface import RadialSurface
 from starpinch.symfun import calibrate, mean_curvatures, K1
 
 
@@ -26,13 +26,17 @@ def make_surface(delta, rho0=1.0, perturbation=(), n=2):
 
 def rotated_copy(surface, R):
     """Surface with rho'(u) = rho(R^T u), via numeric re-expansion per degree."""
+    def basis_values(key, points):  # rho - 1 of the surface rho0 = 1, amplitude 1
+        return RadialSurface(n=2, model=surface.model, rho0=1.0,
+                             perturbation=((key, 1.0),)).rho_values(points) - 1.0
+
     rule = build_rule(2, 20)
     pts = rule.nodes
     new_pert = []
     for (l, m), amp in surface.perturbation:
         keys = [(l, mm) for mm in range(-l, l + 1)]
-        design = np.stack([basis_values(2, k, pts) for k in keys], axis=1)
-        target = basis_values(2, (l, m), pts @ R)
+        design = np.stack([basis_values(k, pts) for k in keys], axis=1)
+        target = basis_values((l, m), pts @ R)
         coeff, *_ = np.linalg.lstsq(design, target, rcond=None)
         for k, c in zip(keys, coeff):
             if abs(c) > 1e-13:

@@ -13,14 +13,18 @@ from starpinch.errors import HypothesisError
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
 from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
-                               basis_values, evaluate_nodes, evaluate_point,
-                               starshape_report)
+                               evaluate_nodes, evaluate_point, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
 
 def sphere(delta, rho_chart, n=2, perturbation=()):
     model = SpaceFormModel(delta=delta, ambient_dim=n + 1)
     return RadialSurface(n=n, model=model, rho0=rho_chart, perturbation=perturbation)
+
+
+def basis_values(n, key, points):
+    """One basis function at unit vectors: rho - 1 of the surface rho0 = 1, amplitude 1."""
+    return sphere(0.0, 1.0, n=n, perturbation=((key, 1.0),)).rho_values(points) - 1.0
 
 
 def tangent_frames(u):
@@ -273,6 +277,39 @@ class TestOrientationAndConsistency:
             evaluate_nodes(surf, random_nodes(2, 10, seed=9))
 
 
+class TestRho:
+    @pytest.mark.parametrize("n, perturbation", [
+        (2, (((3, 1), 0.12), ((2, 0), 0.06), ((4, -3), 0.03))),
+        (3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04), ("u3", 0.05))),
+    ])
+    def test_rho_values_are_the_batch_rho(self, n, perturbation):
+        surf = sphere(-1.0, 0.9, n=n, perturbation=perturbation)
+        rule = build_rule(n, 16)
+        assert np.array_equal(surf.rho_values(rule.nodes), surf.fields(rule).rho)
+        assert np.array_equal(surf.rho_values(rule.nodes[5]), surf.fields(rule).rho[5])
+
+    def test_one_polynomial_plan_per_surface(self, monkeypatch):
+        built = []
+        plan = surface_module._polynomial_plan
+        monkeypatch.setattr(surface_module, "_polynomial_plan",
+                            lambda surface: built.append(surface) or plan(surface))
+        surf = sphere(0.0, 1.0, perturbation=(((2, 1), 0.05),))
+        surf.rho_values(random_nodes(2, 3, seed=1))
+        surf.fields(build_rule(2, 8))
+        surf.fields(build_rule(2, 16))
+        evaluate_point(surf, random_nodes(2, 1, seed=2)[0])
+        assert built == [surf]
+
+    def test_a_replaced_surface_has_its_own_cache(self):
+        # dataclasses.replace used to hand the copy the original's plan and batches
+        surf = sphere(0.0, 1.0, perturbation=(((2, 1), 0.05),))
+        rule = build_rule(2, 8)
+        surf.fields(rule)
+        scaled = dataclasses.replace(surf, rho0=2.0)
+        assert np.array_equal(scaled.fields(rule).rho, 2.0 * surf.fields(rule).rho)
+        assert np.array_equal(scaled.rho_values(rule.nodes), scaled.fields(rule).rho)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     def test_blocks_are_bitwise_independent_of_the_split(self, delta):
@@ -499,6 +536,14 @@ class TestReports:
         rep = starshape_report(surf, build_rule(2, 16))
         assert rep.sign == -1
         assert 0.8 < rep.R0 < 1.2
+
+    def test_tiny_flat_sphere_is_starshaped(self):
+        # the zero test is relative below unit scale: R0 / rho0 is that of rho0 = 1
+        rule = build_rule(2, 8)
+        ratios = [starshape_report(sphere(0.0, rho0, perturbation=(((3, 1), 0.02),)), rule).R0
+                  / rho0 for rho0 in (1e-12, 1e-10, 1e-6, 1.0)]
+        assert ratios == pytest.approx([ratios[-1]] * 4, rel=1e-14)
+        assert ratios[-1] == pytest.approx(0.988, abs=1e-3)
 
     def test_sign_change_detection(self):
         sign, bad = _constant_sign(np.array([-1.0, -0.5, 0.7, -0.2]))

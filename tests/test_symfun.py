@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from starpinch.errors import HypothesisError
 from starpinch import symfun
-from starpinch.symfun import (K1, calibrate,
-                              curvature_profile, elementary_symmetric,
+from starpinch.symfun import (K1, calibrate, elementary_symmetric,
                               maclaurin_gaps, mean_curvatures, newton_gap,
-                              normalized_mean_curvatures, partial_H,
                               partial_H_extremes, sharpened_newton_gap,
                               umbilicity_defect_sq)
 
@@ -54,7 +52,7 @@ class TestElementarySymmetric:
 
 class TestMeanCurvatures:
     def test_binomial_division(self):
-        H = normalized_mean_curvatures([1.0, 6.0, 11.0, 6.0], 3)
+        H = mean_curvatures([1.0, 2.0, 3.0])  # sigma = 1, 6, 11, 6
         assert np.allclose(H, [1.0, 2.0, 11.0 / 3.0, 6.0], rtol=1e-15)
 
     def test_umbilic_powers(self):
@@ -83,80 +81,75 @@ class TestPartialH:
         for n in (2, 3, 5):
             for _ in range(5):
                 kappa = rng.normal(size=n)
-                p = partial_H(2, n, 1, kappa)
-                assert p.value == pytest.approx(1.0 / math.comb(n, 2), rel=1e-15)
+                assert partial_H_extremes(2, np.sort(kappa)) == pytest.approx(
+                    1.0 / math.comb(n, 2), rel=1e-15)
 
     def test_single_admissible_index(self):
-        p = partial_H(3, 3, 1, [1.0, 2.0, 3.0])
-        assert p.value == pytest.approx(2.0, rel=1e-15)
+        assert partial_H_extremes(3, [1.0, 2.0, 3.0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_two_index_sum(self):
-        p = partial_H(3, 4, 1, [1.0, 2.0, 3.0, 4.0])
-        assert p.value == pytest.approx(5.0 / 4.0, rel=1e-15)
+        assert partial_H_extremes(3, [1.0, 2.0, 3.0, 4.0]) == pytest.approx(5.0 / 4.0, rel=1e-15)
 
     def test_positive_for_positive_kappa(self):
         rng = np.random.Generator(np.random.Philox(5))
         kappa = np.sort(rng.uniform(0.1, 3.0, size=5))
         for l in range(2, 6):
-            assert partial_H(l, 5, 1, kappa).value > 0.0
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            partial_H(2, 1, 1, [1.0, 2.0])
-
-    def test_extremes_batch_matches_scalar(self):
-        rng = np.random.Generator(np.random.Philox(6))
-        kappa = np.sort(rng.uniform(0.1, 2.0, size=(40, 4)), axis=1)
-        batch = partial_H_extremes(3, kappa)
-        for i in range(40):
-            assert batch[i] == pytest.approx(partial_H(3, 4, 1, kappa[i]).value, rel=1e-14)
+            assert partial_H_extremes(l, kappa) > 0.0
 
 
 class TestGaps:
     def test_newton_examples(self):
-        assert newton_gap(curvature_profile([1.0, 2.0, 3.0]), 1) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert newton_gap(curvature_profile([0.0, 2.0]), 1) == pytest.approx(1.0, rel=1e-15)
-        assert newton_gap(curvature_profile([0.7] * 4), 2) == pytest.approx(0.0, abs=1e-15)
+        assert newton_gap([1.0, 2.0, 3.0], 1) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert newton_gap([0.0, 2.0], 1) == pytest.approx(1.0, rel=1e-15)
+        assert newton_gap([0.7] * 4, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_newton_nonnegative_mixed_signs(self):
         rng = np.random.Generator(np.random.Philox(7))
         for n in range(2, 7):
             kappa = rng.uniform(-2.0, 2.0, size=(100_000, n))
-            H = mean_curvatures(kappa)
             for k in range(1, n):
-                gap = H[:, k] ** 2 - H[:, k + 1] * H[:, k - 1]
-                assert float(np.min(gap)) >= -1e-12
+                assert float(np.min(newton_gap(kappa, k))) >= -1e-12
 
     def test_maclaurin_examples(self):
-        prof = curvature_profile([1.0, 2.0, 3.0])
-        gaps = maclaurin_gaps(prof, 2)
+        gaps = maclaurin_gaps([1.0, 2.0, 3.0], 2)
         assert gaps[0] == pytest.approx(2.0 - SQRT_11_3, abs=1e-13)
         assert gaps[1] == pytest.approx(SQRT_11_3 - CBRT_6, abs=1e-13)
-        assert np.allclose(maclaurin_gaps(curvature_profile([0.9] * 4), 3), 0.0, atol=1e-14)
+        assert np.allclose(maclaurin_gaps([0.9] * 4, 3), 0.0, atol=1e-14)
 
     def test_maclaurin_second_order_in_perturbation(self):
         for t in (1e-2, 5e-3):
-            g_t = maclaurin_gaps(curvature_profile([1.0, 1.0, 1.0 + t]), 2)
-            g_half = maclaurin_gaps(curvature_profile([1.0, 1.0, 1.0 + t / 2]), 2)
+            g_t = maclaurin_gaps([1.0, 1.0, 1.0 + t], 2)
+            g_half = maclaurin_gaps([1.0, 1.0, 1.0 + t / 2], 2)
             ratio = g_t / g_half
             assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
 
     def test_maclaurin_requires_positive_hypothesis(self):
         with pytest.raises(HypothesisError):
-            maclaurin_gaps(curvature_profile([-1.0, -2.0, 0.5]), 2)
+            maclaurin_gaps([-1.0, -2.0, 0.5], 2)
 
     def test_sharpened_umbilic_is_zero(self):
-        prof = curvature_profile([1.3] * 3)
-        assert sharpened_newton_gap(prof, 1, 0.37) == pytest.approx(0.0, abs=1e-14)
+        assert sharpened_newton_gap([1.3] * 3, 1, 0.37) == pytest.approx(0.0, abs=1e-14)
 
     def test_sharpened_degenerate_constant_equals_newton(self):
-        prof = curvature_profile([0.2, 1.1, 2.5])
-        assert sharpened_newton_gap(prof, 2, 0.0) == pytest.approx(newton_gap(prof, 2), rel=1e-15)
+        kappa = [0.2, 1.1, 2.5]
+        assert sharpened_newton_gap(kappa, 2, 0.0) == pytest.approx(newton_gap(kappa, 2), rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_batch_is_row_by_row(self, n):
+        # (N, n) arrays, unsorted, give the bits of each row on its own
+        kappa = np.random.Generator(np.random.Philox(20 + n)).uniform(0.1, 2.0, size=(50, n))
+        for batched, row in [
+            (newton_gap(kappa, n - 1), [newton_gap(k, n - 1) for k in kappa]),
+            (sharpened_newton_gap(kappa, 1, 0.3), [sharpened_newton_gap(k, 1, 0.3) for k in kappa]),
+            (sharpened_newton_gap(kappa, n - 1, 0.1),
+             [sharpened_newton_gap(k, n - 1, 0.1) for k in kappa]),
+            (maclaurin_gaps(kappa, n - 1), [maclaurin_gaps(k, n - 1) for k in kappa]),
+        ]:
+            assert np.array_equal(batched, np.array(row))
 
     def test_sharpened_two_dims_exact(self):
         # n=2: gap = newton - c * tau^2 * 1 = 1 - 2c for kappa = (0, 2)
-        prof = curvature_profile([0.0, 2.0])
-        assert sharpened_newton_gap(prof, 1, 0.25) == pytest.approx(0.5, rel=1e-14)
+        assert sharpened_newton_gap([0.0, 2.0], 1, 0.25) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestK1:
@@ -178,10 +171,10 @@ class TestK1:
         rng = np.random.Generator(np.random.Philox(8))
         for n in (2, 3, 5):
             kappa = rng.uniform(0.1, 2.0, size=n)
-            prof = curvature_profile(kappa)
+            H = mean_curvatures(kappa)
             k1 = K1(n, 1, 1.0, 1.0, 1.0, 0.45)
-            assert prof.tau_sq == pytest.approx(
-                k1 * float(prof.H[1] * prof.H[1] - prof.H[2]), rel=1e-11, abs=1e-13
+            assert umbilicity_defect_sq(kappa) == pytest.approx(
+                k1 * float(H[1] * H[1] - H[2]), rel=1e-11, abs=1e-13
             )
 
     def test_errors(self):
@@ -193,12 +186,7 @@ class TestK1:
 
 def sharpened_gaps(kappa, c):
     """H_k^2 - H_{k+1}H_{k-1} - c tau^2 H_{k+1;n,1}^2 for k = 1..n-1, stacked."""
-    H = mean_curvatures(kappa)
-    tau_sq = umbilicity_defect_sq(kappa)
-    n = kappa.shape[-1]
-    return np.stack([H[:, k] ** 2 - H[:, k + 1] * H[:, k - 1]
-                     - c * tau_sq * partial_H_extremes(k + 1, kappa) ** 2
-                     for k in range(1, n)])
+    return np.stack([sharpened_newton_gap(kappa, k, c) for k in range(1, kappa.shape[-1])])
 
 
 class TestExactConstants:
@@ -257,12 +245,7 @@ class TestCalibration:
         for n in (2, 3, 4):
             cal = calibrate(n, n - 1, samples=40_000, seed=11)
             kappa = symfun.sample_positive_curvatures(n, 10_000, seed=999)
-            H = mean_curvatures(kappa)
-            tau_sq = umbilicity_defect_sq(kappa)
-            for k in range(1, n):
-                hp = partial_H_extremes(k + 1, kappa)
-                gap = H[:, k] ** 2 - H[:, k + 1] * H[:, k - 1] - cal.c_n * tau_sq * hp**2
-                assert float(np.min(gap)) >= -1e-10
+            assert float(np.min(sharpened_gaps(kappa, cal.c_n))) >= -1e-10
 
     def test_lemma_bound_on_held_out_samples(self):
         # tau^2 <= K1 (H H_r - H_{r+1}) with set-level constants
