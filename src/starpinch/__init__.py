@@ -13,10 +13,10 @@ from .constants import ConstantsConfig, ProofConstants, final_bound
 from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
 from .pinch import (PinchReport, RunSettings, fit_geodesic_sphere, run_pinch,
                     scaling_study)
-from .quadrature import SphericalRule, build_rule, lp_norm, surface_integral
+from .quadrature import SphericalRule, build_rule, lp_norm
 from .spaceform import (SpaceFormModel, c_delta, geodesic_distance,
                         geodesic_radius, position_vector, s_delta)
-from .surface import RadialSurface, evaluate_point, starshape_report
+from .surface import RadialSurface, starshape_report
 from .symfun import (calibrate, elementary_symmetric, maclaurin_gaps,
                      mean_curvatures, newton_gap, partial_H_extremes)
 
@@ -36,7 +36,6 @@ __all__ = [
     "SphericalRule",
     "build_rule",
     "lp_norm",
-    "surface_integral",
     "SpaceFormModel",
     "c_delta",
     "geodesic_distance",
@@ -44,7 +43,6 @@ __all__ = [
     "position_vector",
     "s_delta",
     "RadialSurface",
-    "evaluate_point",
     "starshape_report",
     "calibrate",
     "elementary_symmetric",

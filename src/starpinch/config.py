@@ -63,8 +63,10 @@ class ExperimentConfig:
             raise ConfigError(f"surface.n must be 2 or 3, got n={self.n}")
         if not 1 <= self.r <= self.n - 1:
             raise ConfigError(f"experiment.r must lie in [1, n-1], got r={self.r}")
-        if self.rho0 <= 0.0:
-            raise ConfigError("surface.rho0 must be positive")
+        if not 0.0 < self.rho0 < math.inf:  # nan fails both comparisons
+            raise ConfigError(f"surface.rho0 must be positive and finite, got {self.rho0}")
+        if not math.isfinite(self.delta):
+            raise ConfigError(f"surface.delta must be finite, got {self.delta}")
         if self.quad_order < 4:
             raise ConfigError("experiment.quad_order must be at least 4")
         if any(a2 >= a1 for a1, a2 in zip(self.amplitudes, self.amplitudes[1:])):

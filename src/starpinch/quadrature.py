@@ -162,23 +162,6 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule,
     return IntegralEstimate(value=v0, refinement_error=abs(v0 - v1))
 
 
-def surface_integral(surface: RadialSurface, f, rule: SphericalRule,
-                     euclidean: bool = False) -> IntegralEstimate:
-    """Integral of a node-wise field over the surface with refinement error.
-
-    ``f`` maps a SurfaceBatch to an array of node values.
-    """
-    return refinement_estimate(
-        surface, rule,
-        lambda batch, rl: integrate_batch(batch, f(batch), rl, euclidean=euclidean))
-
-
-def surface_volume(surface: RadialSurface, rule: SphericalRule,
-                   euclidean: bool = False) -> IntegralEstimate:
-    return refinement_estimate(surface, rule,
-                               lambda batch, rl: batch_volume(batch, rl, euclidean))
-
-
 def lp_norm(surface: RadialSurface, f, p: float, rule: SphericalRule) -> float:
     """Volume-normalized L^p norm of a node-wise field."""
     if p < 1.0:

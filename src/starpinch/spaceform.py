@@ -33,6 +33,8 @@ class SpaceFormModel:
     ambient_dim: int
 
     def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.ambient_dim < 3:
             raise ValueError("ambient_dim must be at least 3 (hypersurface dim >= 2)")
 

@@ -32,11 +32,10 @@ trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
 by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
-hold the maximum in ``B_sup_norm``.  Only ``evaluate_point`` builds g, B
-and the normal nu, for callers that inspect one node (the tests do); the
-pipeline never calls it.  Blocks of nodes are evaluated node-last, as (d, N)
-directions and (n, n, N) matrices, and every operation is elementwise across
-nodes, so a block of one node gives the bits of any other block.
+hold the maximum in ``B_sup_norm``.  g, B and the normal nu are never built.
+Blocks of nodes are evaluated node-last, as (d, N) directions and (n, n, N)
+matrices, and every operation is elementwise across nodes, so a block of one
+node gives the bits of any other block.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -177,8 +176,8 @@ class RadialSurface:
             raise ValueError("hypersurface dimension must be 2 or 3")
         if self.model.ambient_dim != self.n + 1:
             raise ValueError("model ambient_dim must equal n+1")
-        if self.rho0 <= 0.0:
-            raise HypothesisError("rho0 must be positive")
+        if not 0.0 < self.rho0 < math.inf:  # nan fails both comparisons
+            raise HypothesisError(f"rho0 must be positive and finite, got {self.rho0}")
         self.perturbation = tuple((k, float(a)) for k, a in self.perturbation)
         for key, _ in self.perturbation:
             basis_function(self.n, key)  # validates the key
@@ -240,20 +239,6 @@ class SurfaceBatch:
         return {}
 
 
-@dataclass(frozen=True)
-class SurfacePointData:
-    """Pointwise data at one parameter direction, with its fundamental forms."""
-
-    X: np.ndarray
-    nu: np.ndarray
-    g_mat: np.ndarray
-    B_mat: np.ndarray
-    kappa: np.ndarray
-    support: float
-    r: float
-    area_element: float
-
-
 # Nodes per block of evaluate_nodes: the temporaries of all blocks of a 65536-node
 # n = 3 rule peak at 1.2 MiB (traced; 4.1 MiB for a kernel that built g, B and nu at
 # 4096 nodes), below glibc's dynamic trim threshold (twice the largest chunk it has
@@ -263,9 +248,11 @@ _BLOCK = 2048
 
 def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
     """All pointwise extrinsic data at the given parameter directions."""
-    u = _directions(surface, nodes)
+    u = np.atleast_2d(np.asarray(nodes, dtype=float))
     N, d = u.shape
     n = surface.n
+    if d != n + 1:
+        raise ValueError("nodes must be (N, n+1) unit vectors")
     plan = surface._plan()
     out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
            **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
@@ -278,24 +265,6 @@ def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
             out[name][block] = value
     out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
     return SurfaceBatch(nodes=u, **out)
-
-
-def evaluate_point(surface: RadialSurface, u) -> SurfacePointData:
-    """Pointwise data at a single parameter direction, with g, B and nu."""
-    u = _directions(surface, u)[:1]
-    f = _node_block(surface, surface._plan(), u.T.copy(), 0, forms=True)
-    return SurfacePointData(
-        X=f["X"][0], nu=f["nu"][0], g_mat=f["g"][0], B_mat=f["B"][0],
-        kappa=_principal_curvatures(f["M"], f["q"])[0], support=float(f["support"][0]),
-        r=float(f["r"][0]), area_element=float(f["area_element"][0]),
-    )
-
-
-def _directions(surface: RadialSurface, nodes) -> np.ndarray:
-    u = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if u.shape[1] != surface.n + 1:
-        raise ValueError("nodes must be (N, n+1) unit vectors")
-    return u
 
 
 def _polynomial_plan(surface: RadialSurface) -> tuple:
@@ -344,7 +313,7 @@ def _polynomial_derivatives(plan: tuple, u: np.ndarray) -> tuple:
 def _tangential_derivatives(u: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> tuple:
     """s = u . grad P, rho_a = E_a . grad P (n, N) and R = E Hess(P) E^T (n, n, N)
     from u, grad P (d, N) and Hess(P) (d, d, N) by the Householder identities of the
-    module docstring; also returns w and beta."""
+    module docstring."""
     n = len(u) - 1
     sigma = np.where(u[n] >= 0.0, 1.0, -1.0)  # +1 at u_n = -0.0, where np.copysign gives -1
     w = u.copy()
@@ -354,13 +323,11 @@ def _tangential_derivatives(u: np.ndarray, grad: np.ndarray, hess: np.ndarray) -
     v = grad[:n] - (beta * (s + sigma * grad[n])) * w[:n]
     y = reduce(np.add, hess * w[:, None])  # Hess(P) w
     t = beta * y[:n] - (0.5 * beta * beta * reduce(np.add, w * y)) * w[:n]
-    return s, v, hess[:n, :n] - (w[:n, None] * t + t[:, None] * w[:n]), w, beta
+    return s, v, hess[:n, :n] - (w[:n, None] * t + t[:, None] * w[:n])
 
 
-def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int,
-                forms: bool = False) -> dict:
-    """The SurfaceBatch fields of the nodes u (d, N), and with ``forms`` the h-metric
-    nu, g and B as well; ``start`` offsets error indices.
+def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) -> dict:
+    """The SurfaceBatch fields of the nodes u (d, N); ``start`` offsets error indices.
 
     Along c(t) = (u + t_a E_a)/|u + t_a E_a|, rho = P(c) has rho_a = E_a . grad P, and
     X_a = rho_a u + rho E_a, X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a.
@@ -375,7 +342,7 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int,
     norm_sq = reduce(np.add, X * X)  # np.sum's order: q and r are those of the points X
     norm = np.sqrt(norm_sq)
     model.require_norms_inside(norm, margin=1e-9)
-    s, v, R, w, beta = _tangential_derivatives(u, grad, hess)
+    s, v, R = _tangential_derivatives(u, grad, hess)
     del grad, hess  # frees the polynomial rows; with the del below, bounds the peak memory
     W = np.sqrt(rho * rho + reduce(np.add, v * v))  # |rho u - rho_a E_a|
 
@@ -391,23 +358,13 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int,
     p = z + (0.5 * ((rho - s) / (W * W) - c * reduce(np.add, z * v))) * v
     M = (v[:, None] * p + p[:, None] * v - R) / (rho * W)
     M[range(n), range(n)] += (s + rho) / (rho * W) - dphi_nu
-    fields = {}
-    if forms:  # -(rho u - rho_a E_a) is normal to every X_a and pairs negatively with u
-        eye = np.eye(n)[:, :, None]
-        vv = v[:, None] * v[None, :]
-        g_euc = (rho * rho) * eye + vv
-        B_mixed = (2.0 * vv - rho * (R - (s + rho) * eye)) / W - dphi_nu * g_euc
-        tangent = np.vstack([v, 0.0 * rho]) - (beta * reduce(np.add, v * w[:n])) * w
-        nu_euc = (tangent - rho * u) / W  # tangent = rho_a E_a
-        fields = {"nu": (q * nu_euc).T, "g": (g_euc / q**2).transpose(2, 0, 1),
-                  "B": (B_mixed / q).transpose(2, 0, 1)}
-    del u, R, w, z, p
+    del u, R, z, p
 
     H, tau_sq = _curvature_invariants(M, q)
     r = radius_from_chart_norm(norm, delta)
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
     return {
-        **fields, "X": X.T, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
+        "X": X.T, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
         "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q**n,
         "H_tilde": np.trace(M) / n + dphi_nu, "area_element_euclid": area_euc, "rho": rho,
     }

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from starpinch.cli import main as cli_main
-from starpinch.constants import ConstantsConfig, K2
+from starpinch.constants import ConstantsConfig
 from starpinch.identities import (cauchy_schwarz_chain_check,
                                   hsiung_minkowski_residual,
                                   tau_l2_epsilon_bound)
-from starpinch.pinch import (RunSettings, epsilon_field, fit_geodesic_sphere,
+from starpinch.pinch import (RunSettings, fit_geodesic_sphere,
                              gate_overall, run_pinch, sample_geodesic_sphere,
                              scaling_study)
-from starpinch.quadrature import build_rule, integrate_batch
+from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
-from starpinch.surface import RadialSurface, evaluate_nodes, starshape_report
+from starpinch.surface import RadialSurface
 from starpinch.symfun import (K1, calibrate, mean_curvatures,
                               partial_H_extremes, sample_positive_curvatures,
                               umbilicity_defect_sq)

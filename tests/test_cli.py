@@ -113,6 +113,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("name, value", [("rho0", float("nan")), ("rho0", float("inf")),
+                                             ("delta", float("nan")), ("delta", float("inf")),
+                                             ("delta", float("-inf"))])
+    def test_non_finite_rho0_or_delta(self, name, value):
+        with pytest.raises(ConfigError, match=f"surface.{name} must be .*finite"):
+            ExperimentConfig(**{name: value})
+
     def test_spherical_chart_margin(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[surface]\nn = 2\ndelta = 1.0\nrho0 = 1.95\n")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, build_rule, integrate_batch,
-                                  lp_norm, sphere_area, surface_integral, surface_volume)
+from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, batch_volume, build_rule,
+                                  integrate_batch, lp_norm, refinement_estimate, sphere_area)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
 
@@ -113,25 +113,26 @@ class TestReduce:
 
 class TestSurfaceIntegral:
     def test_unit_sphere_area(self):
-        est = surface_volume(flat_sphere(1.0), build_rule(2, 8))
+        est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8), batch_volume)
         assert est.value == pytest.approx(4.0 * math.pi, rel=1e-13)
         assert est.refinement_error < 1e-12
 
     def test_area_scaling(self):
-        est = surface_volume(flat_sphere(2.0), build_rule(2, 8))
+        est = refinement_estimate(flat_sphere(2.0), build_rule(2, 8), batch_volume)
         assert est.value == pytest.approx(16.0 * math.pi, rel=1e-13)
 
     def test_support_integral_on_unit_sphere(self):
-        est = surface_integral(flat_sphere(1.0), lambda b: b.support, build_rule(2, 8))
+        est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8),
+                                  lambda b, rl: integrate_batch(b, b.support, rl))
         assert est.value == pytest.approx(-4.0 * math.pi, rel=1e-13)
 
     def test_spectral_refinement_decay(self):
         surf = flat_sphere(1.0, perturbation=(((3, 1), 0.15), ((2, -1), 0.1)))
 
-        def field(batch):
-            return np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2)
+        def integral(batch, rule):
+            return integrate_batch(batch, np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2), rule)
 
-        errs = [surface_integral(surf, field, build_rule(2, o)).refinement_error
+        errs = [refinement_estimate(surf, build_rule(2, o), integral).refinement_error
                 for o in (6, 12, 24)]
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 10.0 or fine < 1e-12
@@ -146,7 +147,7 @@ class TestGeodesicSphereAreas:
         rho = 0.8
         model = SpaceFormModel(delta=delta, ambient_dim=3)
         surf = RadialSurface(n=2, model=model, rho0=chart_radius(rho, model))
-        est = surface_volume(surf, build_rule(2, 12))
+        est = refinement_estimate(surf, build_rule(2, 12), batch_volume)
         assert est.value == pytest.approx(4.0 * math.pi * s_delta(rho, delta) ** 2,
                                           rel=1e-12)
 
@@ -157,7 +158,7 @@ class TestGeodesicSphereAreas:
         rho = 0.6
         model = SpaceFormModel(delta=delta, ambient_dim=4)
         surf = RadialSurface(n=3, model=model, rho0=chart_radius(rho, model))
-        est = surface_volume(surf, build_rule(3, 8))
+        est = refinement_estimate(surf, build_rule(3, 8), batch_volume)
         assert est.value == pytest.approx(2.0 * math.pi**2 * s_delta(rho, delta) ** 3,
                                           rel=1e-12)
 

@@ -161,6 +161,13 @@ class TestDistance:
         assert geodesic_distance(a, b, m) == pytest.approx(expect, abs=1e-13)
 
 
+class TestModel:
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            SpaceFormModel(delta=delta, ambient_dim=3)
+
+
 class TestConformalFactor:
     def test_hand_values(self):
         # q = 1 + (delta/4)|x|^2

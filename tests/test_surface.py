@@ -11,9 +11,9 @@ import scipy.linalg
 from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import build_rule
-from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
+from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
 from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
-                               evaluate_nodes, evaluate_point, starshape_report)
+                               evaluate_nodes, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
 
@@ -37,6 +37,37 @@ def tangent_frames(u):
     idx = np.arange(len(u) - 1)
     frames[idx, idx] += 1.0
     return frames.transpose(2, 0, 1)
+
+
+def point_forms(surf, nodes):
+    """Oracle: X (N, d), the h-metric forms g and B (N, n, n) and the h-unit inward normal
+    nu (N, d) at the nodes, from the frames of tangent_frames and the ambient derivatives
+    of rho: independent of the kernel's Householder contractions and of its algebra for M.
+
+    Along c(t) = (u + t_a E_a)/|u + t_a E_a|, rho = P(c) has rho_a = E_a . grad P and
+    rho_ab = E_a Hess(P) E_b - (u . grad P) delta_ab, so X = rho u has X_a = rho_a u + rho E_a
+    and X_ab = (rho_ab - rho delta_ab) u + rho_a E_b + rho_b E_a; rho_a E_a - rho u is normal
+    to every X_a.  With B~_ab = X_ab . nu~ and grad phi = -(delta/2) X/q, the conformal
+    change gives g = g~/q^2, B = (B~ - (nu~ . grad phi) g~)/q and nu = q nu~.
+    """
+    u = np.asarray(nodes, dtype=float)
+    rho, grad, hess = surface_module._polynomial_derivatives(surf._plan(), u.T.copy())
+    E, eye = tangent_frames(u), np.eye(surf.n)
+    rho_a = np.einsum("Nad,dN->Na", E, grad)
+    rho_ab = (np.einsum("Nad,deN,Nbe->Nab", E, hess, E)
+              - np.einsum("Nd,dN->N", u, grad)[:, None, None] * eye)
+    X = rho[:, None] * u
+    X_a = rho_a[:, :, None] * u[:, None] + rho[:, None, None] * E
+    X_ab = ((rho_ab - rho[:, None, None] * eye)[..., None] * u[:, None, None]
+            + rho_a[:, :, None, None] * E[:, None] + rho_a[:, None, :, None] * E[:, :, None])
+    nu_euc = np.einsum("Na,Nad->Nd", rho_a, E) - rho[:, None] * u
+    nu_euc /= np.linalg.norm(nu_euc, axis=1, keepdims=True)
+    g_euc = np.einsum("Nad,Nbd->Nab", X_a, X_a)
+    B_euc = np.einsum("Nabd,Nd->Nab", X_ab, nu_euc)
+    q = surf.model.conformal_factor(X)[:, None]
+    dphi_nu = np.einsum("Nd,Nd->N", nu_euc, -(0.5 * surf.model.delta) * X / q)
+    return (X, g_euc / q[:, :, None] ** 2,
+            (B_euc - dphi_nu[:, None, None] * g_euc) / q[:, :, None], q * nu_euc)
 
 
 def random_nodes(n, count, seed):
@@ -65,7 +96,7 @@ class TestFrames:
         grad = rng.normal(size=u.shape)
         hess = rng.normal(size=(len(u), n + 1, n + 1))
         hess = hess + hess.transpose(0, 2, 1)
-        s, v, R, _, _ = surface_module._tangential_derivatives(
+        s, v, R = surface_module._tangential_derivatives(
             u.T.copy(), grad.T.copy(), hess.transpose(1, 2, 0).copy())
         E = tangent_frames(u)
         assert np.max(np.abs(s - np.einsum("Nd,Nd->N", u, grad))) <= 1e-14
@@ -97,11 +128,12 @@ class TestRoundSpheres:
     def test_flat_sphere_point_data(self):
         rho0 = 2.0
         surf = sphere(0.0, rho0)
-        data = evaluate_point(surf, np.array([0.1, -0.3, 0.9]) / np.linalg.norm([0.1, -0.3, 0.9]))
-        assert np.allclose(data.kappa, 1.0 / rho0, atol=1e-12)
-        assert data.support == pytest.approx(-rho0, abs=1e-12)
-        assert data.area_element == pytest.approx(rho0**2, rel=1e-12)
-        assert np.linalg.norm(data.X) == pytest.approx(rho0, abs=1e-14)
+        u = np.array([[0.1, -0.3, 0.9]])
+        data = evaluate_nodes(surf, u / np.linalg.norm(u))
+        assert np.allclose(data.kappa[0], 1.0 / rho0, atol=1e-12)
+        assert data.support[0] == pytest.approx(-rho0, abs=1e-12)
+        assert data.area_element[0] == pytest.approx(rho0**2, rel=1e-12)
+        assert np.linalg.norm(data.X[0]) == pytest.approx(rho0, abs=1e-14)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("rho_geo", [0.3, 0.7, 1.2])
@@ -132,10 +164,23 @@ class TestRoundSpheres:
 
     def test_unit_normal_in_h_metric(self):
         surf = sphere(-1.0, 0.8, perturbation=(((2, 1), 0.05),))
-        points = [evaluate_point(surf, u) for u in random_nodes(2, 100, seed=4)]
-        X = np.array([p.X for p in points])
-        h_norms = np.linalg.norm([p.nu for p in points], axis=1) / surf.model.conformal_factor(X)
+        X, _, _, nu = point_forms(surf, random_nodes(2, 100, seed=4))
+        h_norms = np.linalg.norm(nu, axis=1) / surf.model.conformal_factor(X)
         assert np.max(np.abs(h_norms - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n, perturbation", [
+        (2, (((3, 1), 0.12), ((2, 0), 0.06))),
+        (3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04))),
+    ])
+    def test_support_is_the_position_field_against_the_normal(self, n, perturbation, delta):
+        # <Z, nu> in the h-metric h_euclid / q^2, Z = s_delta(r) grad r
+        surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
+        nodes = random_nodes(n, 40, seed=10)
+        X, _, _, nu = point_forms(surf, nodes)
+        ref = np.einsum("Nd,Nd->N", position_vector(X, surf.model), nu)
+        ref /= surf.model.conformal_factor(X) ** 2
+        assert np.max(np.abs(evaluate_nodes(surf, nodes).support - ref)) <= 1e-14
 
     @pytest.mark.parametrize("n, perturbation", [
         (2, (((3, 1), 0.08), ((2, -2), 0.04))),
@@ -145,8 +190,7 @@ class TestRoundSpheres:
         # reference: inward null vector (SVD) of central-difference tangents
         surf = sphere(-1.0, 0.8, n=n, perturbation=perturbation)
         nodes = random_nodes(n, 20, seed=9)
-        points = [evaluate_point(surf, u) for u in nodes]
-        X, nu = np.array([p.X for p in points]), np.array([p.nu for p in points])
+        X, _, _, nu = point_forms(surf, nodes)
         nu_euc = nu / surf.model.conformal_factor(X)[:, None]
         t = 1e-5
 
@@ -173,35 +217,29 @@ class TestExactDifferentiation:
         # Richardson-extrapolated central differences on the immersion map
         surf = sphere(-1.0, 1.0, n=n, perturbation=perturbation)
         nodes = random_nodes(n, 6, seed=5)
-        frames = tangent_frames(nodes)
-        for u, E in zip(nodes, frames):
-            point = evaluate_point(surf, u)
+        for u, E, *forms in zip(nodes, tangent_frames(nodes), *point_forms(surf, nodes)):
 
             def immersion(t):
                 w = u + t @ E
                 c = w / np.linalg.norm(w)
                 return surf.rho_values(c[None, :])[0] * c
 
-            g_fd, b_fd = _fd_forms(immersion, surf, point)
-            assert np.max(np.abs(g_fd - _euclid_g(point, surf))) < 1e-7
-            assert np.max(np.abs(b_fd - _euclid_b(point, surf))) < 1e-7
+            g_euc, b_euc, nu_euc = _euclid_forms(surf, *forms)
+            g_fd, b_fd = _fd_forms(immersion, n, nu_euc)
+            assert np.max(np.abs(g_fd - g_euc)) < 1e-7
+            assert np.max(np.abs(b_fd - b_euc)) < 1e-7
 
 
-def _euclid_g(point, surf):
-    return point.g_mat * surf.model.conformal_factor(point.X) ** 2
-
-
-def _euclid_b(point, surf):
+def _euclid_forms(surf, X, g, B, nu):
     # undo the conformal change: B_euclid = q * B_h + (nu~ . grad phi) g_euclid
-    q = surf.model.conformal_factor(point.X)
-    nu_euc = point.nu / q
-    grad_phi = -(0.5 * surf.model.delta) * point.X / q
-    return q * point.B_mat + float(nu_euc @ grad_phi) * _euclid_g(point, surf)
+    q = surf.model.conformal_factor(X)
+    nu_euc = nu / q
+    grad_phi = -(0.5 * surf.model.delta) * X / q
+    g_euc = g * q**2
+    return g_euc, q * B + float(nu_euc @ grad_phi) * g_euc, nu_euc
 
 
-def _fd_forms(immersion, surf, point):
-    n = surf.n
-
+def _fd_forms(immersion, n, nu_euc):
     def second_derivs(h):
         step = h * np.eye(n)
         x0 = immersion(np.zeros(n))
@@ -221,7 +259,6 @@ def _fd_forms(immersion, surf, point):
     Xa = (4 * Xa2 - Xa1) / 3
     Xab = (4 * Xab2 - Xab1) / 3
     g = Xa @ Xa.T
-    nu_euc = point.nu / surf.model.conformal_factor(point.X)
     b = np.einsum("abd,d->ab", Xab, nu_euc)
     return g, b
 
@@ -244,10 +281,6 @@ class TestOrientationAndConsistency:
         b_tiny = evaluate_nodes(tiny, nodes)
         for name in ("M", "H", "tau_sq", "kappa", "area_element", "support"):
             assert np.array_equal(getattr(b_flat, name), getattr(b_tiny, name)), name
-        for u in nodes:
-            p_flat, p_tiny = evaluate_point(flat, u), evaluate_point(tiny, u)
-            for name in ("g_mat", "B_mat", "nu", "kappa"):
-                assert np.array_equal(getattr(p_flat, name), getattr(p_tiny, name)), name
 
     def test_nonpositive_rho_raises(self):
         surf = sphere(0.0, 1.0, perturbation=(((2, 0), 4.0),))
@@ -269,6 +302,11 @@ class TestOrientationAndConsistency:
         expected = surf.rho_values(rule.nodes[first_bad:first_bad + 1])[0]
         assert expected < 0.0
         assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("rho0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rho0_must_be_positive_and_finite(self, rho0):
+        with pytest.raises(HypothesisError, match="rho0 must be positive and finite"):
+            sphere(0.0, rho0)
 
     def test_leaving_chart_raises(self):
         model = SpaceFormModel(delta=1.0, ambient_dim=3)
@@ -297,7 +335,7 @@ class TestRho:
         surf.rho_values(random_nodes(2, 3, seed=1))
         surf.fields(build_rule(2, 8))
         surf.fields(build_rule(2, 16))
-        evaluate_point(surf, random_nodes(2, 1, seed=2)[0])
+        evaluate_nodes(surf, random_nodes(2, 1, seed=2))
         assert built == [surf]
 
     def test_a_replaced_surface_has_its_own_cache(self):
@@ -332,11 +370,9 @@ class TestBlocks:
         surf = sphere(1.0, 0.9, n=n, perturbation=perturbation)
         batch = surf.fields(build_rule(n, 8))
         for idx in range(0, len(batch.nodes), 7):
-            point = evaluate_point(surf, batch.nodes[idx])
-            assert np.array_equal(point.X, batch.X[idx])
-            assert np.array_equal(point.kappa, batch.kappa[idx])
-            assert (point.support, point.r, point.area_element) == (
-                batch.support[idx], batch.r[idx], batch.area_element[idx])
+            point = evaluate_nodes(surf, batch.nodes[idx:idx + 1])
+            for name in [f.name for f in dataclasses.fields(batch)] + ["kappa"]:
+                assert np.array_equal(getattr(point, name)[0], getattr(batch, name)[idx]), name
 
     @pytest.mark.parametrize("n, order", [(2, 32), (3, 12)])
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
@@ -370,39 +406,37 @@ CLOSED_FORM_CASES = [
 
 
 class TestClosedForms:
-    """The batch's M and H_tilde against the forms g, B and nu of evaluate_point."""
+    """The batch's M and H_tilde against the forms g, B and nu of point_forms."""
 
     @staticmethod
-    def _batch_and_points(n, perturbation, delta):
+    def _batch_and_forms(n, perturbation, delta):
         surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
         nodes = random_nodes(n, 40, seed=21 + n)
-        return surf, evaluate_nodes(surf, nodes), [evaluate_point(surf, u) for u in nodes]
+        return surf, evaluate_nodes(surf, nodes), point_forms(surf, nodes)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("n, perturbation", CLOSED_FORM_CASES)
     def test_mean_curvature_shift_is_the_normal_derivative_of_phi(self, n, perturbation,
                                                                   delta):
         # H_tilde - tr(M)/n = nu~ . grad phi, nu~ = nu/q, grad phi = -(delta/2) X/q
-        surf, batch, points = self._batch_and_points(n, perturbation, delta)
-        ref = []
-        for p in points:
-            q = surf.model.conformal_factor(p.X)
-            ref.append(float((p.nu / q) @ (-(0.5 * delta) * p.X / q)))
+        surf, batch, (X, _, _, nu) = self._batch_and_forms(n, perturbation, delta)
+        q = surf.model.conformal_factor(X)[:, None]
+        ref = np.einsum("Nd,Nd->N", nu / q, -(0.5 * delta) * X / q)
         got = batch.H_tilde - np.einsum("Naa->N", batch.M) / n
         scale = np.max(np.abs(batch.H_tilde))
-        assert np.max(np.abs(got - np.array(ref))) <= 1e-14 * scale
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("n, perturbation", CLOSED_FORM_CASES)
     def test_M_is_the_normalized_second_form(self, n, perturbation, delta):
         # q M = g^(-1/2) B g^(-1/2), the inverse square root by eigh: this
         # checks the K R K algebra independently of the kernel
-        _, batch, points = self._batch_and_points(n, perturbation, delta)
+        _, batch, (_, g, B, _) = self._batch_and_forms(n, perturbation, delta)
         ref = []
-        for p in points:
-            w, V = np.linalg.eigh(p.g_mat)
+        for g_mat, B_mat in zip(g, B):
+            w, V = np.linalg.eigh(g_mat)
             root = (V / np.sqrt(w)) @ V.T
-            ref.append(root @ p.B_mat @ root)
+            ref.append(root @ B_mat @ root)
         got = batch.q[:, None, None] * batch.M
         assert np.max(np.abs(got - np.array(ref))) <= 1e-13 * np.max(np.abs(batch.M))
 
@@ -449,11 +483,9 @@ class TestEigenSolve:
         surf = sphere(delta, 0.9, n=n, perturbation=perturbation)
         rule = build_rule(n, order)
         batch = surf.fields(rule)
-        # g and B of every node from the one block that evaluate_point runs per node
-        forms = surface_module._node_block(surf, surface_module._polynomial_plan(surf),
-                                           rule.nodes.T.copy(), 0, forms=True)
-        ref = np.array([scipy.linalg.eigh(B, g, eigvals_only=True)
-                        for B, g in zip(forms["B"], forms["g"])])
+        _, g, B, _ = point_forms(surf, rule.nodes)
+        ref = np.array([scipy.linalg.eigh(B_mat, g_mat, eigvals_only=True)
+                        for B_mat, g_mat in zip(B, g)])
         assert np.max(np.abs(batch.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_symmetric_functions_are_computed_once(self):
