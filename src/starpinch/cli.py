@@ -33,7 +33,7 @@ import numpy as np
 
 from . import identities as ident
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
+from .errors import ConfigError, HypothesisError, NumericalError
 from .pinch import (RunSettings, report_text, run_pinch, scaling_csv,
                     scaling_study)
 from .quadrature import batch_volume, build_rule, integrate_batch
@@ -55,24 +55,19 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="experiment configuration file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--quad-order", type=int, default=None,
                        help="override the base quadrature order")
 
-    common(sub.add_parser("report", help="surface summary"))
-    common(sub.add_parser("identities", help="identity/inequality residuals"))
-    common(sub.add_parser("pinch", help="single stability run"))
-    common(sub.add_parser("scaling", help="amplitude scaling study"))
+    command("report", cmd_report, "surface summary")
+    command("identities", cmd_identities, "identity/inequality residuals")
+    command("pinch", cmd_pinch, "single stability run")
+    command("scaling", cmd_scaling, "amplitude scaling study")
     return parser
-
-
-def _resolve(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.quad_order is not None:
-        cfg = replace(cfg, quad_order=args.quad_order)
-    return cfg
 
 
 def _header(cfg: ExperimentConfig, command: str) -> list:
@@ -101,9 +96,9 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     surface = cfg.surface()
     rule = build_rule(cfg.n, cfg.quad_order)
     batch = surface.fields(rule)
-    star = starshape_report(surface, rule)
+    star = starshape_report(batch)
     H = batch.H
-    vol = batch_volume(batch, rule)
+    vol = batch_volume(batch)
     lines = [
         f"n = {cfg.n}",
         f"delta = {cfg.delta!r}",
@@ -111,16 +106,16 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"R0 = {star.R0!r}",
         f"R = {star.R!r}",
         f"volume = {vol!r}",
-        f"B_sup = {B_sup_norm(surface, rule)!r}",
+        f"B_sup = {B_sup_norm(batch)!r}",
         f"rho_min = {float(np.min(batch.rho))!r}",
         f"rho_max = {float(np.max(batch.rho))!r}",
     ]
     for k in range(1, cfg.n + 1):
         lines.append(f"H{k}_range = [{float(np.min(H[:, k]))!r}, {float(np.max(H[:, k]))!r}]")
-    mean_Hr = integrate_batch(batch, H[:, cfg.r], rule) / vol
+    mean_Hr = integrate_batch(batch, H[:, cfg.r]) / vol
     eps = H[:, cfg.r] - mean_Hr
     lines.append(f"h_mean_Hr = {mean_Hr!r}")
-    lines.append(f"eps_l1 = {integrate_batch(batch, np.abs(eps), rule) / vol!r}")
+    lines.append(f"eps_l1 = {integrate_batch(batch, np.abs(eps)) / vol!r}")
     lines.append(f"eps_linf = {float(np.max(np.abs(eps)))!r}")
     lines.append(f"eps_is_zero = {bool(np.max(np.abs(eps)) < 1e-12)}")
     _write(out_dir / "report.txt", _header(cfg, "report"), "\n".join(lines) + "\n")
@@ -162,17 +157,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        out_dir = Path(args.out)
-        cfg = _resolve(args)
-        if args.command == "report":
-            return cmd_report(cfg, out_dir)
-        if args.command == "identities":
-            return cmd_identities(cfg, out_dir)
-        if args.command == "pinch":
-            return cmd_pinch(cfg, out_dir)
-        if args.command == "scaling":
-            return cmd_scaling(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = load_config(args.config)
+        if args.quad_order is not None:
+            cfg = replace(cfg, quad_order=args.quad_order)
+        return args.run(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -181,9 +169,6 @@ def main(argv=None) -> int:
         return EXIT_HYPOTHESIS
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except StarpinchError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import HypothesisError
+from . import symfun
+from .errors import HypothesisError, NumericalError
 from .spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
 
 
@@ -124,23 +125,32 @@ def build_chain(n: int, r: int, delta: float, model: SpaceFormModel, *,
                 h: float, B_sup: float, R0: float, R: float, volume: float,
                 minH_partial: float, config: ConstantsConfig) -> ProofConstants:
     """Evaluate the whole chain for one surface, recording what it consumed."""
-    from . import symfun
-
     c_n = symfun.default_c_n(n)
-    K1_value = symfun.K1(n, r, minH_partial, h, B_sup, c_n)
-    K2_value = K2(delta, K1_value, R0, B_sup, R)
-    c_phi = c_n_phi_default(model, n, R, config.Kn_MS)
-    K3_value = K3(K2_value, c_phi, volume, n)
-    gamma = gamma_exponent(config.alpha, n)
+    K1_value = _in_range("K1", symfun.K1, n, r, minH_partial, h, B_sup, c_n)
+    K2_value = _in_range("K2", K2, delta, K1_value, R0, B_sup, R)
+    c_phi = _in_range("c_n_phi", c_n_phi_default, model, n, R, config.Kn_MS)
+    K3_value = _in_range("K3", K3, K2_value, c_phi, volume, n)
+    eps1_value = _in_range("eps1", eps1, config.eps0, K3_value, n)
+    gamma = _in_range("gamma", gamma_exponent, config.alpha, n)
     deps = {
         "n": n, "r": r, "delta": delta, "h": h, "minH_partial": minH_partial,
         "B_sup": B_sup, "volume": volume, "R0": R0, "R": R, "c_n": c_n,
     }
-    return ProofConstants(K1=K1_value, K2=K2_value, K3=K3_value,
-                          eps1=eps1(config.eps0, K3_value, n),
+    return ProofConstants(K1=K1_value, K2=K2_value, K3=K3_value, eps1=eps1_value,
                           eps0=config.eps0, c_RS=config.c_RS, alpha=config.alpha,
                           gamma=gamma, c_n_phi=c_phi, Kn_MS=config.Kn_MS,
                           dependencies=deps)
+
+
+def _in_range(name: str, constant, *args) -> float:
+    """constant(*args); NumericalError names it if it overflows or underflows to 0."""
+    try:
+        value = constant(*args)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NumericalError(f"constant chain: {name} = {value!r} left the floating-point range")
+    return value
 
 
 def describe(consts: ProofConstants) -> str:

@@ -58,9 +58,9 @@ def residual_table(reports) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mean(batch, values, rule) -> float:
-    """Volume-normalized integral (1/V) int values dv on one rule."""
-    return integrate_batch(batch, values, rule) / batch_volume(batch, rule)
+def _mean(batch, values) -> float:
+    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
+    return integrate_batch(batch, values) / batch_volume(batch)
 
 
 def hsiung_minkowski_residual(surface: RadialSurface, k: int,
@@ -74,7 +74,7 @@ def hsiung_minkowski_residual(surface: RadialSurface, k: int,
         H = batch.H
         return H[:, k + 1] * batch.support + c_delta(batch.r, delta) * H[:, k]
 
-    est = refinement_estimate(surface, rule, lambda b, rl: _mean(b, integrand(b), rl))
+    est = refinement_estimate(surface, rule, lambda b: _mean(b, integrand(b)))
     return ResidualReport(name=f"hsiung_minkowski_k{k}", value=est.value,
                           tolerance=INTEGRAL_TOLERANCE, refinement_error=est.refinement_error,
                           kind=IDENTITY)
@@ -108,11 +108,11 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> R
     """Gap |B|_inf^(2n) |tau|_2^2 - |tau|_{n+1}^{2(n+1)} >= 0 (normalized norms)."""
     n = surface.n
 
-    def gap(batch, rl):
+    def gap(batch):
         tau = np.sqrt(batch.tau_sq)
-        B_sup = B_sup_norm(surface, rl)
-        tau2_sq = _mean(batch, tau**2, rl)
-        taun = _mean(batch, tau ** (n + 1), rl) ** (1.0 / (n + 1))
+        B_sup = B_sup_norm(batch)
+        tau2_sq = _mean(batch, tau**2)
+        taun = _mean(batch, tau ** (n + 1)) ** (1.0 / (n + 1))
         return B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
 
     est = refinement_estimate(surface, rule, gap)
@@ -139,10 +139,10 @@ def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
 def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
-    def eps_l1(batch, rl):
-        return _mean(batch, np.abs(batch.H[:, r] - h), rl)
+    def eps_l1(batch):
+        return _mean(batch, np.abs(batch.H[:, r] - h))
 
-    tau = refinement_estimate(surface, rule, lambda b, rl: _mean(b, b.tau_sq, rl))
+    tau = refinement_estimate(surface, rule, lambda b: _mean(b, b.tau_sq))
     eps = refinement_estimate(surface, rule, eps_l1)
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
@@ -161,9 +161,9 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule,
     """
     n = surface.n
 
-    def gap(batch, rl):
-        vol = batch_volume(batch, rl, euclidean=True)
-        total_H = integrate_batch(batch, np.abs(batch.H_tilde), rl, euclidean=True)
+    def gap(batch):
+        vol = batch_volume(batch, euclidean=True)
+        total_H = integrate_batch(batch, np.abs(batch.H_tilde), euclidean=True)
         return Kn * total_H - vol ** ((n - 1) / n)
 
     est = refinement_estimate(surface, rule, gap)

@@ -31,26 +31,28 @@ import numpy as np
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
 from .errors import HypothesisError, NumericalError
-from .quadrature import (SphericalRule, batch_volume, build_rule, integrate_batch,
-                         refinement_estimate)
+from .quadrature import batch_volume, build_rule, integrate_batch, refinement_estimate
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
-from .surface import B_sup_norm, RadialSurface, starshape_report
+from .surface import B_sup_norm, RadialSurface, SurfaceBatch, starshape_report
 from .symfun import partial_H_extremes
 
 # ---------------------------------------------------------------------------
 # epsilon field and gates
 
 
-def epsilon_field(surface: RadialSurface, r: int, rule: SphericalRule,
-                  h: float | None = None):
-    """The pinching level h and the node field eps = H_r - h.
+def _mean(batch: SurfaceBatch, values) -> float:
+    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
+    return integrate_batch(batch, values) / batch_volume(batch)
+
+
+def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
+    """The pinching level h and the node field eps = H_r - h of a rule's batch.
 
     With ``h`` unset it defaults to the volume-normalized mean of H_r,
     which minimizes |eps|_2 among constants.  Requires H_{r+1} > 0 at
     every node when r > 1.
     """
-    batch = surface.fields(rule)
     H = batch.H
     if r > 1 and np.any(H[:, r + 1] <= 0.0):
         bad = int(np.argmin(H[:, r + 1]))
@@ -59,7 +61,7 @@ def epsilon_field(surface: RadialSurface, r: int, rule: SphericalRule,
             f"(u = {batch.nodes[bad]})"
         )
     if h is None:
-        h = integrate_batch(batch, H[:, r], rule) / batch_volume(batch, rule)
+        h = _mean(batch, H[:, r])
     return float(h), H[:, r] - h
 
 
@@ -70,12 +72,12 @@ class GateCheck:
     detail: str
 
 
-def hypothesis_gate(*, starshaped: bool, R0: float, eps_linf: float, h: float,
-                    eps_l1: float, eps1: float, minH_rplus1: float,
-                    R: float, R_limit: float) -> tuple:
+def hypothesis_gate(*, R0: float, eps_linf: float, h: float, eps_l1: float, eps1: float,
+                    minH_rplus1: float, R: float, R_limit: float) -> tuple:
     """Individually reported hypothesis checks; overall pass is their conjunction."""
+    # run_pinch gates only surfaces whose support sign starshape_report has checked
     checks = (
-        GateCheck("starshaped", starshaped, "support pairing has constant sign"),
+        GateCheck("starshaped", True, "support pairing has constant sign"),
         GateCheck("R0_positive", R0 > 0.0, f"R0 = {R0:.6g}"),
         GateCheck("eps_linf_le_half_h", eps_linf <= 0.5 * h,
                   f"|eps|_inf = {eps_linf:.6g} vs h/2 = {0.5 * h:.6g}"),
@@ -276,31 +278,25 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
         raise ValueError(f"r must lie in [1, n-1], got r={r}")
     model = surface.model
     rule = build_rule(n, settings.quad_order)
-    check_rule = build_rule(n, 2 * settings.quad_order)
     batch = surface.fields(rule)
 
-    star = starshape_report(surface, rule)
-    h, eps = epsilon_field(surface, r, rule, h=settings.h_fixed)
+    star = starshape_report(batch)
+    h, eps = epsilon_field(batch, r, h=settings.h_fixed)
 
-    def mean(b, values, rl):
-        return integrate_batch(b, values, rl) / batch_volume(b, rl)
-
-    def eps_l1_of(b, rl):
-        return mean(b, np.abs(epsilon_field(surface, r, rl, h=h)[1]), rl)
-
-    def tau_l2_of(b, rl):
-        # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
-        return math.sqrt(mean(b, np.sqrt(b.tau_sq) ** 2, rl))
-
-    eps_l1 = refinement_estimate(surface, rule, eps_l1_of)
-    tau_l2 = refinement_estimate(surface, rule, tau_l2_of)
-    vol = batch_volume(batch, rule)
+    eps_l1 = refinement_estimate(surface, rule,
+                                 lambda b: _mean(b, np.abs(epsilon_field(b, r, h=h)[1])))
+    # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
+    tau_l2 = refinement_estimate(surface, rule,
+                                 lambda b: math.sqrt(_mean(b, np.sqrt(b.tau_sq) ** 2)))
+    vol = batch_volume(batch)
     eps_linf = float(np.max(np.abs(eps)))
+    # tau lives until the run returns: freed here, it lets glibc trim the top of the
+    # heap, and each n = 3, q = 12 run then faults about 1.8k pages back in
     tau = np.sqrt(batch.tau_sq)
-    tau_lnp1 = (integrate_batch(batch, tau ** (n + 1), rule) / vol) ** (1.0 / (n + 1))
+    tau_lnp1 = _mean(batch, tau ** (n + 1)) ** (1.0 / (n + 1))
 
     H = batch.H
-    B_sup = B_sup_norm(surface, rule)
+    B_sup = B_sup_norm(batch)
     minH_rplus1 = float(np.min(H[:, r + 1]))
     # H_{2;n,1} is the constant 1/C(n,2), so r = 1 reads no eigenvalue
     minH_partial = (1.0 / math.comb(n, 2) if r == 1
@@ -311,12 +307,13 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
                          config=settings.constants)
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
-    gates = hypothesis_gate(starshaped=True, R0=star.R0, eps_linf=eps_linf, h=h,
+    gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,
                             eps_l1=eps_l1.value, eps1=consts.eps1,
                             minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
 
-    fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * rule.weights)
-    dH, dH_ref = _surface_sphere_hausdorff(surface, fit, rule, check_rule, model)
+    fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * batch.weights)
+    check = surface.fields(build_rule(n, 2 * settings.quad_order))
+    dH, dH_ref = _surface_sphere_hausdorff(surface, fit, batch, check)
 
     bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)
     applicable = gate_overall(gates) and eps_gate
@@ -338,7 +335,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     )
 
 
-def _surface_sphere_hausdorff(surface, fit, rule, check_rule, model):
+def _surface_sphere_hausdorff(surface, fit, base, check):
     """dH between the surface and the fitted sphere S, read from the surface side.
 
     Let D be the largest exact distance |d(c, x) - rho0| from a surface point
@@ -352,16 +349,15 @@ def _surface_sphere_hausdorff(surface, fit, rule, check_rule, model):
     own ray within D, and dH = D whether or not S stays in the chart.  The
     one condition, c = 0 or |c| < rho(c/|c|), is checked first
     (NumericalError otherwise).  Returns the largest node value on the check
-    rule and its difference from the base rule's, the refinement error.
+    batch and its difference from the base batch's, the refinement error.
     """
     c = fit.center
     t = float(np.linalg.norm(c))
     if t > 0.0 and not t < surface.rho_values(c / t):
         raise NumericalError(f"fitted sphere center lies outside the surface (|c| = {t:.6g})")
-    base, check = (
-        float(np.max(distance_to_geodesic_sphere(surface.fields(rl).X, c, fit.rho0, model)))
-        for rl in (rule, check_rule))
-    return check, abs(base - check)
+    D = [float(np.max(distance_to_geodesic_sphere(b.X, c, fit.rho0, surface.model)))
+         for b in (base, check)]
+    return D[1], abs(D[0] - D[1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Gauss-Chebyshev (second kind) layer for the sin^2 polar weight.  Weights
 are positive and sum to the sphere area, and spherical polynomials up to
 the rule order integrate exactly.
 
-Surface integrals use the h-metric area element of the batch and an
+Surface integrals read one batch of ``RadialSurface.fields(rule)``, which
+carries the rule's weights, with its h-metric area element and an
 exactly rounded sum, so results depend neither on the order of the nodes
 nor on worker-thread count.  ``_reduce`` gives the float that math.fsum
 gives, without a Python loop: np.frexp writes each value as an integer
@@ -133,40 +134,38 @@ def _reduce(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def integrate_batch(batch: SurfaceBatch, values, rule: SphericalRule,
-                    euclidean: bool = False) -> float:
-    """Fixed-order reduction of sum f * area_element * weight."""
+def integrate_batch(batch: SurfaceBatch, values, *, euclidean: bool = False) -> float:
+    """Fixed-order reduction of sum f * area_element * weight over a rule's batch."""
+    if batch.weights is None:
+        raise ValueError("the batch carries no rule weights; integrate surface.fields(rule)")
     area = batch.area_element_euclid if euclidean else batch.area_element
-    return _reduce(np.asarray(values, dtype=float) * area * rule.weights)
+    return _reduce(np.asarray(values, dtype=float) * area * batch.weights)
 
 
-def batch_volume(batch: SurfaceBatch, rule: SphericalRule, euclidean: bool = False) -> float:
+def batch_volume(batch: SurfaceBatch, *, euclidean: bool = False) -> float:
     """integrate_batch of ones, reduced once per batch and kept on it."""
-    key = (rule.order, euclidean)
-    if key not in batch.volumes:
-        batch.volumes[key] = integrate_batch(batch, np.ones(len(batch.rho)), rule, euclidean)
-    return batch.volumes[key]
+    if euclidean not in batch.volumes:
+        ones = np.ones(len(batch.rho))
+        batch.volumes[euclidean] = integrate_batch(batch, ones, euclidean=euclidean)
+    return batch.volumes[euclidean]
 
 
 def refinement_estimate(surface: RadialSurface, rule: SphericalRule,
                         functional) -> IntegralEstimate:
     """A scalar functional of the surface with its refinement error.
 
-    ``functional(batch, rule)`` is evaluated on ``rule`` and on the rule of
-    doubled order; the value is the base-rule one and the refinement error
-    is the magnitude of the difference between the two.
+    ``functional(batch)`` is evaluated on the batches of ``rule`` and of the
+    rule of doubled order; the value is the base-rule one and the refinement
+    error is the magnitude of the difference between the two.
     """
-    fine_rule = build_rule(rule.n, 2 * rule.order)
-    v0 = functional(surface.fields(rule), rule)
-    v1 = functional(surface.fields(fine_rule), fine_rule)
+    v0 = functional(surface.fields(rule))
+    v1 = functional(surface.fields(build_rule(rule.n, 2 * rule.order)))
     return IntegralEstimate(value=v0, refinement_error=abs(v0 - v1))
 
 
-def lp_norm(surface: RadialSurface, f, p: float, rule: SphericalRule) -> float:
-    """Volume-normalized L^p norm of a node-wise field."""
+def lp_norm(batch: SurfaceBatch, values, p: float) -> float:
+    """Volume-normalized L^p norm of a node field over a rule's batch."""
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    batch = surface.fields(rule)
-    vol = batch_volume(batch, rule)
-    power = integrate_batch(batch, np.abs(np.asarray(f(batch), dtype=float)) ** p, rule)
-    return (power / vol) ** (1.0 / p)
+    power = integrate_batch(batch, np.abs(np.asarray(values, dtype=float)) ** p)
+    return (power / batch_volume(batch)) ** (1.0 / p)

@@ -51,7 +51,7 @@ which the geodesic-sphere oracle in the tests gates at 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import accumulate
 
@@ -195,10 +195,10 @@ class RadialSurface:
         return self._cache["plan"]
 
     def fields(self, rule) -> "SurfaceBatch":
-        """Batch of pointwise data at the nodes of a quadrature rule (cached)."""
+        """Batch of pointwise data at a rule's nodes, carrying its weights (cached)."""
         key = ("rule", rule.n, rule.order)
         if key not in self._cache:
-            self._cache[key] = evaluate_nodes(self, rule.nodes)
+            self._cache[key] = replace(evaluate_nodes(self, rule.nodes), weights=rule.weights)
         return self._cache[key]
 
 
@@ -223,6 +223,7 @@ class SurfaceBatch:
     H_tilde: np.ndarray        # (N,) Euclidean mean curvature of the chart immersion
     area_element_euclid: np.ndarray  # (N,) Euclidean volume density
     rho: np.ndarray            # (N,) radial graph values
+    weights: np.ndarray | None = None  # (N,) the rule's read-only weights; None off a rule
 
     @property
     def n(self) -> int:
@@ -235,7 +236,7 @@ class SurfaceBatch:
 
     @cached_property
     def volumes(self) -> dict:
-        """(rule order, euclidean) -> volume, filled by quadrature.batch_volume."""
+        """euclidean -> volume, filled by quadrature.batch_volume."""
         return {}
 
 
@@ -448,9 +449,8 @@ def _constant_sign(values: np.ndarray):
     return None, flip
 
 
-def starshape_report(surface: RadialSurface, rule) -> StarshapeReport:
+def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
     """Sign of <Z,nu>, R0 = min |<Z,nu>| and the containment radius R."""
-    batch = surface.fields(rule)
     sign, bad = _constant_sign(batch.support)
     if sign is None:
         raise HypothesisError(
@@ -461,8 +461,8 @@ def starshape_report(surface: RadialSurface, rule) -> StarshapeReport:
                            R=float(np.max(batch.r)))
 
 
-def B_sup_norm(surface: RadialSurface, rule) -> float:
-    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the rule's nodes.
+def B_sup_norm(batch: SurfaceBatch) -> float:
+    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the batch's nodes.
 
     Bitwise equal to np.max(np.abs(batch.kappa)), but the Jacobi solve runs
     only where the maximum can be.  A node's curvatures lie within
@@ -472,7 +472,6 @@ def B_sup_norm(surface: RadialSurface, rule) -> float:
     ties survive rounding, are solved.  The solve is per node, so it gives
     the same bits on those nodes alone.
     """
-    batch = surface.fields(rule)
     n = batch.n
     upper = np.abs(batch.H[:, 1]) + np.sqrt((n - 1) / n * batch.tau_sq)
     top = int(np.argmax(upper))

@@ -50,6 +50,38 @@ SPHERE_CONFIG = textwrap.dedent("""\
     quad_order = 8
 """)
 
+# the n = 2 and n = 3 surfaces of the constant-chain range tests
+CHAIN_N2 = textwrap.dedent("""\
+    [surface]
+    n = 2
+    delta = 1.0
+    rho0 = 1.0
+    perturbation = 3,1:0.04 2,0:0.02
+
+    [experiment]
+    r = 1
+    quad_order = 16
+    amplitudes = 0.08 0.04 0.02
+
+    [constants]
+""")
+
+CHAIN_N3 = textwrap.dedent("""\
+    [surface]
+    n = 3
+    delta = -1.0
+    rho0 = 0.9
+    perturbation = u1u2:0.04 u1^2-u4^2:0.02
+
+    [experiment]
+    r = 2
+    quad_order = 12
+    amplitudes = 0.04 0.02
+
+    [constants]
+    eps0 = 10.0
+""")
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -373,6 +405,27 @@ class TestCommands:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pinch", "scaling"])
+    @pytest.mark.parametrize("text, named", [
+        (CHAIN_N2 + "eps0 = 1e-300\n", "eps1 = 0.0"),
+        (CHAIN_N2 + "alpha = 5e-324\n", "gamma = 0.0"),
+        (CHAIN_N2 + "Kn_MS = 1e-320\n", "K3 = 0.0"),
+        (CHAIN_N2 + "eps0 = 1e300\n", "eps1 = inf"),
+        (CHAIN_N3.replace("r = 2", "r = 2\nh = 1e-320"), "K1 = inf"),
+    ], ids=["eps0_underflow", "alpha_underflow", "Kn_MS_underflow", "eps0_overflow",
+            "h_underflow"])
+    def test_constant_outside_float_range_exits_2(self, tmp_path, capsys, command, text,
+                                                  named):
+        # each used to escape as a ValueError or OverflowError traceback (exit 1)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: constant chain: {named} ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_scaling_without_amplitudes_exits_3(self, tmp_path):

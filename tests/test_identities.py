@@ -191,11 +191,11 @@ class TestTauEpsilonBound:
         surf = make_surface(delta, perturbation=(((3, 1), 0.05),))
         batch = surf.fields(rule)
         H = batch.H
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-        h = integrate_batch(batch, H[:, 1], rule) / vol
+        vol = integrate_batch(batch, np.ones(len(batch.rho)))
+        h = integrate_batch(batch, H[:, 1]) / vol
         from starpinch.surface import starshape_report
 
-        star = starshape_report(surf, rule)
+        star = starshape_report(batch)
         B_sup = float(np.max(np.abs(batch.kappa)))
         k2 = K2(delta, 2.0, star.R0, B_sup, star.R)
         rep = tau_l2_epsilon_bound(surf, 1, h=h, K2=k2, rule=rule)
@@ -208,16 +208,29 @@ class TestTauEpsilonBound:
         for a in (0.05, 0.025):
             surf = make_surface(0.0, perturbation=(((3, 1), a),))
             batch = surf.fields(rule)
-            vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
+            vol = integrate_batch(batch, np.ones(len(batch.rho)))
             H = batch.H
-            h = integrate_batch(batch, H[:, 1], rule) / vol
-            tau_int = integrate_batch(batch, batch.tau_sq, rule)
-            eps_int = integrate_batch(batch, np.abs(H[:, 1] - h), rule)
+            h = integrate_batch(batch, H[:, 1]) / vol
+            tau_int = integrate_batch(batch, batch.tau_sq)
+            eps_int = integrate_batch(batch, np.abs(H[:, 1] - h))
             vals[a] = (tau_int, eps_int)
         tau_ratio = vals[0.05][0] / vals[0.025][0]
         eps_ratio = vals[0.05][1] / vals[0.025][1]
         assert tau_ratio == pytest.approx(4.0, rel=0.1)
         assert eps_ratio == pytest.approx(2.0, rel=0.1)
+
+
+def test_identity_rows_key_volumes_by_metric_alone():
+    # every row of `starpinch identities`, on the base and the doubled rule
+    surf = make_surface(-1.0, perturbation=(((3, 1), 0.05), ((2, 0), 0.03)))
+    rule = build_rule(2, 12)
+    for k in range(surf.n):
+        hsiung_minkowski_residual(surf, k, rule)
+    cauchy_schwarz_chain_check(surf, rule)
+    michael_simon_ratio(surf, rule, 1.0)
+    gauss_algebraic_check(surf, rule)
+    for order in (12, 24):
+        assert set(surf.fields(build_rule(2, order)).volumes) == {False, True}
 
 
 class TestRefinementError:

@@ -40,14 +40,14 @@ class TestEpsilonField:
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
         surf = make_surface(-1.0, rho0=chart_radius(rho_geo, model))
         for r in (1,):
-            h, eps = epsilon_field(surf, r, build_rule(2, 8))
+            h, eps = epsilon_field(surf.fields(build_rule(2, 8)), r)
             expect = (c_delta(rho_geo, -1.0) / s_delta(rho_geo, -1.0)) ** r
             assert h == pytest.approx(expect, rel=1e-11)
             assert np.max(np.abs(eps)) < 1e-11
 
     def test_user_supplied_h(self):
         surf = make_surface(0.0, rho0=2.0)
-        h, eps = epsilon_field(surf, 1, build_rule(2, 8), h=0.5)
+        h, eps = epsilon_field(surf.fields(build_rule(2, 8)), 1, h=0.5)
         assert h == 0.5
         assert np.max(np.abs(eps)) < 1e-13
 
@@ -56,39 +56,39 @@ class TestEpsilonField:
         l1 = {}
         for a in (0.04, 0.02):
             surf = make_surface(0.0, perturbation=(((3, 1), a),))
-            _, eps = epsilon_field(surf, 1, rule)
             batch = surf.fields(rule)
+            _, eps = epsilon_field(batch, 1)
             from starpinch.quadrature import integrate_batch
 
-            vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-            l1[a] = integrate_batch(batch, np.abs(eps), rule) / vol
+            vol = integrate_batch(batch, np.ones(len(batch.rho)))
+            l1[a] = integrate_batch(batch, np.abs(eps)) / vol
         assert l1[0.04] / l1[0.02] == pytest.approx(2.0, rel=0.1)
 
     def test_mean_zero_default(self):
         rule = build_rule(2, 16)
         surf = make_surface(1.0, perturbation=(((2, -1), 0.08),))
-        _, eps = epsilon_field(surf, 1, rule)
         batch = surf.fields(rule)
+        _, eps = epsilon_field(batch, 1)
         from starpinch.quadrature import integrate_batch
 
-        vol = integrate_batch(batch, np.ones(len(batch.rho)), rule)
-        assert abs(integrate_batch(batch, eps, rule) / vol) < 1e-12
+        vol = integrate_batch(batch, np.ones(len(batch.rho)))
+        assert abs(integrate_batch(batch, eps) / vol) < 1e-12
 
     def test_hypothesis_violation_reported(self):
         surf = make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),))
         with pytest.raises(HypothesisError):
-            epsilon_field(surf, 2, build_rule(3, 6))
+            epsilon_field(surf.fields(build_rule(3, 6)), 2)
 
 
 class TestGates:
     def test_sphere_all_pass(self):
-        checks = hypothesis_gate(starshaped=True, R0=1.0, eps_linf=0.0, h=1.0,
+        checks = hypothesis_gate(R0=1.0, eps_linf=0.0, h=1.0,
                                  eps_l1=0.0, eps1=0.1, minH_rplus1=1.0,
                                  R=1.0, R_limit=np.inf)
         assert gate_overall(checks)
 
     def test_only_eps1_gate_fails(self):
-        checks = hypothesis_gate(starshaped=True, R0=1.0, eps_linf=0.1, h=1.0,
+        checks = hypothesis_gate(R0=1.0, eps_linf=0.1, h=1.0,
                                  eps_l1=0.05, eps1=0.01, minH_rplus1=1.0,
                                  R=1.0, R_limit=np.inf)
         failed = [c.name for c in checks if not c.passed]
@@ -372,7 +372,7 @@ class TestRunPinch:
 
     def test_refinement_errors_are_doubled_rule_differences(self):
         surf = make_surface(-1.0, perturbation=(((3, 1), 0.04), ((2, 0), 0.02)))
-        h, _ = epsilon_field(surf, 1, build_rule(2, 8))
+        h, _ = epsilon_field(surf.fields(build_rule(2, 8)), 1)
         base, doubled = (run_pinch(surf, 1, RunSettings(quad_order=q, h_fixed=h))
                          for q in (8, 16))
         assert base.eps_l1_refinement == abs(base.eps_l1 - doubled.eps_l1)
@@ -386,9 +386,9 @@ class TestRunPinch:
         rule = build_rule(2, 12)
         batch = surf.fields(rule)
         d = np.asarray(geodesic_distance(batch.X, rep.sphere_center, surf.model))
-        vol = integrate_batch(batch, np.ones(len(d)), rule)
-        assert rep.rho0 == pytest.approx(integrate_batch(batch, d, rule) / vol, rel=1e-12)
-        expect = np.sqrt(integrate_batch(batch, (d - rep.rho0) ** 2, rule) / vol)
+        vol = integrate_batch(batch, np.ones(len(d)))
+        assert rep.rho0 == pytest.approx(integrate_batch(batch, d) / vol, rel=1e-12)
+        expect = np.sqrt(integrate_batch(batch, (d - rep.rho0) ** 2) / vol)
         assert rep.fit_rms == pytest.approx(expect, rel=1e-12)
 
     def test_r2_reports_partial_minimum(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, batch_volume, build_rule,
                                   integrate_batch, lp_norm, refinement_estimate, sphere_area)
 from starpinch.spaceform import SpaceFormModel
-from starpinch.surface import RadialSurface
+from starpinch.surface import RadialSurface, evaluate_nodes
 
 
 def monomial_integral(expo):
@@ -123,19 +123,37 @@ class TestSurfaceIntegral:
 
     def test_support_integral_on_unit_sphere(self):
         est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8),
-                                  lambda b, rl: integrate_batch(b, b.support, rl))
+                                  lambda b: integrate_batch(b, b.support))
         assert est.value == pytest.approx(-4.0 * math.pi, rel=1e-13)
 
     def test_spectral_refinement_decay(self):
         surf = flat_sphere(1.0, perturbation=(((3, 1), 0.15), ((2, -1), 0.1)))
 
-        def integral(batch, rule):
-            return integrate_batch(batch, np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2), rule)
+        def integral(batch):
+            return integrate_batch(batch, np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2))
 
         errs = [refinement_estimate(surf, build_rule(2, o), integral).refinement_error
                 for o in (6, 12, 24)]
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 10.0 or fine < 1e-12
+
+
+class TestBatchWeights:
+    def test_fields_carry_the_rules_own_weights(self):
+        rule = build_rule(2, 8)
+        batch = flat_sphere(1.0).fields(rule)
+        assert batch.weights is rule.weights
+        with pytest.raises(ValueError):
+            batch.weights[0] = 0.0
+
+    def test_a_batch_off_a_rule_cannot_be_integrated(self):
+        batch = evaluate_nodes(flat_sphere(1.0), build_rule(2, 8).nodes)
+        assert batch.weights is None
+        for reduce in (lambda: integrate_batch(batch, batch.rho), lambda: batch_volume(batch),
+                       lambda: batch_volume(batch, euclidean=True)):
+            with pytest.raises(ValueError, match="no rule weights"):
+                reduce()
+        assert batch.volumes == {}
 
 
 class TestGeodesicSphereAreas:
@@ -167,31 +185,31 @@ class TestLpNorms:
     def test_constant_field(self):
         surf = flat_sphere(1.3, perturbation=(((2, 1), 0.1),))
         for p in (1.0, 2.0, 3.0):
-            got = lp_norm(surf, lambda b: np.full(len(b.rho), -2.5), p, build_rule(2, 12))
+            batch = surf.fields(build_rule(2, 12))
+            got = lp_norm(batch, np.full(len(batch.rho), -2.5), p)
             assert got == pytest.approx(2.5, rel=1e-13)
 
     def test_unit_field_normalized(self):
         surf = flat_sphere(0.7, perturbation=(((3, 2), 0.05),))
         for p in (1.0, 2.0, 3.0):
-            got = lp_norm(surf, lambda b: np.ones(len(b.rho)), p, build_rule(2, 12))
+            batch = surf.fields(build_rule(2, 12))
+            got = lp_norm(batch, np.ones(len(batch.rho)), p)
             assert got == pytest.approx(1.0, abs=1e-13)
 
     def test_monotone_in_p(self):
         surf = flat_sphere(1.0, perturbation=(((2, 0), 0.1),))
-        rule = build_rule(2, 16)
-
-        def bump(batch):
-            return np.exp(-8.0 * (batch.nodes[:, 2] - 0.6) ** 2)
-
-        norms = [lp_norm(surf, bump, p, rule) for p in (1.0, 2.0, 3.0, 5.0)]
+        batch = surf.fields(build_rule(2, 16))
+        bump = np.exp(-8.0 * (batch.nodes[:, 2] - 0.6) ** 2)
+        norms = [lp_norm(batch, bump, p) for p in (1.0, 2.0, 3.0, 5.0)]
         for lo, hi in zip(norms, norms[1:]):
             assert lo <= hi + 1e-12
 
     def test_umbilic_defect_vanishes_on_sphere(self):
-        surf = flat_sphere(1.0)
-        got = lp_norm(surf, lambda b: np.sqrt(b.tau_sq), 1.0, build_rule(2, 8))
+        batch = flat_sphere(1.0).fields(build_rule(2, 8))
+        got = lp_norm(batch, np.sqrt(batch.tau_sq), 1.0)
         assert got < 1e-13
 
     def test_rejects_subunit_p(self):
         with pytest.raises(ValueError):
-            lp_norm(flat_sphere(), lambda b: b.rho, 0.5, build_rule(2, 8))
+            batch = flat_sphere().fields(build_rule(2, 8))
+            lp_norm(batch, batch.rho, 0.5)

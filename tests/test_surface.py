@@ -27,6 +27,11 @@ def basis_values(n, key, points):
     return sphere(0.0, 1.0, n=n, perturbation=((key, 1.0),)).rho_values(points) - 1.0
 
 
+def node_fields(batch):
+    """The SurfaceBatch fields evaluate_nodes fills: all but the rule's weights."""
+    return [f.name for f in dataclasses.fields(batch) if f.name != "weights"]
+
+
 def tangent_frames(u):
     """Oracle: (N, n, d) orthonormal frames of u-perp, the rows a < n of the Householder
     reflection I - 2 w w^T / |w|^2 with w = u + sign(u_n) e_n (sign +1 at u_n = -0.0)."""
@@ -358,7 +363,7 @@ class TestBlocks:
         block = surface_module._BLOCK  # parts of 1 node and of a block minus 1, exact, plus 1
         cuts = [0, 1, block, 2 * block, 3 * block + 1, 13001, 21000, len(nodes)]
         parts = [evaluate_nodes(surf, nodes[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-        for name in [f.name for f in dataclasses.fields(whole)] + ["kappa"]:
+        for name in node_fields(whole) + ["kappa"]:
             joined = np.concatenate([getattr(p, name) for p in parts])
             assert np.array_equal(getattr(whole, name), joined), name
 
@@ -371,7 +376,7 @@ class TestBlocks:
         batch = surf.fields(build_rule(n, 8))
         for idx in range(0, len(batch.nodes), 7):
             point = evaluate_nodes(surf, batch.nodes[idx:idx + 1])
-            for name in [f.name for f in dataclasses.fields(batch)] + ["kappa"]:
+            for name in node_fields(batch) + ["kappa"]:
                 assert np.array_equal(getattr(point, name)[0], getattr(batch, name)[idx]), name
 
     @pytest.mark.parametrize("n, order", [(2, 32), (3, 12)])
@@ -391,7 +396,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        batch_bytes = sum(getattr(batch, f.name).nbytes for f in dataclasses.fields(batch))
+        batch_bytes = sum(getattr(batch, name).nbytes for name in node_fields(batch))
         assert peak < 2.5 * batch_bytes
         # a block's temporaries must stay below the allocator's trim threshold,
         # or they are returned to the system and faulted back in at every block;
@@ -547,7 +552,7 @@ class TestInvariants:
         for order in orders:
             rule = build_rule(n, order)
             solved.clear()
-            b_sup = B_sup_norm(surf, rule)
+            b_sup = B_sup_norm(surf.fields(rule))
             pruned = sum(solved)
             assert b_sup == float(np.max(np.abs(surf.fields(rule).kappa)))
             assert solved[-1] == len(rule.nodes)
@@ -558,22 +563,22 @@ class TestReports:
     def test_round_sphere_report(self):
         surf = sphere(0.0, 2.0)
         rule = build_rule(2, 8)
-        rep = starshape_report(surf, rule)
+        rep = starshape_report(surf.fields(rule))
         assert rep.sign == -1
         assert rep.R0 == pytest.approx(2.0, abs=1e-12)
         assert rep.R == pytest.approx(2.0, abs=1e-12)
 
     def test_perturbed_sphere_report(self):
         surf = sphere(0.0, 1.0, perturbation=(((3, -1), 0.1),))
-        rep = starshape_report(surf, build_rule(2, 16))
+        rep = starshape_report(surf.fields(build_rule(2, 16)))
         assert rep.sign == -1
         assert 0.8 < rep.R0 < 1.2
 
     def test_tiny_flat_sphere_is_starshaped(self):
         # the zero test is relative below unit scale: R0 / rho0 is that of rho0 = 1
         rule = build_rule(2, 8)
-        ratios = [starshape_report(sphere(0.0, rho0, perturbation=(((3, 1), 0.02),)), rule).R0
-                  / rho0 for rho0 in (1e-12, 1e-10, 1e-6, 1.0)]
+        ratios = [starshape_report(sphere(0.0, rho0, perturbation=(((3, 1), 0.02),))
+                                   .fields(rule)).R0 / rho0 for rho0 in (1e-12, 1e-10, 1e-6, 1.0)]
         assert ratios == pytest.approx([ratios[-1]] * 4, rel=1e-14)
         assert ratios[-1] == pytest.approx(0.988, abs=1e-3)
 
@@ -586,22 +591,23 @@ class TestReports:
         assert sign == -1 and bad is None
 
     def test_b_sup_norm(self):
-        assert B_sup_norm(sphere(0.0, 2.0), build_rule(2, 8)) == pytest.approx(0.5, abs=1e-12)
+        b_sup = B_sup_norm(sphere(0.0, 2.0).fields(build_rule(2, 8)))
+        assert b_sup == pytest.approx(0.5, abs=1e-12)
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
         rho_geo = 0.9
         surf = sphere(-1.0, chart_radius(rho_geo, model))
         expected = c_delta(rho_geo, -1.0) / s_delta(rho_geo, -1.0)
-        assert B_sup_norm(surf, build_rule(2, 8)) == pytest.approx(expected, abs=1e-9)
+        assert B_sup_norm(surf.fields(build_rule(2, 8))) == pytest.approx(expected, abs=1e-9)
 
     def test_b_sup_exceeds_reciprocal_max_radius(self):
         surf = sphere(0.0, 1.0, perturbation=(((2, 2), 0.15),))
         rule = build_rule(2, 24)
-        b_sup = B_sup_norm(surf, rule)
+        b_sup = B_sup_norm(surf.fields(rule))
         rho_max = float(np.max(surf.fields(rule).rho))
         assert b_sup > 1.0 / rho_max
 
     def test_b_sup_monotone_under_refinement(self):
         surf = sphere(0.0, 1.0, perturbation=(((3, 1), 0.1),))
-        coarse = B_sup_norm(surf, build_rule(2, 16))
-        fine = B_sup_norm(surf, build_rule(2, 32))
+        coarse = B_sup_norm(surf.fields(build_rule(2, 16)))
+        fine = B_sup_norm(surf.fields(build_rule(2, 32)))
         assert fine >= coarse - 1e-6
