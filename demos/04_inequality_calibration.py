@@ -55,10 +55,12 @@ print("=" * 72)
 for n, r in ((2, 1), (3, 2), (4, 3)):
     # exact constants where they are known (every b is 1 for r <= 2)
     if n <= 3:
-        c_n, b_consts = default_c_n(n), None
+        c_n = default_c_n(n)
     else:
         cal = calibrate(n, r, samples=60_000, seed=31415)
-        c_n, b_consts = cal.c_n, cal.b_consts
+        # K1 takes no b-constants; fold min_k b_{n,k+1,r}^{2(k-1)} into c_n
+        min_b_pow = min(b ** (2 * (k - 1)) for k, b in enumerate(cal.b_consts, start=1))
+        c_n = cal.c_n * min_b_pow
     kappa = sample_positive_curvatures(n, 10_000, seed=4242)
     H = mean_curvatures(kappa)
     tau_sq = umbilicity_defect_sq(kappa)
@@ -66,8 +68,7 @@ for n, r in ((2, 1), (3, 2), (4, 3)):
         k1 = float(n * (n - 1))
     else:
         k1 = K1(n, r, float(np.min(partial_H_extremes(r + 1, kappa))),
-                2.0 * float(np.min(H[:, r])), float(np.max(np.abs(kappa))),
-                c_n, b_consts)
+                2.0 * float(np.min(H[:, r])), float(np.max(np.abs(kappa))), c_n)
     gap = k1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
     print(f"  n={n}, r={r}: K1 = {k1:9.4f}, min gap over 10^4 samples = {float(np.min(gap)):+.3e}")
 

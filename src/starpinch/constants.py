@@ -9,19 +9,20 @@ eps1 = eps0^(2(n+1)) / K3 together with the stability bound
     C = c_RS * rho0 * K3^gamma,  gamma = alpha / (2(n+1)).
 
 eps0, c_RS and alpha belong to the black-box almost-umbilical stability
-theorem; they are configuration with documented defaults and are printed
-in every report so that no number masquerades as derived.  K1 is
-``symfun.K1`` at the pinching level h.  Its sharpened-Newton constant c_n
-is derived: the exact value of ``symfun.default_c_n``, recorded in the
-dependency ledger.  The conformal Sobolev constant c_{n,phi} defaults to
-Kn_MS * exp(n * sup|phi|) over the containment ball, a safe computable
-bound for the volume distortion.
+theorem; they are configuration with documented defaults, kept on the
+evaluated chain as its ``config`` and printed in every report so that no
+number masquerades as derived.  K1 is ``symfun.K1`` at the pinching level
+h.  Its sharpened-Newton constant c_n is derived: the exact value of
+``symfun.default_c_n``, recorded in the dependency ledger.  The dimension
+n and the curvature delta come from the space-form model.  The conformal
+Sobolev constant c_{n,phi} defaults to Kn_MS * exp(n * sup|phi|) over the
+containment ball, a safe computable bound for the volume distortion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import symfun
 from .errors import HypothesisError, NumericalError
@@ -34,34 +35,26 @@ class ConstantsConfig:
 
     eps0: float = 0.1          # smallness threshold of the black-box theorem
     c_RS: float = 1.0          # its multiplicative constant
-    alpha: float = 0.5         # its Hoelder exponent alpha(n, p) at p = n+1 (placeholder)
+    alpha: float = field(default=0.5, metadata={"placeholder": True})  # Hoelder alpha(n, n+1)
     Kn_MS: float = 1.0         # Michael-Simon constant K(n)
 
     def __post_init__(self):
-        if not all(0.0 < x < math.inf for x in (self.eps0, self.c_RS, self.alpha, self.Kn_MS)):
+        if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):
             raise ValueError("constants must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
 class ProofConstants:
-    """Evaluated constant chain for one surface, with provenance."""
+    """Evaluated constant chain for one surface, with its configured inputs and provenance."""
 
     K1: float
     K2: float
     K3: float
     eps1: float
-    eps0: float
-    c_RS: float
-    alpha: float
     gamma: float
     c_n_phi: float
-    Kn_MS: float
+    config: ConstantsConfig
     dependencies: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if min(self.K1, self.K2, self.K3, self.eps1, self.eps0, self.c_RS,
-               self.alpha, self.gamma, self.c_n_phi, self.Kn_MS) <= 0.0:
-            raise ValueError("all chain constants must be strictly positive")
 
 
 def K2(delta: float, K1: float, R0: float, B_sup: float, R: float) -> float:
@@ -103,9 +96,9 @@ def phi_sup(model: SpaceFormModel, R: float) -> float:
     return abs(float(math.log1p(0.25 * model.delta * s * s)))
 
 
-def c_n_phi_default(model: SpaceFormModel, n: int, R: float, Kn_MS: float) -> float:
-    """Safe conformal Sobolev constant: Kn_MS * exp(n * sup|phi|)."""
-    return Kn_MS * math.exp(n * phi_sup(model, R))
+def c_n_phi_default(model: SpaceFormModel, R: float, Kn_MS: float) -> float:
+    """Safe conformal Sobolev constant: Kn_MS * exp(n * sup|phi|), n = ambient_dim - 1."""
+    return Kn_MS * math.exp((model.ambient_dim - 1) * phi_sup(model, R))
 
 
 def final_bound(eps_l1: float, rho0: float, consts: ProofConstants):
@@ -116,19 +109,20 @@ def final_bound(eps_l1: float, rho0: float, consts: ProofConstants):
     """
     if eps_l1 < 0.0:
         raise ValueError("eps_l1 must be nonnegative")
-    C = consts.c_RS * rho0 * consts.K3**consts.gamma
+    C = consts.config.c_RS * rho0 * consts.K3**consts.gamma
     bound = C * eps_l1**consts.gamma
     return bound, bool(eps_l1 <= consts.eps1)
 
 
-def build_chain(n: int, r: int, delta: float, model: SpaceFormModel, *,
-                h: float, B_sup: float, R0: float, R: float, volume: float,
-                minH_partial: float, config: ConstantsConfig) -> ProofConstants:
-    """Evaluate the whole chain for one surface, recording what it consumed."""
+def build_chain(model: SpaceFormModel, r: int, *, h: float, B_sup: float, R0: float,
+                R: float, volume: float, minH_partial: float,
+                config: ConstantsConfig) -> ProofConstants:
+    """Evaluate the chain for one surface (n and delta from its model), recording its inputs."""
+    n, delta = model.ambient_dim - 1, model.delta
     c_n = symfun.default_c_n(n)
     K1_value = _in_range("K1", symfun.K1, n, r, minH_partial, h, B_sup, c_n)
     K2_value = _in_range("K2", K2, delta, K1_value, R0, B_sup, R)
-    c_phi = _in_range("c_n_phi", c_n_phi_default, model, n, R, config.Kn_MS)
+    c_phi = _in_range("c_n_phi", c_n_phi_default, model, R, config.Kn_MS)
     K3_value = _in_range("K3", K3, K2_value, c_phi, volume, n)
     eps1_value = _in_range("eps1", eps1, config.eps0, K3_value, n)
     gamma = _in_range("gamma", gamma_exponent, config.alpha, n)
@@ -137,9 +131,7 @@ def build_chain(n: int, r: int, delta: float, model: SpaceFormModel, *,
         "B_sup": B_sup, "volume": volume, "R0": R0, "R": R, "c_n": c_n,
     }
     return ProofConstants(K1=K1_value, K2=K2_value, K3=K3_value, eps1=eps1_value,
-                          eps0=config.eps0, c_RS=config.c_RS, alpha=config.alpha,
-                          gamma=gamma, c_n_phi=c_phi, Kn_MS=config.Kn_MS,
-                          dependencies=deps)
+                          gamma=gamma, c_n_phi=c_phi, config=config, dependencies=deps)
 
 
 def _in_range(name: str, constant, *args) -> float:
@@ -154,20 +146,12 @@ def _in_range(name: str, constant, *args) -> float:
 
 
 def describe(consts: ProofConstants) -> str:
-    """Stable text block for report headers; configured values flagged."""
-    lines = [
-        f"K1 = {consts.K1!r}",
-        f"K2 = {consts.K2!r}",
-        f"K3 = {consts.K3!r}",
-        f"eps1 = {consts.eps1!r}",
-        f"gamma = {consts.gamma!r}",
-        f"c_n_phi = {consts.c_n_phi!r}",
-        f"eps0 = {consts.eps0!r}  (configured)",
-        f"c_RS = {consts.c_RS!r}  (configured)",
-        f"alpha = {consts.alpha!r}  (configured placeholder)",
-        f"Kn_MS = {consts.Kn_MS!r}  (configured)",
-    ]
+    """Stable text block for report headers: derived values, then the configured ones flagged."""
+    lines = [f"{f.name} = {getattr(consts, f.name)!r}" for f in fields(consts)
+             if f.name not in ("config", "dependencies")]
+    for f in fields(consts.config):
+        flag = "configured placeholder" if f.metadata.get("placeholder") else "configured"
+        lines.append(f"{f.name} = {getattr(consts.config, f.name)!r}  ({flag})")
     dep = " ".join(f"{k}={v!r}" for k, v in sorted(consts.dependencies.items()))
     lines.append(f"depends_on: {dep}")
     return "\n".join(lines)
-

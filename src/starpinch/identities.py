@@ -99,11 +99,6 @@ def gauss_algebraic_check(surface: RadialSurface, rule: SphericalRule) -> Residu
                           refinement_error=0.0, kind=IDENTITY)
 
 
-def scalar_curvature(H2: float, n: int, delta: float) -> float:
-    """Scal = n(n-1)(H_2 + delta), the trace consequence of the Gauss equation."""
-    return n * (n - 1) * (H2 + delta)
-
-
 def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> ResidualReport:
     """Gap |B|_inf^(2n) |tau|_2^2 - |tau|_{n+1}^{2(n+1)} >= 0 (normalized norms)."""
     n = surface.n

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -124,6 +124,7 @@ def _chart_sphere_to_geodesic(model: SpaceFormModel, euc_center, euc_radius: flo
     return axis * chart_radius(0.5 * (r_hi + r_lo), model), 0.5 * (r_hi - r_lo)
 
 
+# sample_geodesic_sphere stays importable: bench/tracing.py wraps it at this name
 def sample_geodesic_sphere(model: SpaceFormModel, center, rho: float,
                            directions) -> np.ndarray:
     """Exact points of a geodesic sphere along the given unit directions."""
@@ -302,9 +303,8 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     minH_partial = (1.0 / math.comb(n, 2) if r == 1
                     else float(np.min(partial_H_extremes(r + 1, batch.kappa))))
 
-    consts = build_chain(n, r, model.delta, model, h=h, B_sup=B_sup, R0=star.R0,
-                         R=star.R, volume=vol, minH_partial=minH_partial,
-                         config=settings.constants)
+    consts = build_chain(model, r, h=h, B_sup=B_sup, R0=star.R0, R=star.R, volume=vol,
+                         minH_partial=minH_partial, config=settings.constants)
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,
@@ -412,10 +412,8 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
         raise ValueError("amplitudes must be strictly decreasing")
     rows = []
     for a in amps:
-        scaled = RadialSurface(
-            n=base_surface.n, model=base_surface.model, rho0=base_surface.rho0,
-            perturbation=tuple((key, a * amp) for key, amp in base_surface.perturbation),
-        )
+        scaled = replace(base_surface, perturbation=tuple(
+            (key, a * amp) for key, amp in base_surface.perturbation))
         rep = run_pinch(scaled, r, settings)
         rows.append(ScalingRow(amplitude=a, gates_passed=gate_overall(rep.gates),
                                **{c: getattr(rep, c) for c in SCALING_COLUMNS

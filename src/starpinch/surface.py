@@ -196,10 +196,11 @@ class RadialSurface:
 
     def fields(self, rule) -> "SurfaceBatch":
         """Batch of pointwise data at a rule's nodes, carrying its weights (cached)."""
-        key = ("rule", rule.n, rule.order)
+        key = id(rule)  # the entry holds the rule, so this id is not reused while it lives
         if key not in self._cache:
-            self._cache[key] = replace(evaluate_nodes(self, rule.nodes), weights=rule.weights)
-        return self._cache[key]
+            self._cache[key] = rule, replace(evaluate_nodes(self, rule.nodes),
+                                             weights=rule.weights)
+        return self._cache[key][1]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ sharpened Newton inequality into the pointwise bound
 
 For n = 2 and 3, the dimensions the pipeline runs at, the sharpened
 Newton constant c_n is exact (``default_c_n``) and every Maclaurin-chain
-constant b_{n,l,r} is 1.  For n >= 4 no closed form is known here;
-``calibrate`` estimates both by a seeded brute-force infimum over random
-positive curvature vectors, minus a safety margin.
+constant b_{n,l,r} is 1, so ``K1`` takes none.  For n >= 4 no closed form
+is known here; ``calibrate`` estimates both by a seeded brute-force
+infimum over random positive curvature vectors, minus a safety margin.
 """
 
 from __future__ import annotations
@@ -119,21 +119,20 @@ def maclaurin_gaps(kappa, r: int) -> np.ndarray:
 # the pointwise constant of the tau^2 bound (Lemma-style multiplier)
 
 
-def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float,
-       c_n: float, b_consts=None) -> float:
+def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float, c_n: float) -> float:
     """Multiplier K1 with tau^2 <= K1 (H H_r - H_{r+1}) pointwise.
 
     For r = 1 this is the exact dimensional constant n(n-1), from the
     identity tau^2 = n(n-1)(H^2 - H_2).  For r >= 2 it is the reciprocal
     of the explicit product
 
-        c_n * min_k b_{n,k+1,r}^{2(k-1)} * (h / 2|B|) *
-            sum_{k=1}^r (minH_partial^{1/(r-1)} / |B|)^{2(k-1)},
+        c_n * (h / 2|B|) * sum_{k=1}^r (minH_partial^{1/(r-1)} / |B|)^{2(k-1)}.
 
-    where b_consts[k-1] = b_{n,k+1,r} defaults to all ones.  That is exact
+    The lemma's product also carries min_k b_{n,k+1,r}^{2(k-1)}, which is 1
     for r <= 2, where every chain index k+1 is 2 or r+1; the pipeline runs
-    at n <= 3 with c_n = default_c_n(n).  Note K1 grows like 1/h: a weaker
-    pinching hypothesis gives a weaker (larger) multiplier.
+    at n <= 3 with c_n = default_c_n(n).  For r >= 3 a caller folds that
+    factor into c_n.  Note K1 grows like 1/h: a weaker pinching hypothesis
+    gives a weaker (larger) multiplier.
     """
     if r == 1:
         return float(n * (n - 1))
@@ -143,27 +142,11 @@ def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float,
         raise HypothesisError("min H_{r+1;n,1} must be positive for r >= 2")
     if c_n <= 0.0:
         raise ValueError("c_n must be positive")
-    b = _b_vector(r, b_consts)
-    min_b_pow = min(b[k - 1] ** (2 * (k - 1)) for k in range(1, r + 1))
-    total = 0.0
-    for k in range(1, r + 1):
-        if k == 1:
-            total += 1.0
-        else:
-            total += (minH_partial ** (1.0 / (r - 1)) / B_sup) ** (2 * (k - 1))
-    return 1.0 / (c_n * min_b_pow * total / B_sup * (h / 2.0))
-
-
-def _b_vector(r, b_consts):
-    """b_consts[k-1] = b_{n,k+1,r} for k = 1..r; defaults to all ones."""
-    if b_consts is None:
-        return [1.0] * r
-    b = [float(x) for x in b_consts]
-    if len(b) < r:
-        raise ValueError(f"need at least {r} b-constants, got {len(b)}")
-    if any(x <= 0.0 for x in b):
-        raise ValueError("b-constants must be positive")
-    return b
+    ratio = minH_partial ** (1.0 / (r - 1)) / B_sup
+    total = 1.0
+    for k in range(2, r + 1):
+        total += ratio ** (2 * (k - 1))
+    return 1.0 / (c_n * total / B_sup * (h / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +203,7 @@ def _newton_tau_ratios(kappa: np.ndarray, k: int) -> np.ndarray:
     return np.where(ok & (den > 0.0), num / np.where(den > 0.0, den, 1.0), np.nan)
 
 
+# calibrate stays importable: bench/tracing.py wraps it at this name
 def calibrate(n: int, r: int, samples: int = 100_000, seed: int = 31415,
               margin: float = 0.1) -> Calibration:
     """Brute-force estimate of c_n and b_{n,l,r} over random positive kappa.

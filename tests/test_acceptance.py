@@ -170,7 +170,7 @@ def test_criterion_4_inequality_suites(calibrations):
             h = 2.0 * float(np.min(H[:, r]))
             B_sup = float(np.max(np.abs(batch.kappa)))
             minH_partial = float(np.min(partial_H_extremes(r + 1, batch.kappa)))
-            k1 = K1(surf.n, r, minH_partial, h, B_sup, cal.c_n, cal.b_consts)
+            k1 = K1(surf.n, r, minH_partial, h, B_sup, cal.c_n)
             gap = k1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
         worst_lemma = min(worst_lemma, float(np.min(gap)))
 

@@ -1,11 +1,12 @@
 """The explicit constant chain K2, K3, eps1, final bound."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from starpinch.constants import (ConstantsConfig, K2, K3, build_chain,
+from starpinch.constants import (ConstantsConfig, K2, K3, ProofConstants, build_chain,
                                  c_n_phi_default, describe, eps1, final_bound,
                                  gamma_exponent, phi_sup)
 from starpinch.errors import HypothesisError
@@ -19,7 +20,7 @@ def chain(delta=0.0, n=2, **overrides):
     kwargs = dict(h=1.0, B_sup=1.2, R0=0.9, R=1.1, volume=4.0 * math.pi,
                   minH_partial=1.0, config=ConstantsConfig())
     kwargs.update(overrides)
-    return build_chain(n, 1, delta, model, **kwargs)
+    return build_chain(model, 1, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["eps0", "c_RS", "alpha", "Kn_MS"])
@@ -95,10 +96,10 @@ class TestEps1:
 
 class TestFinalBound:
     def consts(self, K3_value=1.0, alpha=1.0, n=2):
-        return chain().__class__(
-            K1=2.0, K2=1.0, K3=K3_value, eps1=eps1(0.1, K3_value, n), eps0=0.1,
-            c_RS=1.0, alpha=alpha, gamma=gamma_exponent(alpha, n), c_n_phi=1.0,
-            Kn_MS=1.0,
+        return ProofConstants(
+            K1=2.0, K2=1.0, K3=K3_value, eps1=eps1(0.1, K3_value, n),
+            gamma=gamma_exponent(alpha, n), c_n_phi=1.0,
+            config=ConstantsConfig(eps0=0.1, c_RS=1.0, alpha=alpha, Kn_MS=1.0),
         )
 
     def test_zero_deviation(self):
@@ -129,7 +130,12 @@ class TestPhiBound:
     def test_flat_is_zero(self):
         model = SpaceFormModel(delta=0.0, ambient_dim=3)
         assert phi_sup(model, 2.0) == 0.0
-        assert c_n_phi_default(model, 2, 2.0, 1.0) == 1.0
+        assert c_n_phi_default(model, 2.0, 1.0) == 1.0
+
+    def test_dimension_comes_from_the_model(self):
+        for n in (2, 3):
+            model = SpaceFormModel(delta=-1.0, ambient_dim=n + 1)
+            assert c_n_phi_default(model, 1.0, 1.5) == 1.5 * math.exp(n * phi_sup(model, 1.0))
 
     def test_signs_and_growth(self):
         hyp = SpaceFormModel(delta=-1.0, ambient_dim=3)
@@ -148,8 +154,8 @@ class TestChain:
 
     def test_invariants(self):
         c = chain(delta=1.0)
-        assert c.eps1 == c.eps0 ** (2 * 3) / c.K3
-        assert c.gamma == c.alpha / 6.0
+        assert c.eps1 == c.config.eps0 ** (2 * 3) / c.K3
+        assert c.gamma == c.config.alpha / 6.0
 
     def test_dependency_ledger(self):
         # exactly the values the chain consumed
@@ -158,3 +164,36 @@ class TestChain:
                                        "volume", "R0", "R", "c_n"}
         # r = 1: K1 is the exact dimensional constant n(n-1)
         assert c.K1 == 2.0
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_n_and_delta_come_from_the_model(self, delta):
+        c = chain(delta=delta, n=3)
+        assert c.dependencies["n"] == 3 and c.dependencies["delta"] == delta
+        # gamma = alpha / (2(n+1)) and eps1 = eps0^(2(n+1)) / K3 at n = 3
+        assert c.gamma == c.config.alpha / 8.0
+        assert c.eps1 == c.config.eps0 ** 8 / c.K3
+
+    def test_the_chain_keeps_its_config(self):
+        config = ConstantsConfig(eps0=10.0, c_RS=2.0, alpha=0.25, Kn_MS=3.0)
+        c = chain(delta=-1.0, config=config)
+        assert c.config is config
+        # no derived field repeats a configured one
+        derived = {f.name for f in dataclasses.fields(ProofConstants)}
+        assert derived.isdisjoint(f.name for f in dataclasses.fields(ConstantsConfig))
+
+    def test_describe_names_the_fields_in_order(self):
+        c = chain(delta=-1.0)
+        names = [line.split(" = ")[0] for line in describe(c).splitlines()]
+        derived = [f.name for f in dataclasses.fields(ProofConstants)
+                   if f.name not in ("config", "dependencies")]
+        configured = [f.name for f in dataclasses.fields(ConstantsConfig)]
+        assert names[:-1] == derived + configured
+        assert names[-1].startswith("depends_on: ")
+
+    def test_describe_flags_configured_values(self):
+        c = chain(delta=0.0)
+        assert describe(c).splitlines()[:10] == [
+            f"K1 = {c.K1!r}", f"K2 = {c.K2!r}", f"K3 = {c.K3!r}", f"eps1 = {c.eps1!r}",
+            f"gamma = {c.gamma!r}", f"c_n_phi = {c.c_n_phi!r}",
+            "eps0 = 0.1  (configured)", "c_RS = 1.0  (configured)",
+            "alpha = 0.5  (configured placeholder)", "Kn_MS = 1.0  (configured)"]

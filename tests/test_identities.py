@@ -11,7 +11,7 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   cauchy_schwarz_chain_check,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
-                                  michael_simon_ratio, scalar_curvature,
+                                  michael_simon_ratio,
                                   tau_l2_epsilon_bound)
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
@@ -109,10 +109,6 @@ class TestGaussAlgebraic:
         scale = np.maximum.reduce([np.abs(rhs), tau_sq, np.sum(kappa**2, axis=1)])
         assert float(np.max(np.abs(tau_sq - rhs) / scale)) < 1e-12
 
-    def test_scalar_curvature_export(self):
-        assert scalar_curvature(1.0, 2, -1.0) == pytest.approx(0.0)
-        assert scalar_curvature(0.25, 2, 0.0) == pytest.approx(0.5)
-
     def test_every_node_of_test_surfaces(self):
         rule2 = build_rule(2, 16)
         rule3 = build_rule(3, 6)
@@ -174,7 +170,7 @@ class TestLemmaGap:
         h = 2.0 * float(np.min(H[:, 2]))
         B_sup = float(np.max(np.abs(batch.kappa)))
         minH_partial = float(np.min(partial_H_extremes(3, batch.kappa)))
-        k1 = K1(3, 2, minH_partial, h, B_sup, cal.c_n, cal.b_consts)
+        k1 = K1(3, 2, minH_partial, h, B_sup, cal.c_n)
         rep = lemma1_gap(surf, rule, 2, k1)
         assert rep.value >= -1e-10 and rep.passed
 

@@ -10,7 +10,7 @@ import scipy.linalg
 
 from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
-from starpinch.quadrature import build_rule
+from starpinch.quadrature import SphericalRule, batch_volume, build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
 from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
                                evaluate_nodes, starshape_report)
@@ -351,6 +351,28 @@ class TestRho:
         scaled = dataclasses.replace(surf, rho0=2.0)
         assert np.array_equal(scaled.fields(rule).rho, 2.0 * surf.fields(rule).rho)
         assert np.array_equal(scaled.rho_values(rule.nodes), scaled.fields(rule).rho)
+
+    def test_a_second_rule_of_the_same_order_gets_its_own_batch(self):
+        # the cache used to key by (n, order) and hand this rule the first one's batch
+        surf = sphere(0.0, 1.0)
+        rule = build_rule(2, 8)
+        surf.fields(rule)
+        half = SphericalRule(n=2, order=8, nodes=rule.nodes, weights=rule.weights / 2)
+        assert surf.fields(half).weights is half.weights
+        assert batch_volume(surf.fields(half)) == 0.5 * batch_volume(surf.fields(rule))
+        assert batch_volume(surf.fields(half)) == pytest.approx(2.0 * np.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_repeated_rules_hit_the_cache(self, n, monkeypatch):
+        evaluated = []
+        evaluate = surface_module.evaluate_nodes
+        monkeypatch.setattr(surface_module, "evaluate_nodes",
+                            lambda surface, nodes: evaluated.append(len(nodes))
+                            or evaluate(surface, nodes))
+        surf = sphere(-1.0, 0.9, n=n)
+        batches = [surf.fields(build_rule(n, q)) for q in (8, 16, 8, 16, 8)]
+        assert evaluated == [len(build_rule(n, 8).nodes), len(build_rule(n, 16).nodes)]
+        assert batches[0] is batches[2] is batches[4] and batches[1] is batches[3]
 
 
 class TestBlocks:

@@ -158,12 +158,20 @@ class TestK1:
         assert K1(5, 1, 1.0, 1.0, 1.0, 0.45) == 20.0
 
     def test_unit_inputs(self):
-        # all inputs one, unit b-constants: the product is (1/2)*2 = 1
-        assert K1(3, 2, 1.0, 1.0, 1.0, 1.0, (1.0, 1.0)) == pytest.approx(1.0, rel=1e-15)
+        # all inputs one: the product is (1/2)*2 = 1
+        assert K1(3, 2, 1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("minH_partial, h, B_sup, c_n", [
+        (0.8, 0.5, 1.5, 0.125), (1.316243510870403, 1.7848451287365033, 1.3900914439251366, 0.125),
+        (0.3, 2.0, 0.7, 0.5)])
+    def test_r2_is_the_hand_formula(self, minH_partial, h, B_sup, c_n):
+        # every b-constant is 1 at r = 2, so K1 is this product bit for bit
+        hand = 1.0 / (c_n * (1.0 + (minH_partial / B_sup) ** 2) / B_sup * (h / 2.0))
+        assert K1(3, 2, minH_partial, h, B_sup, c_n) == hand
 
     def test_monotone_in_h(self):
         # weaker pinching information (smaller h) gives a larger multiplier
-        vals = [K1(3, 2, 0.8, h, 1.5, 0.15, None) for h in (0.25, 0.5, 1.0, 2.0)]
+        vals = [K1(3, 2, 0.8, h, 1.5, 0.15) for h in (0.25, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_r1_exactness(self):
@@ -257,6 +265,8 @@ class TestCalibration:
             B_sup = float(np.max(np.abs(kappa)))
             h = 2.0 * float(np.min(H[:, r]))
             minH_partial = float(np.min(partial_H_extremes(r + 1, kappa)))
-            k1 = K1(n, r, minH_partial, h, B_sup, cal.c_n, cal.b_consts)
+            # K1 takes no b-constants; fold min_k b_{n,k+1,r}^{2(k-1)} into c_n
+            min_b_pow = min(b ** (2 * (k - 1)) for k, b in enumerate(cal.b_consts, start=1))
+            k1 = K1(n, r, minH_partial, h, B_sup, cal.c_n * min_b_pow)
             gap = k1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - tau_sq
             assert float(np.min(gap)) >= -1e-10
