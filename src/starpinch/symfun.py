@@ -213,7 +213,9 @@ def calibrate(n: int, r: int, samples: int = 100_000, seed: int = 31415,
     Maclaurin chain, except that b_{n,l,r} = 1 for l in {2, r+1} by
     construction (so every b is 1 for r <= 2).  A sampled infimum can only
     lie above the true one; for n = 2 and 3 use the exact ``default_c_n``.
-    Deterministic for a given (seed, samples).
+    At n = 4 the infimum is unproven: 60 000 samples (seed 31415) reach
+    0.0555630, along kappa = (t, 2t, 2t, 1) where the k = 3 ratio tends to
+    1/18 as t -> 0.  Deterministic for a given (seed, samples).
     """
     if n < 2:
         raise ValueError("n must be at least 2")

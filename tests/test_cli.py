@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import starpinch
+from starpinch import cli
 from starpinch import config as config_module
 from starpinch import surface as surface_module
 from starpinch.cli import main
@@ -258,6 +259,28 @@ class TestCommands:
         assert "eps_is_zero = True" in text
         assert "config_hash:" in text
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("rho0", [1e-6, 1.0])
+    def test_report_eps_is_zero_on_exact_spheres_at_any_scale(self, tmp_path, n, delta, rho0):
+        # the test is relative to |h|: at rho0 = 1e-6, h ~ 1e6 and one ulp of h
+        # is ~1e-10, above an absolute 1e-12
+        cfg = tmp_path / "sphere.ini"
+        cfg.write_text(f"[surface]\nn = {n}\ndelta = {delta}\nrho0 = {rho0}\n\n"
+                       "[experiment]\nquad_order = 8\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "eps_is_zero = True\n" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("rho0", [1e-6, 1.0])
+    def test_report_eps_is_zero_false_on_perturbed_surface(self, tmp_path, rho0):
+        cfg = tmp_path / "bump.ini"
+        cfg.write_text(f"[surface]\nn = 2\ndelta = 0.0\nrho0 = {rho0}\n"
+                       "perturbation = 3,1:1e-6\n\n[experiment]\nquad_order = 8\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "eps_is_zero = False\n" in (out / "report.txt").read_text()
+
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[surface]\nn = 2\nrho0 = oops\n")
@@ -446,6 +469,36 @@ class TestCommands:
         assert main(["pinch", "--config", str(config_file), "--out", str(tmp_path),
                      "--seed", "1"]) == 3
 
+
+
+class TestParser:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+
+    def test_documented_commands_are_the_dispatch_table(self):
+        # the Commands:: block of the module docstring (the --help text) and the README's
+        docstring = cli.__doc__.split("Commands::\n\n", 1)[1].split("\n\n", 1)[0]
+        readme = (ROOT / "README.md").read_text().split("## Command line\n", 1)[1]
+        for block in (docstring, readme.split("```")[1]):
+            assert re.findall(r"^\s*starpinch (\w+)", block, re.M) == list(cli.COMMANDS)
+
+    def test_options_before_the_command(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(config_file), "--out", str(out), "report"]) == 0
+        assert (out / "report.txt").exists()
+
+    def test_header_placeholders_are_the_described_ones(self, config_file, tmp_path):
+        # pinch.txt carries both: the header, and describe's constants block
+        out = tmp_path / "out"
+        assert main(["pinch", "--config", str(config_file), "--out", str(out)]) == 0
+        text = (out / "pinch.txt").read_text()
+        named = re.findall(r"; (\w+) is a placeholder", text.splitlines()[2])
+        flagged = re.findall(r"^(\w+) = .*  \(configured placeholder\)$", text, re.M)
+        assert named == flagged == ["alpha"]
 
 IMPORT_PROBE = """
 import json, sys

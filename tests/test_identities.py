@@ -16,7 +16,7 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
-from starpinch.symfun import calibrate, mean_curvatures, K1
+from starpinch.symfun import default_c_n, mean_curvatures, K1
 
 
 def make_surface(delta, rho0=1.0, perturbation=(), n=2):
@@ -159,8 +159,7 @@ class TestLemmaGap:
         rep = lemma1_gap(surf, build_rule(2, 16), 1, K1=2.0)
         assert abs(rep.value) < 1e-10 and rep.passed
 
-    def test_r2_gap_with_calibrated_constants(self):
-        cal = calibrate(3, 2, samples=40_000, seed=41)
+    def test_r2_gap_with_exact_constants(self):
         surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.05),))
         rule = build_rule(3, 8)
         batch = surf.fields(rule)
@@ -170,7 +169,7 @@ class TestLemmaGap:
         h = 2.0 * float(np.min(H[:, 2]))
         B_sup = float(np.max(np.abs(batch.kappa)))
         minH_partial = float(np.min(partial_H_extremes(3, batch.kappa)))
-        k1 = K1(3, 2, minH_partial, h, B_sup, cal.c_n)
+        k1 = K1(3, 2, minH_partial, h, B_sup, default_c_n(3))
         rep = lemma1_gap(surf, rule, 2, k1)
         assert rep.value >= -1e-10 and rep.passed
 

@@ -7,6 +7,7 @@ benchmark run without failing any other test.
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -35,3 +36,15 @@ def test_installed_tracer_wraps_and_restores_every_site():
             assert lookup(module, attr) is not original, f"{module}.{attr} not wrapped"
     for (module, attr), original in originals.items():
         assert lookup(module, attr) is original, f"{module}.{attr} not restored"
+
+
+def test_each_name_kept_importable_for_the_tracer_is_a_site():
+    # a "# <name> stays importable" comment keeps a name alive only for the tracer;
+    # once the tracer drops that site, this test names the code kept for it
+    sites = {(module, attr) for module, attr, _ in load_tracing().SITES}
+    src = Path(__file__).resolve().parents[1] / "src" / "starpinch"
+    kept = [(f"starpinch.{path.stem}", name) for path in sorted(src.glob("*.py"))
+            for name in re.findall(r"^# (\w+) stays importable", path.read_text(), re.M)]
+    assert kept, "no stays-importable comment found"
+    for module, name in kept:
+        assert (module, name) in sites, f"{module}.{name} is kept importable for no site"
