@@ -24,6 +24,9 @@ class FlippedSurface(RadialSurface):
         batch = super().fields(rule)
         return replace(batch, support=-batch.support)
 
+    def blocks(self, rule):  # the doubled rule's blocks, which refinement errors read
+        return (replace(block, support=-block.support) for block in super().blocks(rule))
+
 
 for delta in (-1.0, 0.0, 1.0):
     model = SpaceFormModel(delta=delta, ambient_dim=3)

@@ -112,11 +112,8 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_identities(cfg: ExperimentConfig, out_dir: Path) -> int:
     surface = cfg.surface()
     rule = build_rule(cfg.n, cfg.quad_order)
-    reports = [ident.hsiung_minkowski_residual(surface, k, rule) for k in range(cfg.n)]
-    reports.append(ident.cauchy_schwarz_chain_check(surface, rule))
-    reports.append(ident.michael_simon_ratio(surface, rule, cfg.constants.Kn_MS))
-    reports.append(ident.gauss_algebraic_check(surface, rule))
-    reports = [replace(rep, name=f"{rep.name}_order{cfg.quad_order}") for rep in reports]
+    reports = [replace(rep, name=f"{rep.name}_order{cfg.quad_order}")
+               for rep in ident.residuals(surface, rule, cfg.constants.Kn_MS)]
     _write(out_dir / "identities.csv", _header(cfg, "identities"),
            ident.residual_table(reports))
     if not all(r.passed for r in reports):

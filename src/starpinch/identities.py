@@ -21,7 +21,7 @@ from .errors import HypothesisError
 from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
                          integrate_batch, refinement_estimate)
 from .spaceform import c_delta
-from .surface import B_sup_norm, RadialSurface
+from .surface import RadialSurface
 
 IDENTITY = "identity"
 INEQUALITY = "inequality"
@@ -63,21 +63,49 @@ def _mean(batch, values) -> float:
     return integrate_batch(batch, values) / batch_volume(batch)
 
 
+def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=None) -> list:
+    """The named integral rows (all for None), from one pass over the doubled rule."""
+    n, delta = surface.n, surface.model.delta
+
+    def cauchy_schwarz(measure, tau_sq):
+        tau = np.sqrt(tau_sq)
+        tau2_sq = _mean(measure, tau**2)
+        taun = _mean(measure, tau ** (n + 1)) ** (1.0 / (n + 1))
+        return measure.B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
+
+    def michael_simon(measure, H_tilde):
+        vol = batch_volume(measure, euclidean=True)
+        total_H = integrate_batch(measure, np.abs(H_tilde), euclidean=True)
+        return Kn * total_H - vol ** ((n - 1) / n)
+
+    # name -> (kind, node column of a batch, value from the column on a RuleMeasure)
+    table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: b.H[:, k + 1] * b.support
+                                           + c_delta(b.r, delta) * b.H[:, k], _mean)
+                for k in range(n)},
+             "cauchy_schwarz_chain": (INEQUALITY, lambda b: b.tau_sq, cauchy_schwarz),
+             "michael_simon": (INEQUALITY, lambda b: b.H_tilde, michael_simon)}
+    names = list(table) if names is None else names
+    rows = [table[name] for name in names]
+    estimates = refinement_estimate(
+        surface, rule, lambda b: tuple(column(b) for _, column, _ in rows),
+        lambda m, *cols: tuple(value(m, col) for (*_, value), col in zip(rows, cols)),
+        sup="cauchy_schwarz_chain" in names)  # the one row that reads measure.B_sup
+    return [ResidualReport(name=name, value=est.value, tolerance=INTEGRAL_TOLERANCE,
+                           refinement_error=est.refinement_error, kind=kind)
+            for name, (kind, *_), est in zip(names, rows, estimates)]
+
+
+def residuals(surface: RadialSurface, rule: SphericalRule, Kn: float) -> list:
+    """Every row of `starpinch identities`, the integral rows from one pass."""
+    return _integral_reports(surface, rule, None, Kn) + [gauss_algebraic_check(surface, rule)]
+
+
 def hsiung_minkowski_residual(surface: RadialSurface, k: int,
                               rule: SphericalRule) -> ResidualReport:
     """Normalized residual of int (H_{k+1} <Z,nu> + c_d(r) H_k) dv = 0."""
     if not 0 <= k <= surface.n - 1:
         raise ValueError(f"k must lie in [0, n-1], got {k}")
-    delta = surface.model.delta
-
-    def integrand(batch):
-        H = batch.H
-        return H[:, k + 1] * batch.support + c_delta(batch.r, delta) * H[:, k]
-
-    est = refinement_estimate(surface, rule, lambda b: _mean(b, integrand(b)))
-    return ResidualReport(name=f"hsiung_minkowski_k{k}", value=est.value,
-                          tolerance=INTEGRAL_TOLERANCE, refinement_error=est.refinement_error,
-                          kind=IDENTITY)
+    return _integral_reports(surface, rule, [f"hsiung_minkowski_k{k}"])[0]
 
 
 def gauss_algebraic_check(surface: RadialSurface, rule: SphericalRule) -> ResidualReport:
@@ -101,19 +129,7 @@ def gauss_algebraic_check(surface: RadialSurface, rule: SphericalRule) -> Residu
 
 def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> ResidualReport:
     """Gap |B|_inf^(2n) |tau|_2^2 - |tau|_{n+1}^{2(n+1)} >= 0 (normalized norms)."""
-    n = surface.n
-
-    def gap(batch):
-        tau = np.sqrt(batch.tau_sq)
-        B_sup = B_sup_norm(batch)
-        tau2_sq = _mean(batch, tau**2)
-        taun = _mean(batch, tau ** (n + 1)) ** (1.0 / (n + 1))
-        return B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
-
-    est = refinement_estimate(surface, rule, gap)
-    return ResidualReport(name="cauchy_schwarz_chain", value=est.value,
-                          tolerance=INTEGRAL_TOLERANCE, refinement_error=est.refinement_error,
-                          kind=INEQUALITY)
+    return _integral_reports(surface, rule, ["cauchy_schwarz_chain"])[0]
 
 
 def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
@@ -134,11 +150,8 @@ def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
 def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
-    def eps_l1(batch):
-        return _mean(batch, np.abs(batch.H[:, r] - h))
-
-    tau = refinement_estimate(surface, rule, lambda b: _mean(b, b.tau_sq))
-    eps = refinement_estimate(surface, rule, eps_l1)
+    tau, eps = refinement_estimate(surface, rule, lambda b: (b.tau_sq, np.abs(b.H[:, r] - h)),
+                                   lambda m, tau_sq, eps: (_mean(m, tau_sq), _mean(m, eps)))
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,
@@ -154,13 +167,4 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule,
     every row of `starpinch identities` it gates that command (exit 2 when
     it fails); `run_pinch` does not use it.
     """
-    n = surface.n
-
-    def gap(batch):
-        vol = batch_volume(batch, euclidean=True)
-        total_H = integrate_batch(batch, np.abs(batch.H_tilde), euclidean=True)
-        return Kn * total_H - vol ** ((n - 1) / n)
-
-    est = refinement_estimate(surface, rule, gap)
-    return ResidualReport(name="michael_simon", value=est.value, tolerance=INTEGRAL_TOLERANCE,
-                          refinement_error=est.refinement_error, kind=INEQUALITY)
+    return _integral_reports(surface, rule, ["michael_simon"], Kn)[0]

@@ -57,8 +57,8 @@ def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
     if r > 1 and np.any(H[:, r + 1] <= 0.0):
         bad = int(np.argmin(H[:, r + 1]))
         raise HypothesisError(
-            f"H_{r + 1} must be positive for r > 1; node {bad} has {H[bad, r + 1]:.6g} "
-            f"(u = {batch.nodes[bad]})"
+            f"H_{r + 1} must be positive for r > 1; node {batch.start + bad} has "
+            f"{H[bad, r + 1]:.6g} (u = {batch.nodes[bad]})"
         )
     if h is None:
         h = _mean(batch, H[:, r])
@@ -283,22 +283,12 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     star = starshape_report(batch)
     h, eps = epsilon_field(batch, r, h=settings.h_fixed)
-
-    eps_l1 = refinement_estimate(surface, rule,
-                                 lambda b: _mean(b, np.abs(epsilon_field(b, r, h=h)[1])))
-    # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
-    tau_l2 = refinement_estimate(surface, rule,
-                                 lambda b: math.sqrt(_mean(b, np.sqrt(b.tau_sq) ** 2)))
     vol = batch_volume(batch)
     eps_linf = float(np.max(np.abs(eps)))
-    # tau lives until the run returns: freed here, it lets glibc trim the top of the
-    # heap, and each n = 3, q = 12 run then faults about 1.8k pages back in
-    tau = np.sqrt(batch.tau_sq)
-    tau_lnp1 = _mean(batch, tau ** (n + 1)) ** (1.0 / (n + 1))
+    tau_lnp1 = _mean(batch, np.sqrt(batch.tau_sq) ** (n + 1)) ** (1.0 / (n + 1))
 
-    H = batch.H
     B_sup = B_sup_norm(batch)
-    minH_rplus1 = float(np.min(H[:, r + 1]))
+    minH_rplus1 = float(np.min(batch.H[:, r + 1]))
     # H_{2;n,1} is the constant 1/C(n,2), so r = 1 reads no eigenvalue
     minH_partial = (1.0 / math.comb(n, 2) if r == 1
                     else float(np.min(partial_H_extremes(r + 1, batch.kappa))))
@@ -306,21 +296,25 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     consts = build_chain(model, r, h=h, B_sup=B_sup, R0=star.R0, R=star.R, volume=vol,
                          minH_partial=minH_partial, config=settings.constants)
 
+    fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * batch.weights)
+    distance = _surface_sphere_hausdorff(surface, fit)
+    # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
+    eps_l1, tau_l2, dH = refinement_estimate(
+        surface, rule,
+        lambda b: (np.abs(epsilon_field(b, r, h=h)[1]), np.sqrt(b.tau_sq) ** 2, distance(b)),
+        lambda m, eps, tau, dist: (_mean(m, eps), math.sqrt(_mean(m, tau)), float(np.max(dist))))
+
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,
                             eps_l1=eps_l1.value, eps1=consts.eps1,
                             minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
 
-    fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * batch.weights)
-    check = surface.fields(build_rule(n, 2 * settings.quad_order))
-    dH, dH_ref = _surface_sphere_hausdorff(surface, fit, batch, check)
-
     bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)
     applicable = gate_overall(gates) and eps_gate
-    bound_ok = not applicable or dH <= bound + _DH_ROUNDING * fit.rho0
+    bound_ok = not applicable or dH.check_value <= bound + _DH_ROUNDING * fit.rho0
     if not bound_ok:
         raise NumericalError(
-            f"stability bound violated: dH = {dH:.6g} > bound = {bound:.6g}"
+            f"stability bound violated: dH = {dH.check_value:.6g} > bound = {bound:.6g}"
         )
 
     return PinchReport(
@@ -329,13 +323,13 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
         tau_l2_refinement=tau_l2.refinement_error, tau_lnp1=tau_lnp1,
         R0=star.R0, R=star.R, B_sup=B_sup,
         minH_rplus1=minH_rplus1, minH_partial=minH_partial, volume=vol,
-        sphere_center=fit.center, rho0=fit.rho0, fit_rms=fit.rms, dH=dH,
-        dH_refinement=dH_ref, bound=bound, applicable=applicable,
+        sphere_center=fit.center, rho0=fit.rho0, fit_rms=fit.rms, dH=dH.check_value,
+        dH_refinement=dH.refinement_error, bound=bound, applicable=applicable,
         bound_ok=bound_ok, gates=gates, constants=consts,
     )
 
 
-def _surface_sphere_hausdorff(surface, fit, base, check):
+def _surface_sphere_hausdorff(surface, fit):
     """dH between the surface and the fitted sphere S, read from the surface side.
 
     Let D be the largest exact distance |d(c, x) - rho0| from a surface point
@@ -347,17 +341,15 @@ def _surface_sphere_hausdorff(surface, fit, base, check):
     the surface).  So each geodesic ray from c crosses the surface in the
     shell |d(c, .) - rho0| <= D, each point of S has a surface point on its
     own ray within D, and dH = D whether or not S stays in the chart.  The
-    one condition, c = 0 or |c| < rho(c/|c|), is checked first
-    (NumericalError otherwise).  Returns the largest node value on the check
-    batch and its difference from the base batch's, the refinement error.
+    one condition, c = 0 or |c| < rho(c/|c|), is checked here (NumericalError
+    otherwise).  Returns |d(c, x) - rho0| at a batch's nodes: dH is their maximum
+    on the doubled rule, and the refinement error its change from the base rule.
     """
     c = fit.center
     t = float(np.linalg.norm(c))
     if t > 0.0 and not t < surface.rho_values(c / t):
         raise NumericalError(f"fitted sphere center lies outside the surface (|c| = {t:.6g})")
-    D = [float(np.max(distance_to_geodesic_sphere(b.X, c, fit.rho0, surface.model)))
-         for b in (base, check)]
-    return D[1], abs(D[0] - D[1])
+    return lambda batch: distance_to_geodesic_sphere(batch.X, c, fit.rho0, surface.model)
 
 
 # ---------------------------------------------------------------------------

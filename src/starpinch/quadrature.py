@@ -21,8 +21,8 @@ values go to math.fsum directly.
 
 ``refinement_estimate`` is the one refinement estimate of the package: any
 scalar functional of the surface (an integral, a norm, an identity
-residual) carries the difference against the doubled-order rule as its
-refinement error.
+residual, a node maximum) carries the difference against the doubled-order
+rule, read block by block and never cached, as its refinement error.
 
 L^p norms follow the volume-normalized convention
 
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import RadialSurface, SurfaceBatch
+from .surface import B_sup_norm, RadialSurface, SurfaceBatch
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,17 @@ class SphericalRule:
 class IntegralEstimate:
     value: float
     refinement_error: float
+    check_value: float  # on the rule of doubled order
+
+
+@dataclass(frozen=True)
+class RuleMeasure:
+    """What integrals read of a rule's batch, and B_sup_norm if a pass streamed it."""
+    area_element: np.ndarray
+    area_element_euclid: np.ndarray
+    weights: np.ndarray
+    B_sup: float | None = None
+    volumes: dict = field(default_factory=dict)
 
 
 def sphere_area(n: int) -> float:
@@ -134,33 +146,50 @@ def _reduce(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def integrate_batch(batch: SurfaceBatch, values, *, euclidean: bool = False) -> float:
-    """Fixed-order reduction of sum f * area_element * weight over a rule's batch."""
+def integrate_batch(batch, values, *, euclidean: bool = False) -> float:
+    """Fixed-order reduction of sum f * area_element * weight over a batch or RuleMeasure."""
     if batch.weights is None:
         raise ValueError("the batch carries no rule weights; integrate surface.fields(rule)")
     area = batch.area_element_euclid if euclidean else batch.area_element
     return _reduce(np.asarray(values, dtype=float) * area * batch.weights)
 
 
-def batch_volume(batch: SurfaceBatch, *, euclidean: bool = False) -> float:
+def batch_volume(batch, *, euclidean: bool = False) -> float:
     """integrate_batch of ones, reduced once per batch and kept on it."""
     if euclidean not in batch.volumes:
-        ones = np.ones(len(batch.rho))
+        ones = np.ones(len(batch.area_element))
         batch.volumes[euclidean] = integrate_batch(batch, ones, euclidean=euclidean)
     return batch.volumes[euclidean]
 
 
-def refinement_estimate(surface: RadialSurface, rule: SphericalRule,
-                        functional) -> IntegralEstimate:
-    """A scalar functional of the surface with its refinement error.
+def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
+                        sup: bool = False) -> tuple:
+    """Scalar functionals of the surface with their refinement errors.
 
-    ``functional(batch)`` is evaluated on the batches of ``rule`` and of the
-    rule of doubled order; the value is the base-rule one and the refinement
-    error is the magnitude of the difference between the two.
+    ``columns(batch)`` gives a tuple of node arrays and ``combine(measure, *columns)`` a tuple
+    of values from them on a ``RuleMeasure`` (with ``B_sup`` if ``sup``), on the cached batch
+    of ``rule`` and on the blocks of the doubled rule, whose batch is never built: a block is
+    dropped once its area elements and columns are copied out, and sums keep a batch's bits.
     """
-    v0 = functional(surface.fields(rule))
-    v1 = functional(surface.fields(build_rule(rule.n, 2 * rule.order)))
-    return IntegralEstimate(value=v0, refinement_error=abs(v0 - v1))
+    def reduced(of, blocks):  # combine's values on the rule ``of``, read from its blocks
+        stacked = []
+
+        def copy_out(block):  # area elements and columns, into their rows of stacked
+            values = (block.area_element, block.area_element_euclid, *columns(block))
+            if not stacked:
+                stacked.extend(np.empty((len(values), len(of.weights))))
+            for row, value in zip(stacked, values):
+                row[block.start:block.start + len(block.rho)] = value
+            return block
+
+        passing = map(copy_out, blocks)
+        B_sup = B_sup_norm(passing) if sup else None
+        deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
+        return combine(RuleMeasure(stacked[0], stacked[1], of.weights, B_sup), *stacked[2:])
+
+    check = build_rule(rule.n, 2 * rule.order)
+    v0, v1 = reduced(rule, [surface.fields(rule)]), reduced(check, surface.blocks(check))
+    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(v0, v1))
 
 
 def lp_norm(batch: SurfaceBatch, values, p: float) -> float:

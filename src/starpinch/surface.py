@@ -195,12 +195,17 @@ class RadialSurface:
         return self._cache["plan"]
 
     def fields(self, rule) -> "SurfaceBatch":
-        """Batch of pointwise data at a rule's nodes, carrying its weights (cached)."""
+        """Batch of pointwise data at a rule's nodes with its weights, cached (base rules only)."""
         key = id(rule)  # the entry holds the rule, so this id is not reused while it lives
         if key not in self._cache:
             self._cache[key] = rule, replace(evaluate_nodes(self, rule.nodes),
                                              weights=rule.weights)
         return self._cache[key][1]
+
+    def blocks(self, rule):
+        """A rule's batch block by block, from ``evaluate_nodes``; nothing is cached."""
+        return (evaluate_nodes(self, rule.nodes[b:b + _BLOCK], b)
+                for b in range(0, len(rule.nodes), _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,7 @@ class SurfaceBatch:
     area_element_euclid: np.ndarray  # (N,) Euclidean volume density
     rho: np.ndarray            # (N,) radial graph values
     weights: np.ndarray | None = None  # (N,) the rule's read-only weights; None off a rule
+    start: int = 0             # index of the first node in its rule, for error messages
 
     @property
     def n(self) -> int:
@@ -241,32 +247,35 @@ class SurfaceBatch:
         return {}
 
 
-# Nodes per block of evaluate_nodes: the temporaries of all blocks of a 65536-node
-# n = 3 rule peak at 1.2 MiB (traced; 4.1 MiB for a kernel that built g, B and nu at
-# 4096 nodes), below glibc's dynamic trim threshold (twice the largest chunk it has
-# unmapped); temporaries above it are returned to the system and faulted back in.
+# Nodes per block: the temporaries of all blocks of a 65536-node n = 3 rule peak at
+# 1.2 MiB, also streamed by RadialSurface.blocks (traced; 4.1 MiB for a kernel that built
+# g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice the largest chunk
+# it has unmapped); temporaries above it are returned to the system and faulted back in.
 _BLOCK = 2048
 
 
-def evaluate_nodes(surface: RadialSurface, nodes) -> SurfaceBatch:
-    """All pointwise extrinsic data at the given parameter directions."""
+def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatch:
+    """All pointwise extrinsic data at the given directions; errors count from ``start``."""
     u = np.atleast_2d(np.asarray(nodes, dtype=float))
     N, d = u.shape
     n = surface.n
     if d != n + 1:
         raise ValueError("nodes must be (N, n+1) unit vectors")
     plan = surface._plan()
-    out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
-           **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
-                                             "H_tilde", "area_element_euclid", "rho")}}
-    # every operation is per node, so blocks of nodes give the same bits as
-    # one pass while the temporaries stay bounded by the block size
-    for start in range(0, N, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for name, value in _node_block(surface, plan, u[block].T.copy(), start).items():
-            out[name][block] = value
+    if N <= _BLOCK:  # one block: M and H stay views of the kernel's node-last arrays
+        out = _node_block(surface, plan, u.T.copy(), start)
+    else:
+        out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
+               **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
+                                                 "H_tilde", "area_element_euclid", "rho")}}
+        # every operation is per node, so blocks of nodes give the same bits as
+        # one pass while the temporaries stay bounded by the block size
+        for b in range(0, N, _BLOCK):
+            u_block = u[b:b + _BLOCK].T.copy()
+            for name, value in _node_block(surface, plan, u_block, start + b).items():
+                out[name][b:b + _BLOCK] = value
     out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
-    return SurfaceBatch(nodes=u, **out)
+    return SurfaceBatch(nodes=u, start=start, **out)
 
 
 def _polynomial_plan(surface: RadialSurface) -> tuple:
@@ -365,8 +374,9 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) 
     H, tau_sq = _curvature_invariants(M, q)
     r = radius_from_chart_norm(norm, delta)
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
+    # X in C order: sums over its coordinates (geodesic_distance) keep their bits
     return {
-        "X": X.T, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
+        "X": X.T.copy(), "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
         "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q**n,
         "H_tilde": np.trace(M) / n + dphi_nu, "area_element_euclid": area_euc, "rho": rho,
     }
@@ -462,7 +472,7 @@ def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
                            R=float(np.max(batch.r)))
 
 
-def B_sup_norm(batch: SurfaceBatch) -> float:
+def B_sup_norm(batch) -> float:
     """Sup of the shape-operator spectral norm, max_i |kappa_i| over the batch's nodes.
 
     Bitwise equal to np.max(np.abs(batch.kappa)), but the Jacobi solve runs
@@ -471,13 +481,21 @@ def B_sup_norm(batch: SurfaceBatch) -> float:
     least every q |M_ii| and the solved |kappa| of the node of largest U, so
     only nodes whose U reaches the larger of these, less 256 ulps so that
     ties survive rounding, are solved.  The solve is per node, so it gives
-    the same bits on those nodes alone.
+    the same bits on those nodes alone.  ``batch`` may be an iterable of its blocks,
+    each read once: a block keeps the rows whose U reaches the largest q |M_ii| so far.
     """
-    n = batch.n
-    upper = np.abs(batch.H[:, 1]) + np.sqrt((n - 1) / n * batch.tau_sq)
-    top = int(np.argmax(upper))
-    diagonal = np.max(np.abs(np.diagonal(batch.M, axis1=1, axis2=2)), axis=1)
-    lower = max(np.max(batch.q * diagonal), np.max(np.abs(
-        _principal_curvatures(batch.M[top:top + 1], batch.q[top:top + 1]))))
-    near = upper >= lower * (1.0 - 256 * np.finfo(float).eps)
-    return float(np.max(np.abs(_principal_curvatures(batch.M[near], batch.q[near]))))
+    diagonal, top, rows, slack = -np.inf, None, [], 1.0 - 256 * np.finfo(float).eps
+    for block in [batch] if isinstance(batch, SurfaceBatch) else batch:
+        n, M, q = block.n, block.M, block.q
+        upper = np.abs(block.H[:, 1]) + np.sqrt((n - 1) / n * block.tau_sq)
+        diagonal = np.maximum(diagonal, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
+        i = int(np.argmax(upper))  # the first node of largest U, copied to free the block
+        if top is None or upper[i] > top[0]:
+            top = upper[i], M[i:i + 1].copy(), q[i:i + 1].copy()
+        keep = upper >= diagonal * slack
+        rows.append((upper[keep], M[keep], q[keep]))
+        del block, M, q  # a streamed block is freed before the next one is evaluated
+    lower = max(diagonal, np.max(np.abs(_principal_curvatures(*top[1:]))))
+    M, q = (np.concatenate(part) for part in zip(*[
+        (M[near], q[near]) for upper, M, q in rows for near in [upper >= lower * slack]]))
+    return float(np.max(np.abs(_principal_curvatures(M, q))))

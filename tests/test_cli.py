@@ -320,8 +320,8 @@ class TestCommands:
         # break the sign convention of <Z,nu> on every batch the command evaluates
         evaluate = surface_module.evaluate_nodes
 
-        def flipped(surface, nodes):
-            batch = evaluate(surface, nodes)
+        def flipped(surface, nodes, *start):
+            batch = evaluate(surface, nodes, *start)
             return dataclasses.replace(batch, support=-batch.support)
 
         monkeypatch.setattr(surface_module, "evaluate_nodes", flipped)
@@ -336,8 +336,8 @@ class TestCommands:
         # raise tau^2 by 1e-9 relative at one node of every batch the command evaluates
         evaluate = surface_module.evaluate_nodes
 
-        def bumped(surface, nodes):
-            batch = evaluate(surface, nodes)
+        def bumped(surface, nodes, *start):
+            batch = evaluate(surface, nodes, *start)
             tau_sq = batch.tau_sq.copy()
             tau_sq[np.argmax(tau_sq)] *= 1.0 + 1e-9
             return dataclasses.replace(batch, tau_sq=tau_sq)

@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import starpinch.identities as identities_module
 from starpinch.constants import K2
 from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   cauchy_schwarz_chain_check,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
-                                  michael_simon_ratio,
+                                  michael_simon_ratio, residuals,
                                   tau_l2_epsilon_bound)
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
@@ -215,17 +216,17 @@ class TestTauEpsilonBound:
         assert eps_ratio == pytest.approx(2.0, rel=0.1)
 
 
-def test_identity_rows_key_volumes_by_metric_alone():
+def test_identity_rows_key_volumes_by_metric_alone(monkeypatch):
     # every row of `starpinch identities`, on the base and the doubled rule
     surf = make_surface(-1.0, perturbation=(((3, 1), 0.05), ((2, 0), 0.03)))
-    rule = build_rule(2, 12)
-    for k in range(surf.n):
-        hsiung_minkowski_residual(surf, k, rule)
-    cauchy_schwarz_chain_check(surf, rule)
-    michael_simon_ratio(surf, rule, 1.0)
-    gauss_algebraic_check(surf, rule)
-    for order in (12, 24):
-        assert set(surf.fields(build_rule(2, order)).volumes) == {False, True}
+    measures, volume = [], identities_module.batch_volume
+    monkeypatch.setattr(identities_module, "batch_volume",
+                        lambda m, **kw: measures.append(m) or volume(m, **kw))
+    residuals(surf, build_rule(2, 12), 1.0)
+    assert [len(m.weights) for m in {id(m): m for m in measures}.values()] == [
+        len(build_rule(2, q).weights) for q in (12, 24)]
+    for m in measures:
+        assert set(m.volumes) == {False, True}
 
 
 class TestRefinementError:

@@ -111,28 +111,34 @@ class TestReduce:
             lambda v: math.fsum(v.tolist()), values)
 
 
+def volume_estimate(surface, rule):
+    return refinement_estimate(surface, rule, lambda b: (), lambda m: (batch_volume(m),))[0]
+
+
 class TestSurfaceIntegral:
     def test_unit_sphere_area(self):
-        est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8), batch_volume)
+        est = volume_estimate(flat_sphere(1.0), build_rule(2, 8))
         assert est.value == pytest.approx(4.0 * math.pi, rel=1e-13)
         assert est.refinement_error < 1e-12
 
     def test_area_scaling(self):
-        est = refinement_estimate(flat_sphere(2.0), build_rule(2, 8), batch_volume)
+        est = volume_estimate(flat_sphere(2.0), build_rule(2, 8))
         assert est.value == pytest.approx(16.0 * math.pi, rel=1e-13)
 
     def test_support_integral_on_unit_sphere(self):
         est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8),
-                                  lambda b: integrate_batch(b, b.support))
+                                  lambda b: (b.support,),
+                                  lambda m, f: (integrate_batch(m, f),))[0]
         assert est.value == pytest.approx(-4.0 * math.pi, rel=1e-13)
 
     def test_spectral_refinement_decay(self):
         surf = flat_sphere(1.0, perturbation=(((3, 1), 0.15), ((2, -1), 0.1)))
 
-        def integral(batch):
-            return integrate_batch(batch, np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2))
+        def integrand(batch):
+            return (np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2),)
 
-        errs = [refinement_estimate(surf, build_rule(2, o), integral).refinement_error
+        errs = [refinement_estimate(surf, build_rule(2, o), integrand,
+                                    lambda m, f: (integrate_batch(m, f),))[0].refinement_error
                 for o in (6, 12, 24)]
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 10.0 or fine < 1e-12
@@ -165,7 +171,7 @@ class TestGeodesicSphereAreas:
         rho = 0.8
         model = SpaceFormModel(delta=delta, ambient_dim=3)
         surf = RadialSurface(n=2, model=model, rho0=chart_radius(rho, model))
-        est = refinement_estimate(surf, build_rule(2, 12), batch_volume)
+        est = volume_estimate(surf, build_rule(2, 12))
         assert est.value == pytest.approx(4.0 * math.pi * s_delta(rho, delta) ** 2,
                                           rel=1e-12)
 
@@ -176,7 +182,7 @@ class TestGeodesicSphereAreas:
         rho = 0.6
         model = SpaceFormModel(delta=delta, ambient_dim=4)
         surf = RadialSurface(n=3, model=model, rho0=chart_radius(rho, model))
-        est = refinement_estimate(surf, build_rule(3, 8), batch_volume)
+        est = volume_estimate(surf, build_rule(3, 8))
         assert est.value == pytest.approx(2.0 * math.pi**2 * s_delta(rho, delta) ** 3,
                                           rel=1e-12)
 

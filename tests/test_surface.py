@@ -28,8 +28,9 @@ def basis_values(n, key, points):
 
 
 def node_fields(batch):
-    """The SurfaceBatch fields evaluate_nodes fills: all but the rule's weights."""
-    return [f.name for f in dataclasses.fields(batch) if f.name != "weights"]
+    """The SurfaceBatch node fields evaluate_nodes fills: all but the rule's weights and
+    the index of the first node."""
+    return [f.name for f in dataclasses.fields(batch) if f.name not in ("weights", "start")]
 
 
 def tangent_frames(u):
