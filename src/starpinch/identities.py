@@ -1,13 +1,13 @@
 """Numerical residuals for the integral identities and inequality chain.
 
-Every check reads the H_k, tau^2 and other fields of ``surface.fields(rule)``,
-the batch the integrals read; pointwise checks report their worst node.
-Each check returns a ResidualReport.  An identity passes when |value| is at
-most its fixed tolerance, an inequality when its gap is at least minus that
-tolerance.  The quadrature refinement error (base rule vs doubled rule) is
-reported next to the value and never widens the verdict.  Integral
-residuals are volume-normalized so tolerances compare across surfaces of
-different size.
+Every check reads the H_k, tau^2 and other fields of ``surface.fields(rule)``, the batch
+the integrals read; pointwise checks report their worst node.  Each check returns a
+ResidualReport.  An identity passes when |value| is at most its fixed tolerance, an
+inequality when its gap is at least minus that tolerance.  The quadrature refinement
+error (base rule vs doubled rule) is reported next to the value and never widens the
+verdict.  Integral residuals are volume-normalized so tolerances compare across
+surfaces of different size.  The means, the lemma rows' H_{r+1} > 0 check and their
+eps = H_r - h are run_pinch's: pinch.batch_mean, require_positive_H, epsilon_field.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError
+from .pinch import batch_mean, epsilon_field, require_positive_H
 # build_rule stays importable here: bench/tracing.py wraps it at this name
 from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
                          integrate_batch, refinement_estimate)
@@ -58,19 +58,14 @@ def residual_table(reports) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mean(batch, values) -> float:
-    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
-    return integrate_batch(batch, values) / batch_volume(batch)
-
-
 def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=None) -> list:
     """The named integral rows (all for None), from one pass over the doubled rule."""
     n, delta = surface.n, surface.model.delta
 
     def cauchy_schwarz(measure, tau_sq):
         tau = np.sqrt(tau_sq)
-        tau2_sq = _mean(measure, tau**2)
-        taun = _mean(measure, tau ** (n + 1)) ** (1.0 / (n + 1))
+        tau2_sq = batch_mean(measure, tau**2)
+        taun = batch_mean(measure, tau ** (n + 1)) ** (1.0 / (n + 1))
         return measure.B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
 
     def michael_simon(measure, H_tilde):
@@ -80,7 +75,7 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
 
     # name -> (kind, node column of a batch, value from the column on a RuleMeasure)
     table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: b.H[:, k + 1] * b.support
-                                           + c_delta(b.r, delta) * b.H[:, k], _mean)
+                                           + c_delta(b.r, delta) * b.H[:, k], batch_mean)
                 for k in range(n)},
              "cauchy_schwarz_chain": (INEQUALITY, lambda b: b.tau_sq, cauchy_schwarz),
              "michael_simon": (INEQUALITY, lambda b: b.H_tilde, michael_simon)}
@@ -136,12 +131,8 @@ def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
                K1: float) -> ResidualReport:
     """Worst-node gap K1 (H H_r - H_{r+1}) - tau^2 >= 0 over the rule's nodes."""
     batch = surface.fields(rule)
+    require_positive_H(batch, r + 1)
     H = batch.H
-    if np.any(H[:, r + 1] <= 0.0):
-        bad = int(np.argmin(H[:, r + 1]))
-        raise HypothesisError(
-            f"lemma gap needs H_{r+1} > 0 everywhere; node {bad} has {H[bad, r + 1]:.6g}"
-        )
     gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - batch.tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),
                           tolerance=LEMMA_TOLERANCE, refinement_error=0.0, kind=INEQUALITY)
@@ -149,9 +140,10 @@ def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
 
 def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule) -> ResidualReport:
-    """Gap K2 |eps|_1 - |tau|_2^2 >= 0 with eps = H_r - h (normalized)."""
-    tau, eps = refinement_estimate(surface, rule, lambda b: (b.tau_sq, np.abs(b.H[:, r] - h)),
-                                   lambda m, tau_sq, eps: (_mean(m, tau_sq), _mean(m, eps)))
+    """Gap K2 |eps|_1 - |tau|_2^2 >= 0, eps = H_r - h of ``epsilon_field`` (normalized)."""
+    tau, eps = refinement_estimate(
+        surface, rule, lambda b: (b.tau_sq, np.abs(epsilon_field(b, r, h)[1])),
+        lambda m, tau_sq, eps: (batch_mean(m, tau_sq), batch_mean(m, eps)))
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,

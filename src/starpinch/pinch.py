@@ -41,9 +41,18 @@ from .symfun import partial_H_extremes
 # epsilon field and gates
 
 
-def _mean(batch: SurfaceBatch, values) -> float:
-    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
+# the one volume-normalized mean: bench/tracing.py counts integrate_batch at this module's name
+def batch_mean(batch, values) -> float:
+    """Volume-normalized integral (1/V) int values dv over a batch or RuleMeasure."""
     return integrate_batch(batch, values) / batch_volume(batch)
+
+
+def require_positive_H(batch: SurfaceBatch, k: int) -> None:
+    """HypothesisError unless H_k > 0 at every node, naming the worst node and its u."""
+    bad = int(np.argmin(batch.H[:, k]))
+    if not batch.H[bad, k] > 0.0:
+        raise HypothesisError(f"H_{k} must be positive at every node; node {batch.start + bad} "
+                              f"has {batch.H[bad, k]:.6g} (u = {batch.nodes[bad]})")
 
 
 def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
@@ -53,16 +62,11 @@ def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
     which minimizes |eps|_2 among constants.  Requires H_{r+1} > 0 at
     every node when r > 1.
     """
-    H = batch.H
-    if r > 1 and np.any(H[:, r + 1] <= 0.0):
-        bad = int(np.argmin(H[:, r + 1]))
-        raise HypothesisError(
-            f"H_{r + 1} must be positive for r > 1; node {batch.start + bad} has "
-            f"{H[bad, r + 1]:.6g} (u = {batch.nodes[bad]})"
-        )
+    if r > 1:
+        require_positive_H(batch, r + 1)
     if h is None:
-        h = _mean(batch, H[:, r])
-    return float(h), H[:, r] - h
+        h = batch_mean(batch, batch.H[:, r])
+    return float(h), batch.H[:, r] - h
 
 
 @dataclass(frozen=True)
@@ -285,7 +289,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     h, eps = epsilon_field(batch, r, h=settings.h_fixed)
     vol = batch_volume(batch)
     eps_linf = float(np.max(np.abs(eps)))
-    tau_lnp1 = _mean(batch, np.sqrt(batch.tau_sq) ** (n + 1)) ** (1.0 / (n + 1))
+    tau_lnp1 = batch_mean(batch, np.sqrt(batch.tau_sq) ** (n + 1)) ** (1.0 / (n + 1))
 
     B_sup = B_sup_norm(batch)
     minH_rplus1 = float(np.min(batch.H[:, r + 1]))
@@ -302,7 +306,8 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     eps_l1, tau_l2, dH = refinement_estimate(
         surface, rule,
         lambda b: (np.abs(epsilon_field(b, r, h=h)[1]), np.sqrt(b.tau_sq) ** 2, distance(b)),
-        lambda m, eps, tau, dist: (_mean(m, eps), math.sqrt(_mean(m, tau)), float(np.max(dist))))
+        lambda m, eps, tau, dist: (batch_mean(m, eps), math.sqrt(batch_mean(m, tau)),
+                                   float(np.max(dist))))
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,
@@ -429,7 +434,7 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
 def scaling_csv(study: ScalingStudy) -> str:
     """Render a scaling study as CSV with the fixed column order."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCALING_COLUMNS)
     for row in study.rows:
         writer.writerow([repr(getattr(row, col)) for col in SCALING_COLUMNS])

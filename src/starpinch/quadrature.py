@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,8 @@ class RuleMeasure:
     area_element: np.ndarray
     area_element_euclid: np.ndarray
     weights: np.ndarray
-    B_sup: float | None = None
-    volumes: dict = field(default_factory=dict)
+    B_sup: float | None
+    volumes: dict  # euclidean -> volume, as on SurfaceBatch
 
 
 def sphere_area(n: int) -> float:
@@ -168,10 +168,11 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
 
     ``columns(batch)`` gives a tuple of node arrays and ``combine(measure, *columns)`` a tuple
     of values from them on a ``RuleMeasure`` (with ``B_sup`` if ``sup``), on the cached batch
-    of ``rule`` and on the blocks of the doubled rule, whose batch is never built: a block is
-    dropped once its area elements and columns are copied out, and sums keep a batch's bits.
+    of ``rule`` (sharing its volumes) and on the blocks of the doubled rule, whose batch is
+    never built: a block is dropped once its area elements and columns are copied out, and
+    sums keep a batch's bits.
     """
-    def reduced(of, blocks):  # combine's values on the rule ``of``, read from its blocks
+    def reduced(of, blocks, volumes):  # combine's values on the rule ``of``, from its blocks
         stacked = []
 
         def copy_out(block):  # area elements and columns, into their rows of stacked
@@ -185,10 +186,10 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
         passing = map(copy_out, blocks)
         B_sup = B_sup_norm(passing) if sup else None
         deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
-        return combine(RuleMeasure(stacked[0], stacked[1], of.weights, B_sup), *stacked[2:])
+        return combine(RuleMeasure(*stacked[:2], of.weights, B_sup, volumes), *stacked[2:])
 
-    check = build_rule(rule.n, 2 * rule.order)
-    v0, v1 = reduced(rule, [surface.fields(rule)]), reduced(check, surface.blocks(check))
+    batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
+    v0, v1 = reduced(rule, [batch], batch.volumes), reduced(check, surface.blocks(check), {})
     return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(v0, v1))
 
 

@@ -179,20 +179,21 @@ class RadialSurface:
         if not 0.0 < self.rho0 < math.inf:  # nan fails both comparisons
             raise HypothesisError(f"rho0 must be positive and finite, got {self.rho0}")
         self.perturbation = tuple((k, float(a)) for k, a in self.perturbation)
-        for key, _ in self.perturbation:
+        for key, amp in self.perturbation:
             basis_function(self.n, key)  # validates the key
+            if not math.isfinite(amp):
+                raise HypothesisError(f"amplitude of {key!r} must be finite, got {amp}")
 
     def rho_values(self, points) -> np.ndarray:
         """rho at unit vectors (..., n+1), bit for bit the rho of ``fields``."""
         pts = np.asarray(points, dtype=float)
         u = pts.reshape(-1, self.n + 1).T.copy()
-        return _polynomial_derivatives(self._plan(), u)[0].reshape(pts.shape[:-1])
+        return _polynomial_derivatives(self._plan, u)[0].reshape(pts.shape[:-1])
 
+    @cached_property
     def _plan(self) -> tuple:
         """The polynomial plan of rho (``_polynomial_plan``), built once per surface."""
-        if "plan" not in self._cache:
-            self._cache["plan"] = _polynomial_plan(self)
-        return self._cache["plan"]
+        return _polynomial_plan(self)
 
     def fields(self, rule) -> "SurfaceBatch":
         """Batch of pointwise data at a rule's nodes with its weights, cached (base rules only)."""
@@ -261,7 +262,7 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatc
     n = surface.n
     if d != n + 1:
         raise ValueError("nodes must be (N, n+1) unit vectors")
-    plan = surface._plan()
+    plan = surface._plan
     if N <= _BLOCK:  # one block: M and H stay views of the kernel's node-last arrays
         out = _node_block(surface, plan, u.T.copy(), start)
     else:

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 import starpinch.identities as identities_module
+import starpinch.pinch
 from starpinch.constants import K2
+from starpinch.errors import HypothesisError
 from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   cauchy_schwarz_chain_check,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
                                   michael_simon_ratio, residuals,
                                   tau_l2_epsilon_bound)
+from starpinch.pinch import epsilon_field
 from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
@@ -173,6 +176,37 @@ class TestLemmaGap:
         k1 = K1(3, 2, minH_partial, h, B_sup, default_c_n(3))
         rep = lemma1_gap(surf, rule, 2, k1)
         assert rep.value >= -1e-10 and rep.passed
+
+
+class TestSharedHypothesisCheck:
+    # H_3 <= 0 at some node of this surface's order-6 rule
+    def failing(self):
+        return make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),)), build_rule(3, 6)
+
+    def test_lemma_gap_and_epsilon_field_raise_the_same_message(self):
+        surf, rule = self.failing()
+        with pytest.raises(HypothesisError) as lemma:
+            lemma1_gap(surf, rule, 2, K1=1.0)
+        with pytest.raises(HypothesisError) as eps:
+            epsilon_field(surf.fields(rule), 2)
+        assert str(lemma.value) == str(eps.value)
+        bad = int(np.argmin(surf.fields(rule).H[:, 3]))
+        assert f"node {bad} has" in str(lemma.value)
+        assert f"(u = {rule.nodes[bad]})" in str(lemma.value)
+
+    def test_tau_l2_epsilon_bound_needs_H_r_plus_1_positive(self):
+        surf, rule = self.failing()
+        with pytest.raises(HypothesisError, match="H_3 must be positive"):
+            tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
+
+    def test_residual_means_integrate_at_the_name_pinch_looks_up(self, monkeypatch):
+        # bench/tracing.py counts integrate_batch at starpinch.pinch's name
+        calls, integrate = [], starpinch.pinch.integrate_batch
+        monkeypatch.setattr(starpinch.pinch, "integrate_batch",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        hsiung_minkowski_residual(make_surface(-1.0, perturbation=(((3, 1), 0.05),)), 1,
+                                  build_rule(2, 8))
+        assert len(calls) == 2  # one mean on the base rule, one on the doubled rule
 
 
 class TestTauEpsilonBound:

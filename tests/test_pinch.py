@@ -467,3 +467,8 @@ class TestScalingStudy:
         assert header == ("amplitude,eps_l1,eps_linf,tau_l2,tau_lnp1,"
                           "R0,B_sup,rho0,dH,bound,applicable")
         assert "# regression slope=" in text
+
+    def test_csv_has_no_carriage_returns(self):
+        base = make_surface(0.0, perturbation=(((2, 0), 1.0),))
+        text = scaling_csv(scaling_study(base, [0.04, 0.02], 1, settings(order=8)))
+        assert "\r" not in text and text.endswith("\n")

@@ -21,6 +21,7 @@ import pytest
 
 import starpinch.config
 from starpinch import ConstantsConfig, RunSettings, run_pinch
+from starpinch import quadrature as quadrature_module
 from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.errors import HypothesisError
@@ -116,6 +117,18 @@ class TestBits:
             assert B_sup_norm(batch) == previous_B_sup_norm(batch)
 
 
+class TestBaseVolume:
+    def test_the_base_rules_volume_is_reduced_once(self, monkeypatch):
+        surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
+        rule = build_rule(2, 16)
+        volume = batch_volume(surf.fields(rule))
+        reductions, reduce = [], quadrature_module._reduce
+        monkeypatch.setattr(quadrature_module, "_reduce",
+                            lambda values: reductions.append(len(values)) or reduce(values))
+        est, = refinement_estimate(surf, rule, lambda b: (), lambda m: (batch_volume(m),))
+        assert est.value == volume and reductions == [nodes(2, 32)]
+
+
 class TestErrors:
     def test_check_rule_errors_name_the_node_of_the_whole_rule(self):
         # rho <= 0 only beyond z = 0.999: past the base rule's last ring (0.9973)
@@ -192,7 +205,7 @@ class TestOnePass:
 
 class TestMemory:
     def cached_orders(self, surface):
-        return sorted(entry[0].order for key, entry in surface._cache.items() if key != "plan")
+        return sorted(rule.order for rule, _ in surface._cache.values())
 
     def test_run_pinch_caches_no_doubled_rule(self):
         surf = make_surface(0.0, 3, 0.9, (("u1u2", 0.04),))

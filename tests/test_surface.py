@@ -57,7 +57,7 @@ def point_forms(surf, nodes):
     change gives g = g~/q^2, B = (B~ - (nu~ . grad phi) g~)/q and nu = q nu~.
     """
     u = np.asarray(nodes, dtype=float)
-    rho, grad, hess = surface_module._polynomial_derivatives(surf._plan(), u.T.copy())
+    rho, grad, hess = surface_module._polynomial_derivatives(surf._plan, u.T.copy())
     E, eye = tangent_frames(u), np.eye(surf.n)
     rho_a = np.einsum("Nad,dN->Na", E, grad)
     rho_ab = (np.einsum("Nad,deN,Nbe->Nab", E, hess, E)
@@ -313,6 +313,11 @@ class TestOrientationAndConsistency:
     def test_rho0_must_be_positive_and_finite(self, rho0):
         with pytest.raises(HypothesisError, match="rho0 must be positive and finite"):
             sphere(0.0, rho0)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
+    def test_amplitudes_must_be_finite(self, amplitude):
+        with pytest.raises(HypothesisError, match=r"amplitude of \(2, 1\) must be finite"):
+            sphere(0.0, 1.0, perturbation=(((2, 1), amplitude),))
 
     def test_leaving_chart_raises(self):
         model = SpaceFormModel(delta=1.0, ambient_dim=3)
