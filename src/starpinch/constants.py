@@ -135,10 +135,10 @@ def build_chain(model: SpaceFormModel, r: int, *, h: float, B_sup: float, R0: fl
 
 
 def _in_range(name: str, constant, *args) -> float:
-    """constant(*args); NumericalError names it if it overflows or underflows to 0."""
+    """constant(*args); NumericalError names it if it overflows (or divides by 0) or underflows."""
     try:
         value = constant(*args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not 0.0 < value < math.inf:
         raise NumericalError(f"constant chain: {name} = {value!r} left the floating-point range")

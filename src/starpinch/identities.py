@@ -6,8 +6,9 @@ ResidualReport.  An identity passes when |value| is at most its fixed tolerance,
 inequality when its gap is at least minus that tolerance.  The quadrature refinement
 error (base rule vs doubled rule) is reported next to the value and never widens the
 verdict.  Integral residuals are volume-normalized so tolerances compare across
-surfaces of different size.  The means, the lemma rows' H_{r+1} > 0 check and their
-eps = H_r - h are run_pinch's: pinch.batch_mean, require_positive_H, epsilon_field.
+surfaces of different size.  The means and norms, the lemma rows' H_{r+1} > 0 check and
+their eps = H_r - h are run_pinch's: pinch.batch_mean, lp_norm, require_positive_H and
+epsilon_field.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pinch import batch_mean, epsilon_field, require_positive_H
+from .pinch import batch_mean, epsilon_field, lp_norm, require_positive_H
 # build_rule stays importable here: bench/tracing.py wraps it at this name
-from .quadrature import (SphericalRule, batch_volume, build_rule,  # noqa: F401
-                         integrate_batch, refinement_estimate)
+from .quadrature import build_rule  # noqa: F401
+from .quadrature import SphericalRule, batch_volume, integrate_batch, refinement_estimate
 from .spaceform import c_delta
 from .surface import RadialSurface
 
@@ -64,16 +65,15 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
 
     def cauchy_schwarz(measure, tau_sq):
         tau = np.sqrt(tau_sq)
-        tau2_sq = batch_mean(measure, tau**2)
-        taun = batch_mean(measure, tau ** (n + 1)) ** (1.0 / (n + 1))
-        return measure.B_sup ** (2 * n) * tau2_sq - taun ** (2 * (n + 1))
+        taun = lp_norm(measure, tau, n + 1)
+        return measure.B_sup ** (2 * n) * batch_mean(measure, tau**2) - taun ** (2 * (n + 1))
 
     def michael_simon(measure, H_tilde):
         vol = batch_volume(measure, euclidean=True)
         total_H = integrate_batch(measure, np.abs(H_tilde), euclidean=True)
         return Kn * total_H - vol ** ((n - 1) / n)
 
-    # name -> (kind, node column of a batch, value from the column on a RuleMeasure)
+    # name -> (kind, node column of a batch, its value on a batch or RuleMeasure)
     table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: b.H[:, k + 1] * b.support
                                            + c_delta(b.r, delta) * b.H[:, k], batch_mean)
                 for k in range(n)},

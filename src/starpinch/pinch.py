@@ -6,8 +6,10 @@ sup/L1 smallness of eps, positivity of H_{r+1}, containment), evaluates
 the constant chain, fits the nearest geodesic sphere, measures the
 Hausdorff distance in the ambient metric and compares it against the
 stability bound C |eps|_1^gamma.  A scaling study repeats this along a
-family of shrinking perturbation amplitudes and regresses
-log d_H against log |eps|_1.
+family of shrinking perturbation amplitudes and regresses log d_H against
+log |eps|_1.  Means and norms are volume-normalized, the package's one
+``batch_mean`` and ``lp_norm``: |f|_p = ((1/V) int |f|^p dv)^(1/p), so a
+constant has norm |c| on any surface.
 
 Geodesic spheres of the conformal models are Euclidean spheres in the
 chart, so sphere sampling is exact through the chart representation and the
@@ -34,17 +36,24 @@ from .errors import HypothesisError, NumericalError
 from .quadrature import batch_volume, build_rule, integrate_batch, refinement_estimate
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
-from .surface import B_sup_norm, RadialSurface, SurfaceBatch, starshape_report
+from .surface import RadialSurface, SurfaceBatch, starshape_report
 from .symfun import partial_H_extremes
 
 # ---------------------------------------------------------------------------
 # epsilon field and gates
 
 
-# the one volume-normalized mean: bench/tracing.py counts integrate_batch at this module's name
+# the one mean and norm: bench/tracing.py counts integrate_batch at this module's name
 def batch_mean(batch, values) -> float:
     """Volume-normalized integral (1/V) int values dv over a batch or RuleMeasure."""
     return integrate_batch(batch, values) / batch_volume(batch)
+
+
+def lp_norm(batch, values, p: float) -> float:
+    """Volume-normalized L^p norm of a node field over a batch or RuleMeasure."""
+    if p < 1.0:
+        raise ValueError("p must be at least 1")
+    return batch_mean(batch, np.abs(np.asarray(values, dtype=float)) ** p) ** (1.0 / p)
 
 
 def require_positive_H(batch: SurfaceBatch, k: int) -> None:
@@ -289,15 +298,14 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     h, eps = epsilon_field(batch, r, h=settings.h_fixed)
     vol = batch_volume(batch)
     eps_linf = float(np.max(np.abs(eps)))
-    tau_lnp1 = batch_mean(batch, np.sqrt(batch.tau_sq) ** (n + 1)) ** (1.0 / (n + 1))
+    tau_lnp1 = lp_norm(batch, np.sqrt(batch.tau_sq), n + 1)
 
-    B_sup = B_sup_norm(batch)
     minH_rplus1 = float(np.min(batch.H[:, r + 1]))
     # H_{2;n,1} is the constant 1/C(n,2), so r = 1 reads no eigenvalue
     minH_partial = (1.0 / math.comb(n, 2) if r == 1
                     else float(np.min(partial_H_extremes(r + 1, batch.kappa))))
 
-    consts = build_chain(model, r, h=h, B_sup=B_sup, R0=star.R0, R=star.R, volume=vol,
+    consts = build_chain(model, r, h=h, B_sup=batch.B_sup, R0=star.R0, R=star.R, volume=vol,
                          minH_partial=minH_partial, config=settings.constants)
 
     fit = fit_geodesic_sphere(batch.X, model, weights=batch.area_element * batch.weights)
@@ -326,7 +334,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
         n=n, r=r, delta=model.delta, h=h, eps_l1=eps_l1.value,
         eps_l1_refinement=eps_l1.refinement_error, eps_linf=eps_linf, tau_l2=tau_l2.value,
         tau_l2_refinement=tau_l2.refinement_error, tau_lnp1=tau_lnp1,
-        R0=star.R0, R=star.R, B_sup=B_sup,
+        R0=star.R0, R=star.R, B_sup=batch.B_sup,
         minH_rplus1=minH_rplus1, minH_partial=minH_partial, volume=vol,
         sphere_center=fit.center, rho0=fit.rho0, fit_rms=fit.rms, dH=dH.check_value,
         dH_refinement=dH.refinement_error, bound=bound, applicable=applicable,

@@ -1,4 +1,4 @@
-"""High-order quadrature on the parameter sphere and surface L^p norms.
+"""High-order quadrature on the parameter sphere and exact surface integrals.
 
 S^2 rules are Gauss-Legendre in the polar cosine tensored with a uniform
 periodic rule in azimuth (twice as many azimuthal nodes); S^3 rules add a
@@ -23,12 +23,7 @@ values go to math.fsum directly.
 scalar functional of the surface (an integral, a norm, an identity
 residual, a node maximum) carries the difference against the doubled-order
 rule, read block by block and never cached, as its refinement error.
-
-L^p norms follow the volume-normalized convention
-
-    |f|_p = ( (1/V) \\int |f|^p dv )^(1/p),
-
-so constants have norm |c| on any surface.
+Volume-normalized means and L^p norms are ``pinch.batch_mean`` and ``lp_norm``.
 """
 
 from __future__ import annotations
@@ -36,11 +31,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import B_sup_norm, RadialSurface, SurfaceBatch
+from .surface import B_sup_norm, RadialSurface
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,12 @@ class IntegralEstimate:
 
 @dataclass(frozen=True)
 class RuleMeasure:
-    """What integrals read of a rule's batch, and B_sup_norm if a pass streamed it."""
+    """What integrals read of the streamed doubled rule, and its B_sup if the pass solved it."""
     area_element: np.ndarray
     area_element_euclid: np.ndarray
     weights: np.ndarray
     B_sup: float | None
-    volumes: dict  # euclidean -> volume, as on SurfaceBatch
+    volumes: dict = field(default_factory=dict)  # euclidean -> volume, as on SurfaceBatch
 
 
 def sphere_area(n: int) -> float:
@@ -167,35 +162,24 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
     """Scalar functionals of the surface with their refinement errors.
 
     ``columns(batch)`` gives a tuple of node arrays and ``combine(measure, *columns)`` a tuple
-    of values from them on a ``RuleMeasure`` (with ``B_sup`` if ``sup``), on the cached batch
-    of ``rule`` (sharing its volumes) and on the blocks of the doubled rule, whose batch is
-    never built: a block is dropped once its area elements and columns are copied out, and
-    sums keep a batch's bits.
+    of values from them: first on the cached batch of ``rule`` itself, then on a
+    ``RuleMeasure`` of the doubled rule (with ``B_sup`` if ``sup``), whose batch is never
+    built: a block is dropped once its area elements and columns are copied out, and sums
+    keep a batch's bits.
     """
-    def reduced(of, blocks, volumes):  # combine's values on the rule ``of``, from its blocks
-        stacked = []
-
-        def copy_out(block):  # area elements and columns, into their rows of stacked
-            values = (block.area_element, block.area_element_euclid, *columns(block))
-            if not stacked:
-                stacked.extend(np.empty((len(values), len(of.weights))))
-            for row, value in zip(stacked, values):
-                row[block.start:block.start + len(block.rho)] = value
-            return block
-
-        passing = map(copy_out, blocks)
-        B_sup = B_sup_norm(passing) if sup else None
-        deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
-        return combine(RuleMeasure(*stacked[:2], of.weights, B_sup, volumes), *stacked[2:])
-
     batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    v0, v1 = reduced(rule, [batch], batch.volumes), reduced(check, surface.blocks(check), {})
-    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(v0, v1))
+    base, stacked = combine(batch, *columns(batch)), []
 
+    def copy_out(block):  # area elements and columns, into their rows of stacked
+        values = (block.area_element, block.area_element_euclid, *columns(block))
+        if not stacked:
+            stacked.extend(np.empty((len(values), len(check.weights))))
+        for row, value in zip(stacked, values):
+            row[block.start:block.start + len(block.rho)] = value
+        return block
 
-def lp_norm(batch: SurfaceBatch, values, p: float) -> float:
-    """Volume-normalized L^p norm of a node field over a rule's batch."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    power = integrate_batch(batch, np.abs(np.asarray(values, dtype=float)) ** p)
-    return (power / batch_volume(batch)) ** (1.0 / p)
+    passing = map(copy_out, surface.blocks(check))
+    B_sup = B_sup_norm(passing) if sup else None
+    deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
+    doubled = combine(RuleMeasure(*stacked[:2], check.weights, B_sup), *stacked[2:])
+    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, doubled))

@@ -32,10 +32,10 @@ trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
 by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
-hold the maximum in ``B_sup_norm``.  g, B and the normal nu are never built.
-Blocks of nodes are evaluated node-last, as (d, N) directions and (n, n, N)
-matrices, and every operation is elementwise across nodes, so a block of one
-node gives the bits of any other block.
+hold the maximum in ``SurfaceBatch.B_sup``.  g, B and the normal nu are
+never built.  Blocks of nodes are evaluated node-last, as (d, N) directions
+and (n, n, N) matrices, and every operation is elementwise across nodes, so
+a block of one node gives the bits of any other block.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -243,6 +243,11 @@ class SurfaceBatch:
         return _principal_curvatures(self.M, self.q)
 
     @cached_property
+    def B_sup(self) -> float:
+        """max_i |kappa_i| over the nodes, from ``B_sup_norm``; solved at the first read."""
+        return B_sup_norm([self])
+
+    @cached_property
     def volumes(self) -> dict:
         """euclidean -> volume, filled by quadrature.batch_volume."""
         return {}
@@ -266,9 +271,10 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatc
     if N <= _BLOCK:  # one block: M and H stay views of the kernel's node-last arrays
         out = _node_block(surface, plan, u.T.copy(), start)
     else:
-        out = {"X": np.empty((N, d)), "M": np.empty((N, n, n)), "H": np.empty((N, n + 1)),
-               **{name: np.empty(N) for name in ("q", "tau_sq", "support", "r", "area_element",
-                                                 "H_tilde", "area_element_euclid", "rho")}}
+        # each field's array, shaped as the kernel's on no nodes, before the first block:
+        # allocated after it, the batch would sit above the block's temporaries (higher RSS)
+        out = {name: np.empty((N, *value.shape[1:]))
+               for name, value in _node_block(surface, plan, u[:0].T.copy(), start).items()}
         # every operation is per node, so blocks of nodes give the same bits as
         # one pass while the temporaries stay bounded by the block size
         for b in range(0, N, _BLOCK):
@@ -473,20 +479,20 @@ def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
                            R=float(np.max(batch.r)))
 
 
-def B_sup_norm(batch) -> float:
-    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the batch's nodes.
+def B_sup_norm(blocks) -> float:
+    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the nodes of blocks.
 
-    Bitwise equal to np.max(np.abs(batch.kappa)), but the Jacobi solve runs
+    Bitwise equal to np.max(np.abs(batch.kappa)) of their batch, but the Jacobi solve runs
     only where the maximum can be.  A node's curvatures lie within
     U = |H_1| + sqrt((n-1) tau^2 / n) of zero.  The largest |kappa| is at
     least every q |M_ii| and the solved |kappa| of the node of largest U, so
     only nodes whose U reaches the larger of these, less 256 ulps so that
     ties survive rounding, are solved.  The solve is per node, so it gives
-    the same bits on those nodes alone.  ``batch`` may be an iterable of its blocks,
-    each read once: a block keeps the rows whose U reaches the largest q |M_ii| so far.
+    the same bits on those nodes alone.  ``blocks`` (a batch's, or [batch]) are read
+    once each: a block keeps the rows whose U reaches the largest q |M_ii| so far.
     """
     diagonal, top, rows, slack = -np.inf, None, [], 1.0 - 256 * np.finfo(float).eps
-    for block in [batch] if isinstance(batch, SurfaceBatch) else batch:
+    for block in blocks:
         n, M, q = block.n, block.M, block.q
         upper = np.abs(block.H[:, 1]) + np.sqrt((n - 1) / n * block.tau_sq)
         diagonal = np.maximum(diagonal, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))

@@ -437,11 +437,13 @@ class TestCommands:
         (CHAIN_N2 + "Kn_MS = 1e-320\n", "K3 = 0.0"),
         (CHAIN_N2 + "eps0 = 1e300\n", "eps1 = inf"),
         (CHAIN_N3.replace("r = 2", "r = 2\nh = 1e-320"), "K1 = inf"),
+        (CHAIN_N3.replace("r = 2", "r = 2\nh = 5e-324"), "K1 = inf"),
     ], ids=["eps0_underflow", "alpha_underflow", "Kn_MS_underflow", "eps0_overflow",
-            "h_underflow"])
+            "h_underflow", "h_denominator_underflow"])
     def test_constant_outside_float_range_exits_2(self, tmp_path, capsys, command, text,
                                                   named):
-        # each used to escape as a ValueError or OverflowError traceback (exit 1)
+        # each used to escape as a ValueError, OverflowError or ZeroDivisionError
+        # traceback (exit 1)
         cfg = tmp_path / "exp.ini"
         cfg.write_text(text)
         out = tmp_path / "out"

@@ -2,10 +2,13 @@
 
 A name counts as used when the module reads it anywhere (a bare name, or
 the head of an attribute chain) or lists it in ``__all__``.  An import line
-that ends in ``# noqa: F401`` keeps its names, as flake8 reads it.
+that ends in ``# noqa: F401`` keeps only the names that a
+``# <name> stays importable`` comment in the same file names, so the
+exemption cannot hide a dead import beside the one it is for.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -19,14 +22,16 @@ def unused_imports(source: str) -> list:
     """(line, name) of every import binding the module never reads."""
     tree = ast.parse(source)
     lines = source.splitlines()
+    kept = set(re.findall(r"^# (\w+) stays importable", source, re.M))
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if alias.name != "*" and "noqa: F401" not in lines[alias.lineno - 1]:
-                    name = alias.asname or alias.name.split(".")[0]
+                name = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and not (
+                        name in kept and "noqa: F401" in lines[alias.lineno - 1]):
                     bound.setdefault(name, alias.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
@@ -37,9 +42,11 @@ def unused_imports(source: str) -> list:
 
 
 def test_finds_an_unused_import():
+    # the noqa line keeps pi, which a stays-importable comment names, and not tau
     source = ("from __future__ import annotations\nimport os, sys\n"
+              "# pi stays importable: a wrapper patches it at this name\n"
               "from math import pi, tau  # noqa: F401\nimport numpy as np\nprint(sys.argv)\n")
-    assert unused_imports(source) == [(2, "os"), (4, "np")]
+    assert unused_imports(source) == [(2, "os"), (4, "tau"), (5, "np")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starpinch.pinch import lp_norm
 from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, batch_volume, build_rule,
-                                  integrate_batch, lp_norm, refinement_estimate, sphere_area)
+                                  integrate_batch, refinement_estimate, sphere_area)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface, evaluate_nodes
 

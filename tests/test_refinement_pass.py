@@ -101,7 +101,7 @@ class TestBits:
         batch = whole_batch(surf, check)
         expect = previous_B_sup_norm(batch)
         assert expect == float(np.max(np.abs(batch.kappa)))
-        assert B_sup_norm(surf.blocks(check)) == B_sup_norm(batch) == expect
+        assert B_sup_norm(surf.blocks(check)) == batch.B_sup == expect
 
     def test_largest_kappa_lies_in_the_last_block(self):
         # the premise of the last two SURFACES
@@ -114,10 +114,21 @@ class TestBits:
         surf = make_surface(1.0, n, 0.9, perturbation)
         for q in (order // 2, order):  # one block of the kernel's views, and several
             batch = surf.fields(build_rule(n, q))
-            assert B_sup_norm(batch) == previous_B_sup_norm(batch)
+            assert batch.B_sup == previous_B_sup_norm(batch)
 
 
 class TestBaseVolume:
+    def test_the_base_batch_is_passed_in_place(self):
+        surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
+        rule = build_rule(2, 16)
+        batch, measures = surf.fields(rule), []
+        refinement_estimate(surf, rule, lambda b: (b.tau_sq,),
+                            lambda m, tau_sq: measures.append((m, tau_sq)) or (0.0,))
+        (m, tau_sq), (check, _) = measures
+        assert m is batch and tau_sq is batch.tau_sq
+        assert isinstance(check, quadrature_module.RuleMeasure)
+        assert len(check.weights) == nodes(2, 32)
+
     def test_the_base_rules_volume_is_reduced_once(self, monkeypatch):
         surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
         rule = build_rule(2, 16)

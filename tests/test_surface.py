@@ -12,7 +12,7 @@ from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import SphericalRule, batch_volume, build_rule
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
-from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues, B_sup_norm,
+from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues,
                                evaluate_nodes, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
@@ -580,11 +580,14 @@ class TestInvariants:
         for order in orders:
             rule = build_rule(n, order)
             solved.clear()
-            b_sup = B_sup_norm(surf.fields(rule))
+            batch = surf.fields(rule)
+            b_sup = batch.B_sup
             pruned = sum(solved)
-            assert b_sup == float(np.max(np.abs(surf.fields(rule).kappa)))
+            assert b_sup == float(np.max(np.abs(batch.kappa)))
             assert solved[-1] == len(rule.nodes)
             assert pruned < len(rule.nodes) / 2 if perturbation else pruned > len(rule.nodes)
+            solved.clear()
+            assert batch.B_sup == b_sup and solved == []  # cached on the batch
 
 
 class TestReports:
@@ -619,23 +622,23 @@ class TestReports:
         assert sign == -1 and bad is None
 
     def test_b_sup_norm(self):
-        b_sup = B_sup_norm(sphere(0.0, 2.0).fields(build_rule(2, 8)))
+        b_sup = sphere(0.0, 2.0).fields(build_rule(2, 8)).B_sup
         assert b_sup == pytest.approx(0.5, abs=1e-12)
         model = SpaceFormModel(delta=-1.0, ambient_dim=3)
         rho_geo = 0.9
         surf = sphere(-1.0, chart_radius(rho_geo, model))
         expected = c_delta(rho_geo, -1.0) / s_delta(rho_geo, -1.0)
-        assert B_sup_norm(surf.fields(build_rule(2, 8))) == pytest.approx(expected, abs=1e-9)
+        assert surf.fields(build_rule(2, 8)).B_sup == pytest.approx(expected, abs=1e-9)
 
     def test_b_sup_exceeds_reciprocal_max_radius(self):
         surf = sphere(0.0, 1.0, perturbation=(((2, 2), 0.15),))
         rule = build_rule(2, 24)
-        b_sup = B_sup_norm(surf.fields(rule))
+        b_sup = surf.fields(rule).B_sup
         rho_max = float(np.max(surf.fields(rule).rho))
         assert b_sup > 1.0 / rho_max
 
     def test_b_sup_monotone_under_refinement(self):
         surf = sphere(0.0, 1.0, perturbation=(((3, 1), 0.1),))
-        coarse = B_sup_norm(surf.fields(build_rule(2, 16)))
-        fine = B_sup_norm(surf.fields(build_rule(2, 32)))
+        coarse = surf.fields(build_rule(2, 16)).B_sup
+        fine = surf.fields(build_rule(2, 32)).B_sup
         assert fine >= coarse - 1e-6
