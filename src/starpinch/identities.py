@@ -5,10 +5,9 @@ the integrals read; pointwise checks report their worst node.  Each check return
 ResidualReport.  An identity passes when |value| is at most its fixed tolerance, an
 inequality when its gap is at least minus that tolerance.  The quadrature refinement
 error (base rule vs doubled rule) is reported next to the value and never widens the
-verdict.  Integral residuals are volume-normalized so tolerances compare across
-surfaces of different size.  The means and norms, the lemma rows' H_{r+1} > 0 check and
-their eps = H_r - h are run_pinch's: pinch.batch_mean, lp_norm, require_positive_H and
-epsilon_field.
+verdict.  Integral residuals are volume-normalized, as pinch.batch_mean and lp_norm
+normalize, so tolerances compare across surfaces of different size; the lemma rows'
+H_{r+1} > 0 check and eps = H_r - h are run_pinch's require_positive_H and epsilon_field.
 """
 
 from __future__ import annotations
@@ -17,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pinch import batch_mean, epsilon_field, lp_norm, require_positive_H
+from .pinch import epsilon_field, require_positive_H
 # build_rule stays importable here: bench/tracing.py wraps it at this name
-from .quadrature import build_rule  # noqa: F401
-from .quadrature import SphericalRule, batch_volume, integrate_batch, refinement_estimate
+# integrate_batch stays importable here for the same reason
+from .quadrature import build_rule, integrate_batch  # noqa: F401
+from .quadrature import SUM, SUM_EUCLID, SphericalRule, refinement_estimate
 from .spaceform import c_delta
 from .surface import RadialSurface
 
@@ -63,28 +63,30 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
     """The named integral rows (all for None), from one pass over the doubled rule."""
     n, delta = surface.n, surface.model.delta
 
-    def cauchy_schwarz(measure, tau_sq):
-        tau = np.sqrt(tau_sq)
-        taun = lp_norm(measure, tau, n + 1)
-        return measure.B_sup ** (2 * n) * batch_mean(measure, tau**2) - taun ** (2 * (n + 1))
+    def mean(m, sums):  # each value takes its columns' sums in order
+        return next(sums) / m.volume
 
-    def michael_simon(measure, H_tilde):
-        vol = batch_volume(measure, euclidean=True)
-        total_H = integrate_batch(measure, np.abs(H_tilde), euclidean=True)
-        return Kn * total_H - vol ** ((n - 1) / n)
+    def cauchy_schwarz(m, sums):  # |tau|_2^2 and |tau|_{n+1}, the latter as lp_norm takes it
+        tau_l2_sq, tau_lp = mean(m, sums), mean(m, sums) ** (1.0 / (n + 1))
+        return m.B_sup ** (2 * n) * tau_l2_sq - tau_lp ** (2 * (n + 1))
 
-    # name -> (kind, node column of a batch, its value on a batch or RuleMeasure)
-    table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: b.H[:, k + 1] * b.support
-                                           + c_delta(b.r, delta) * b.H[:, k], batch_mean)
+    # name -> (kind, its node columns of a batch, each with how it reduces, its value)
+    table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: [
+                    (SUM, b.H[:, k + 1] * b.support + c_delta(b.r, delta) * b.H[:, k])], mean)
                 for k in range(n)},
-             "cauchy_schwarz_chain": (INEQUALITY, lambda b: b.tau_sq, cauchy_schwarz),
-             "michael_simon": (INEQUALITY, lambda b: b.H_tilde, michael_simon)}
+             "cauchy_schwarz_chain": (INEQUALITY, lambda b: [
+                 (SUM, np.sqrt(b.tau_sq) ** 2), (SUM, np.abs(np.sqrt(b.tau_sq)) ** (n + 1))],
+                 cauchy_schwarz),
+             "michael_simon": (INEQUALITY, lambda b: [(SUM_EUCLID, np.abs(b.H_tilde)),
+                                                      (SUM_EUCLID, 1.0)],  # and the volume
+                               lambda m, sums: Kn * next(sums) - next(sums) ** ((n - 1) / n))}
     names = list(table) if names is None else names
     rows = [table[name] for name in names]
     estimates = refinement_estimate(
-        surface, rule, lambda b: tuple(column(b) for _, column, _ in rows),
-        lambda m, *cols: tuple(value(m, col) for (*_, value), col in zip(rows, cols)),
-        sup="cauchy_schwarz_chain" in names)  # the one row that reads measure.B_sup
+        surface, rule, lambda b: [column for _, columns, _ in rows for column in columns(b)],
+        lambda m, *reduced: tuple(value(m, sums) for sums in [iter(reduced)]
+                                  for *_, value in rows),
+        sup="cauchy_schwarz_chain" in names)  # the one row that reads B_sup
     return [ResidualReport(name=name, value=est.value, tolerance=INTEGRAL_TOLERANCE,
                            refinement_error=est.refinement_error, kind=kind)
             for name, (kind, *_), est in zip(names, rows, estimates)]
@@ -142,8 +144,8 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
                          rule: SphericalRule) -> ResidualReport:
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0, eps = H_r - h of ``epsilon_field`` (normalized)."""
     tau, eps = refinement_estimate(
-        surface, rule, lambda b: (b.tau_sq, np.abs(epsilon_field(b, r, h)[1])),
-        lambda m, tau_sq, eps: (batch_mean(m, tau_sq), batch_mean(m, eps)))
+        surface, rule, lambda b: [(SUM, b.tau_sq), (SUM, np.abs(epsilon_field(b, r, h)[1]))],
+        lambda m, tau_sq, eps: (tau_sq / m.volume, eps / m.volume))
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
 from .errors import HypothesisError, NumericalError
-from .quadrature import batch_volume, build_rule, integrate_batch, refinement_estimate
+from .quadrature import MAX, SUM, batch_volume, build_rule, integrate_batch, refinement_estimate
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
 from .surface import RadialSurface, SurfaceBatch, starshape_report
@@ -45,12 +45,12 @@ from .symfun import partial_H_extremes
 
 # the one mean and norm: bench/tracing.py counts integrate_batch at this module's name
 def batch_mean(batch, values) -> float:
-    """Volume-normalized integral (1/V) int values dv over a batch or RuleMeasure."""
+    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
     return integrate_batch(batch, values) / batch_volume(batch)
 
 
 def lp_norm(batch, values, p: float) -> float:
-    """Volume-normalized L^p norm of a node field over a batch or RuleMeasure."""
+    """Volume-normalized L^p norm of a node field over a rule's batch."""
     if p < 1.0:
         raise ValueError("p must be at least 1")
     return batch_mean(batch, np.abs(np.asarray(values, dtype=float)) ** p) ** (1.0 / p)
@@ -312,10 +312,9 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     distance = _surface_sphere_hausdorff(surface, fit)
     # squares sqrt(tau^2) like tau_lnp1 does, so |tau|_2 keeps its last bits
     eps_l1, tau_l2, dH = refinement_estimate(
-        surface, rule,
-        lambda b: (np.abs(epsilon_field(b, r, h=h)[1]), np.sqrt(b.tau_sq) ** 2, distance(b)),
-        lambda m, eps, tau, dist: (batch_mean(m, eps), math.sqrt(batch_mean(m, tau)),
-                                   float(np.max(dist))))
+        surface, rule, lambda b: [(SUM, np.abs(epsilon_field(b, r, h=h)[1])),
+                                  (SUM, np.sqrt(b.tau_sq) ** 2), (MAX, distance(b))],
+        lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist))
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,

@@ -4,52 +4,72 @@ S^2 rules are Gauss-Legendre in the polar cosine tensored with a uniform
 periodic rule in azimuth (twice as many azimuthal nodes); S^3 rules add a
 Gauss-Chebyshev (second kind) layer for the sin^2 polar weight.  Weights
 are positive and sum to the sphere area, and spherical polynomials up to
-the rule order integrate exactly.
+the rule order integrate exactly.  An S^3 rule keeps its layers of the
+S^2 rule and generates the nodes and weights of any index range from them.
 
 Surface integrals read one batch of ``RadialSurface.fields(rule)``, which
-carries the rule's weights, with its h-metric area element and an
-exactly rounded sum, so results depend neither on the order of the nodes
-nor on worker-thread count.  ``_reduce`` gives the float that math.fsum
-gives, without a Python loop: np.frexp writes each value as an integer
-significand of 53 bits times a power of two, the significand is split into
-its high 26 and low 27 bits, and np.bincount sums each half per exponent, in
-chunks that stay in cache.  Those sums are integers below 2^53, so they are
-exact, and each one scaled by its power of two is exact too; math.fsum of these
-few terms is then the correctly rounded total.  Non-finite values, exponents
-within 60 of the float64 limits, and arrays of at most 512 or more than 2^26
-values go to math.fsum directly.
+carries the rule's weights, with its h-metric area element and an exactly
+rounded sum, so results depend neither on the order of the nodes nor on
+worker-thread count.  ``_Sums`` gives math.fsum's result for each row of a
+stream of (k, B) chunks without a Python loop: np.frexp writes each value as
+an integer significand of 53 bits times a power of two, and np.bincount sums
+the high 26 and low 27 bits of the significands per row and exponent.  Those
+sums are integers below 2^53, exact whatever the order or split of the
+stream, and so is each one scaled by its power of two; math.fsum of these
+few terms is the correctly rounded total.  A row with non-finite values,
+exponents within 60 of the float64 limits or over 2^26 values is summed by
+math.fsum over the stream again; ``_reduce`` hands it arrays of 512 or fewer.
 
 ``refinement_estimate`` is the one refinement estimate of the package: any
 scalar functional of the surface (an integral, a norm, an identity
 residual, a node maximum) carries the difference against the doubled-order
-rule, read block by block and never cached, as its refinement error.
-Volume-normalized means and L^p norms are ``pinch.batch_mean`` and ``lp_norm``.
+rule, generated block by block and never built, as its refinement error.
+Volume-normalized means and L^p norms of a batch are ``pinch.batch_mean`` and ``lp_norm``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .surface import B_sup_norm, RadialSurface
 
 
-@dataclass(frozen=True)
 class SphericalRule:
-    """Positive quadrature rule on the parameter n-sphere."""
+    """Positive rule on the parameter n-sphere: ``nodes`` (N, n+1) and ``weights`` (N,), or,
+    from ``build_rule`` on S^3, ``layers`` of the S^2 rule that build them at their first read."""
 
-    n: int
-    order: int
-    nodes: np.ndarray    # (N, n+1) unit vectors
-    weights: np.ndarray  # (N,) positive, summing to the sphere area
+    def __init__(self, n: int, order: int, nodes=None, weights=None, *, layers=None):
+        self.n, self.order, self.layers = n, order, layers
+        if layers is None:
+            self.nodes, self.weights = np.asarray(nodes, float), np.asarray(weights, float)
+        self.size = len(self.weights) if layers is None else layers[0].size * len(layers[1])
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+    def __getattr__(self, name):  # reached only while a layered rule's arrays are unbuilt
+        if name not in ("nodes", "weights"):
+            raise AttributeError(name)
+        self.nodes, self.weights = self.block(0, self.size)
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
+        return getattr(self, name)
+
+    def block(self, start: int, stop: int) -> tuple:
+        """Nodes and weights [start, stop), the whole arrays' slices bit for bit: node (k, l)
+        of S^3 is (sin_k u_l, cos_k) and weighs w_k w_l, for node u_l, w_l of the S^2 rule."""
+        if "weights" in vars(self):
+            return self.nodes[start:stop], self.weights[start:stop]
+        (inner, sin, cos, w), stop, size = self.layers, min(stop, self.size), self.layers[0].size
+        nodes, weights = np.empty((stop - start, 4)), np.empty(stop - start)
+        for k in range(start // size, (stop - 1) // size + 1):  # the layers the range meets
+            a, b = max(start, k * size), min(stop, (k + 1) * size)
+            out, part = slice(a - start, b - start), slice(a - k * size, b - k * size)
+            np.multiply(sin[k], inner.nodes[part], out=nodes[out, :3])
+            nodes[out, 3], weights[out] = cos[k], w[k] * inner.weights[part]
+        return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -59,16 +79,6 @@ class IntegralEstimate:
     check_value: float  # on the rule of doubled order
 
 
-@dataclass(frozen=True)
-class RuleMeasure:
-    """What integrals read of the streamed doubled rule, and its B_sup if the pass solved it."""
-    area_element: np.ndarray
-    area_element_euclid: np.ndarray
-    weights: np.ndarray
-    B_sup: float | None
-    volumes: dict = field(default_factory=dict)  # euclidean -> volume, as on SurfaceBatch
-
-
 def sphere_area(n: int) -> float:
     """Area of the unit n-sphere."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
@@ -76,73 +86,81 @@ def sphere_area(n: int) -> float:
 
 @functools.lru_cache(maxsize=8)
 def build_rule(n: int, order: int) -> SphericalRule:
-    """Tensor rule of the given polar order on S^2 or S^3 (memoized, read-only)."""
+    """Tensor rule of the given polar order on S^2 or S^3 (memoized, its arrays read-only)."""
     if order < 4:
         raise ValueError("order must be at least 4")
     if n not in (2, 3):
         raise ValueError(f"unsupported parameter sphere dimension n={n} (only 2 and 3)")
-    rule = _rule_s2(order) if n == 2 else _rule_s3(order)
+    if n == 3:  # Gauss-Chebyshev (2nd kind) layers of the S^2 rule for the sin^2 weight
+        theta = np.arange(1, order + 1) * math.pi / (order + 1)
+        cos_1, w_1 = np.cos(theta), (math.pi / (order + 1)) * np.sin(theta) ** 2
+        return SphericalRule(3, order, layers=(build_rule(2, order), np.sqrt(1.0 - cos_1**2),
+                                               cos_1, w_1))
+    cos_t, w_t = np.polynomial.legendre.leggauss(order)
+    m_az = 2 * order
+    phi = 2.0 * math.pi * np.arange(m_az) / m_az
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    rule = SphericalRule(2, order, np.column_stack([
+        np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(),
+        np.repeat(cos_t, m_az)]), np.repeat(w_t, m_az) * (2.0 * math.pi / m_az))
     rule.nodes.flags.writeable = rule.weights.flags.writeable = False
     return rule
 
 
-def _rule_s2(order: int) -> SphericalRule:
-    cos_t, w_t = np.polynomial.legendre.leggauss(order)
-    m_az = 2 * order
-    phi = 2.0 * math.pi * np.arange(m_az) / m_az
-    w_az = 2.0 * math.pi / m_az
-    sin_t = np.sqrt(1.0 - cos_t**2)
-    x = np.outer(sin_t, np.cos(phi)).ravel()
-    y = np.outer(sin_t, np.sin(phi)).ravel()
-    z = np.repeat(cos_t, m_az)
-    nodes = np.column_stack([x, y, z])
-    weights = np.repeat(w_t, m_az) * w_az
-    return SphericalRule(n=2, order=order, nodes=nodes, weights=weights)
-
-
-def _rule_s3(order: int) -> SphericalRule:
-    # Gauss-Chebyshev (2nd kind) handles the sin^2 polar weight exactly
-    k = np.arange(1, order + 1)
-    theta = k * math.pi / (order + 1)
-    cos_1 = np.cos(theta)
-    w_1 = (math.pi / (order + 1)) * np.sin(theta) ** 2
-    inner = _rule_s2(order)
-    sin_1 = np.sqrt(1.0 - cos_1**2)
-    nodes = np.empty((order * len(inner.weights), 4))
-    nodes[:, :3] = np.repeat(sin_1, len(inner.weights))[:, None] * np.tile(
-        inner.nodes, (order, 1)
-    )
-    nodes[:, 3] = np.repeat(cos_1, len(inner.weights))
-    weights = np.repeat(w_1, len(inner.weights)) * np.tile(inner.weights, order)
-    return SphericalRule(n=3, order=order, nodes=nodes, weights=weights)
-
-
 # at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53;
 # math.fsum is faster up to _FSUM_TERMS values, and the temporaries of _CHUNK stay in cache
-_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
+_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 16384
+
+
+class _Sums:
+    """Exactly rounded running sums of the rows of (k, B) chunks (see the module docstring)."""
+    sums, low, high, count = None, 1024, -1074, 0  # bucket sums by row, half and exponent
+
+    @np.errstate(invalid="ignore")  # a non-finite value leaves its row's buckets non-finite
+    def add(self, chunk: np.ndarray) -> None:
+        if self.sums is None:
+            self.sums, self.replay = np.zeros((len(chunk), 2, 0)), np.zeros(len(chunk), bool)
+        self.count += chunk.shape[1]
+        step = max(_CHUNK // len(chunk), 1)
+        for part in (chunk[:, start:start + step] for start in range(0, chunk.shape[1], step)):
+            significand, bucket = np.frexp(part)
+            lo, hi = int(bucket.min()), int(bucket.max())
+            if lo <= -1021 + 60 or hi >= 1024 - 60:  # such a row is replayed
+                self.replay |= (bucket.min(1) <= -1021 + 60) | (bucket.max(1) >= 1024 - 60)
+            if lo < self.low or hi > self.high:  # widen the table to exponents first..last
+                first, last = min(self.low, lo), max(self.high, hi)
+                sums = np.zeros((len(part), 2, last - first + 1))
+                sums[:, :, self.low - first:self.high - first + 1] = self.sums
+                self.sums, self.low, self.high = sums, first, last
+            bucket += ((hi - lo + 1) * np.arange(len(part)) - lo).astype(bucket.dtype)[:, None]
+            low = significand * 2.0**26  # its high 26 bits, and its low 27 in units of 2^-27
+            top = np.trunc(low)
+            low -= top
+            for half, value in enumerate((top, low)):
+                self.sums[:, half, lo - self.low:hi - self.low + 1] += np.bincount(
+                    bucket.ravel(), weights=value.ravel(),
+                    minlength=len(part) * (hi - lo + 1)).reshape(len(part), -1)
+
+    def totals(self, replay) -> list:
+        """Each row's math.fsum; ``replay()`` streams the chunks again for a replayed row."""
+        exact = ~self.replay & np.isfinite(self.sums).all(axis=(1, 2))
+        scale = np.arange(self.low - 53, self.high - 52) + 27
+        terms = np.ldexp(np.where(exact[:, None, None], self.sums, 0.0), scale)
+        return [math.fsum(row.ravel().tolist()) if ok and self.count <= _EXACT_TERMS else
+                math.fsum(chain.from_iterable(chunk[i].tolist() for chunk in replay()))
+                for i, (ok, row) in enumerate(zip(exact, terms))]
 
 
 def _reduce(values: np.ndarray) -> float:
     """Exactly rounded sum, bitwise equal to math.fsum (see the module docstring)."""
-    if _FSUM_TERMS < len(values) <= _EXACT_TERMS and np.isfinite(values).all():
-        sums, low, high = np.zeros((2, 2099)), 1024, -1073  # by frexp exponent + 1074
-        for start in range(0, len(values), _CHUNK):
-            significand, exponent = np.frexp(values[start:start + _CHUNK])
-            lo, hi = int(exponent.min()), int(exponent.max())
-            top = np.trunc(significand * 2.0**26)
-            bucket, span = exponent - lo, slice(lo + 1074, hi + 1075)
-            sums[0, span] += np.bincount(bucket, weights=top)
-            sums[1, span] += np.bincount(bucket, weights=significand * 2.0**53 - top * 2.0**27)
-            low, high = min(low, lo), max(high, hi)
-        if low > -1021 + 60 and high < 1024 - 60:
-            scale = np.arange(low - 53, high - 52)
-            terms = np.ldexp(sums[:, low + 1074:high + 1075], [scale + 27, scale])
-            return math.fsum(terms.ravel().tolist())
-    return math.fsum(values.tolist())
+    if len(values) <= _FSUM_TERMS:
+        return math.fsum(values.tolist())
+    (sums := _Sums()).add(values[None])
+    return sums.totals(lambda: [values[None]])[0]
 
 
 def integrate_batch(batch, values, *, euclidean: bool = False) -> float:
-    """Fixed-order reduction of sum f * area_element * weight over a batch or RuleMeasure."""
+    """Fixed-order reduction of sum f * area_element * weight over a rule's batch."""
     if batch.weights is None:
         raise ValueError("the batch carries no rule weights; integrate surface.fields(rule)")
     area = batch.area_element_euclid if euclidean else batch.area_element
@@ -157,29 +175,64 @@ def batch_volume(batch, *, euclidean: bool = False) -> float:
     return batch.volumes[euclidean]
 
 
+# a column's reduction: integrate_batch's with either area element, or its node maximum
+SUM, SUM_EUCLID, MAX = "sum", "sum_euclid", "max"
+Totals = namedtuple("Totals", "volume B_sup")  # what combine reads of a rule besides columns
+# the doubled and base rules' B_sup differ by -1.3e-3 to +5.0e-3 relative on the bench surfaces
+_SEED_MARGIN = 0.005
+
+
+class _Pass(_Sums):
+    """Weighted blocks reduced to their volume and the caller's columns: one (k, B) sum per
+    block, the volume first, and running column maxima."""
+
+    def __init__(self, columns):
+        self.columns, self.maxima = columns, -np.inf
+
+    def summands(self, block) -> np.ndarray:
+        columns = self.columns(block)
+        self.kinds = [kind for kind, _ in columns]
+        self.block_maxima = [np.max(values) for kind, values in columns if kind == MAX]
+        area = {SUM: block.area_element, SUM_EUCLID: block.area_element_euclid}
+        summed = [(SUM, 1.0), *[column for column in columns if column[0] != MAX]]
+        rows = np.empty((len(summed), len(block.weights)))  # the volume first
+        for row, (kind, values) in zip(rows, summed):
+            np.multiply(values, area[kind], out=row)
+            row *= block.weights  # (f * area) * weights, as integrate_batch takes it
+        return rows
+
+    def __call__(self, block):
+        self.add(self.summands(block))
+        self.maxima = np.maximum(self.maxima, self.block_maxima)
+        return block
+
+    def values(self, blocks, B_sup) -> tuple:
+        """(Totals, *reduced columns); ``blocks()`` streams the blocks again for a replay."""
+        sums = iter(self.totals(lambda: map(self.summands, blocks())))
+        maxima, totals = iter(self.maxima.tolist()), Totals(next(sums), B_sup)
+        return totals, *[next(maxima if kind == MAX else sums) for kind in self.kinds]
+
+
 def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
                         sup: bool = False) -> tuple:
     """Scalar functionals of the surface with their refinement errors.
 
-    ``columns(batch)`` gives a tuple of node arrays and ``combine(measure, *columns)`` a tuple
-    of values from them: first on the cached batch of ``rule`` itself, then on a
-    ``RuleMeasure`` of the doubled rule (with ``B_sup`` if ``sup``), whose batch is never
-    built: a block is dropped once its area elements and columns are copied out, and sums
-    keep a batch's bits.
+    ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
+    kind says, and ``combine(totals, *reduced)`` a tuple of values from a rule's ``Totals``
+    (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one ``_Pass``: first the
+    cached batch of ``rule``, then the doubled rule, whose blocks are generated, reduced and
+    dropped one at a time; its ``B_sup`` is seeded by the base rule's less _SEED_MARGIN.
     """
     batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    base, stacked = combine(batch, *columns(batch)), []
-
-    def copy_out(block):  # area elements and columns, into their rows of stacked
-        values = (block.area_element, block.area_element_euclid, *columns(block))
-        if not stacked:
-            stacked.extend(np.empty((len(values), len(check.weights))))
-        for row, value in zip(stacked, values):
-            row[block.start:block.start + len(block.rho)] = value
-        return block
-
-    passing = map(copy_out, surface.blocks(check))
-    B_sup = B_sup_norm(passing) if sup else None
+    base, doubled, B_sup = _Pass(columns), _Pass(columns), None
+    base(batch)
+    base = combine(*base.values(lambda: [batch], batch.B_sup if sup else None))
+    passing = map(doubled, surface.blocks(check))
+    if sup:
+        seed = batch.B_sup * (1.0 - _SEED_MARGIN)
+        B_sup = B_sup_norm(passing, seed)
+        if B_sup < seed:  # a lower bound, so the stream it seeds gives the maximum
+            B_sup = B_sup_norm(surface.blocks(check), B_sup)
     deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
-    doubled = combine(RuleMeasure(*stacked[:2], check.weights, B_sup), *stacked[2:])
+    doubled = combine(*doubled.values(lambda: surface.blocks(check), B_sup))
     return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, doubled))

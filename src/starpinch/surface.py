@@ -51,7 +51,7 @@ which the geodesic-sphere oracle in the tests gates at 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate
 
@@ -199,14 +199,13 @@ class RadialSurface:
         """Batch of pointwise data at a rule's nodes with its weights, cached (base rules only)."""
         key = id(rule)  # the entry holds the rule, so this id is not reused while it lives
         if key not in self._cache:
-            self._cache[key] = rule, replace(evaluate_nodes(self, rule.nodes),
-                                             weights=rule.weights)
+            self._cache[key] = rule, evaluate_nodes(self, rule.nodes, 0, rule.weights)
         return self._cache[key][1]
 
     def blocks(self, rule):
-        """A rule's batch block by block, from ``evaluate_nodes``; nothing is cached."""
-        return (evaluate_nodes(self, rule.nodes[b:b + _BLOCK], b)
-                for b in range(0, len(rule.nodes), _BLOCK))
+        """A rule's batch block by block with its weights, from ``evaluate_nodes``; uncached."""
+        return (evaluate_nodes(self, nodes, b, weights) for b in range(0, rule.size, _BLOCK)
+                for nodes, weights in [rule.block(b, b + _BLOCK)])
 
 
 @dataclass(frozen=True)
@@ -253,15 +252,17 @@ class SurfaceBatch:
         return {}
 
 
-# Nodes per block: the temporaries of all blocks of a 65536-node n = 3 rule peak at
-# 1.2 MiB, also streamed by RadialSurface.blocks (traced; 4.1 MiB for a kernel that built
-# g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice the largest chunk
-# it has unmapped); temporaries above it are returned to the system and faulted back in.
+# Nodes per block, and the block the refinement pass holds at a time: the kernel's
+# temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced; 4.1 MiB for a kernel
+# that built g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice the
+# largest chunk it has unmapped, such as a batch), above which they are returned and
+# faulted back in.
 _BLOCK = 2048
 
 
-def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatch:
-    """All pointwise extrinsic data at the given directions; errors count from ``start``."""
+def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0, weights=None) -> SurfaceBatch:
+    """All pointwise extrinsic data at the given directions, with their rule's ``weights``
+    if given; errors count from ``start``."""
     u = np.atleast_2d(np.asarray(nodes, dtype=float))
     N, d = u.shape
     n = surface.n
@@ -271,10 +272,14 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatc
     if N <= _BLOCK:  # one block: M and H stay views of the kernel's node-last arrays
         out = _node_block(surface, plan, u.T.copy(), start)
     else:
-        # each field's array, shaped as the kernel's on no nodes, before the first block:
-        # allocated after it, the batch would sit above the block's temporaries (higher RSS)
-        out = {name: np.empty((N, *value.shape[1:]))
-               for name, value in _node_block(surface, plan, u[:0].T.copy(), start).items()}
+        # the fields, shaped as the kernel's on no nodes, in one allocation before the first
+        # block: after it, the batch would sit above the block's temporaries (higher RSS), and
+        # freed as one chunk it lifts glibc's trim threshold over a block's temporaries (_BLOCK)
+        shapes = {name: value.shape[1:]
+                  for name, value in _node_block(surface, plan, u[:0].T.copy(), start).items()}
+        sizes = [N * math.prod(shape) for shape in shapes.values()]
+        out = {name: part.reshape(N, *shape) for (name, shape), part
+               in zip(shapes.items(), np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]))}
         # every operation is per node, so blocks of nodes give the same bits as
         # one pass while the temporaries stay bounded by the block size
         for b in range(0, N, _BLOCK):
@@ -282,7 +287,7 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0) -> SurfaceBatc
             for name, value in _node_block(surface, plan, u_block, start + b).items():
                 out[name][b:b + _BLOCK] = value
     out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
-    return SurfaceBatch(nodes=u, start=start, **out)
+    return SurfaceBatch(nodes=u, weights=weights, start=start, **out)
 
 
 def _polynomial_plan(surface: RadialSurface) -> tuple:
@@ -479,30 +484,37 @@ def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
                            R=float(np.max(batch.r)))
 
 
-def B_sup_norm(blocks) -> float:
+def B_sup_norm(blocks, seed: float | None = None) -> float:
     """Sup of the shape-operator spectral norm, max_i |kappa_i| over the nodes of blocks.
 
-    Bitwise equal to np.max(np.abs(batch.kappa)) of their batch, but the Jacobi solve runs
-    only where the maximum can be.  A node's curvatures lie within
-    U = |H_1| + sqrt((n-1) tau^2 / n) of zero.  The largest |kappa| is at
-    least every q |M_ii| and the solved |kappa| of the node of largest U, so
-    only nodes whose U reaches the larger of these, less 256 ulps so that
-    ties survive rounding, are solved.  The solve is per node, so it gives
-    the same bits on those nodes alone.  ``blocks`` (a batch's, or [batch]) are read
-    once each: a block keeps the rows whose U reaches the largest q |M_ii| so far.
+    Bitwise np.max(np.abs(batch.kappa)) of their batch if at least ``seed`` (by default the
+    |kappa| of the first block's first node of largest U), but the Jacobi solve runs only
+    where the maximum can be: the largest |kappa| is at least every q |M_ii| and solved
+    |kappa|, and a node's lie within U = |H_1| + sqrt((n-1) tau^2 / n), so only nodes whose
+    U reaches the larger of those and ``seed``, less 256 ulps for rounding, are solved (per
+    node, so with the same bits), a block's worth at a time, keeping the running maximum.
+    A result below ``seed`` is a lower bound; seeded with it, a second stream is exact.
     """
-    diagonal, top, rows, slack = -np.inf, None, [], 1.0 - 256 * np.finfo(float).eps
+    lower = best = -np.inf
+    slack, rows = 1.0 - 256 * np.finfo(float).eps, []
+
+    def solve(rows):  # the max |kappa| of the candidates still within reach of the bound
+        upper, M, q = (np.concatenate(part) for part in zip(*rows))
+        near = upper >= max(lower, seed) * slack
+        kappa = _principal_curvatures(M[near], q[near]) if near.any() else np.empty(0)
+        return np.max(np.abs(kappa), initial=-np.inf)
+
     for block in blocks:
         n, M, q = block.n, block.M, block.q
         upper = np.abs(block.H[:, 1]) + np.sqrt((n - 1) / n * block.tau_sq)
-        diagonal = np.maximum(diagonal, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
-        i = int(np.argmax(upper))  # the first node of largest U, copied to free the block
-        if top is None or upper[i] > top[0]:
-            top = upper[i], M[i:i + 1].copy(), q[i:i + 1].copy()
-        keep = upper >= diagonal * slack
-        rows.append((upper[keep], M[keep], q[keep]))
+        if seed is None:
+            i = int(np.argmax(upper))
+            seed = np.max(np.abs(_principal_curvatures(M[i:i + 1], q[i:i + 1])))
+        lower = max(lower, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
+        near = upper >= max(lower, seed) * slack
+        rows.append((upper[near], M[near], q[near]))
+        if sum(len(row[0]) for row in rows) >= _BLOCK:
+            best, rows = max(best, solve(rows)), []
+            lower = max(lower, best)
         del block, M, q  # a streamed block is freed before the next one is evaluated
-    lower = max(diagonal, np.max(np.abs(_principal_curvatures(*top[1:]))))
-    M, q = (np.concatenate(part) for part in zip(*[
-        (M[near], q[near]) for upper, M, q in rows for near in [upper >= lower * slack]]))
-    return float(np.max(np.abs(_principal_curvatures(M, q))))
+    return float(max(best, solve(rows)) if rows else best)

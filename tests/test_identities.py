@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import starpinch.identities as identities_module
-import starpinch.pinch
 from starpinch.constants import K2
 from starpinch.errors import HypothesisError
 from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
@@ -16,9 +15,9 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
                                   hsiung_minkowski_residual, lemma1_gap,
                                   michael_simon_ratio, residuals,
                                   tau_l2_epsilon_bound)
-from starpinch.pinch import epsilon_field
-from starpinch.quadrature import build_rule, integrate_batch
-from starpinch.spaceform import SpaceFormModel
+from starpinch.pinch import batch_mean, epsilon_field
+from starpinch.quadrature import batch_volume, build_rule, integrate_batch
+from starpinch.spaceform import SpaceFormModel, c_delta
 from starpinch.surface import RadialSurface
 from starpinch.symfun import default_c_n, mean_curvatures, K1
 
@@ -199,14 +198,12 @@ class TestSharedHypothesisCheck:
         with pytest.raises(HypothesisError, match="H_3 must be positive"):
             tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
 
-    def test_residual_means_integrate_at_the_name_pinch_looks_up(self, monkeypatch):
-        # bench/tracing.py counts integrate_batch at starpinch.pinch's name
-        calls, integrate = [], starpinch.pinch.integrate_batch
-        monkeypatch.setattr(starpinch.pinch, "integrate_batch",
-                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
-        hsiung_minkowski_residual(make_surface(-1.0, perturbation=(((3, 1), 0.05),)), 1,
-                                  build_rule(2, 8))
-        assert len(calls) == 2  # one mean on the base rule, one on the doubled rule
+    def test_residual_means_are_the_batch_means(self):
+        # the refinement pass's sum over its volume gives pinch.batch_mean's bits
+        surf, rule = make_surface(-1.0, perturbation=(((3, 1), 0.05),)), build_rule(2, 8)
+        rep = hsiung_minkowski_residual(surf, 1, rule)
+        b = surf.fields(rule)
+        assert rep.value == batch_mean(b, b.H[:, 2] * b.support + c_delta(b.r, -1.0) * b.H[:, 1])
 
 
 class TestTauEpsilonBound:
@@ -250,17 +247,20 @@ class TestTauEpsilonBound:
         assert eps_ratio == pytest.approx(2.0, rel=0.1)
 
 
-def test_identity_rows_key_volumes_by_metric_alone(monkeypatch):
+def test_identity_rows_read_each_rules_volume(monkeypatch):
     # every row of `starpinch identities`, on the base and the doubled rule
     surf = make_surface(-1.0, perturbation=(((3, 1), 0.05), ((2, 0), 0.03)))
-    measures, volume = [], identities_module.batch_volume
-    monkeypatch.setattr(identities_module, "batch_volume",
-                        lambda m, **kw: measures.append(m) or volume(m, **kw))
-    residuals(surf, build_rule(2, 12), 1.0)
-    assert [len(m.weights) for m in {id(m): m for m in measures}.values()] == [
-        len(build_rule(2, q).weights) for q in (12, 24)]
-    for m in measures:
-        assert set(m.volumes) == {False, True}
+    seen, estimate = [], identities_module.refinement_estimate
+    monkeypatch.setattr(identities_module, "refinement_estimate",
+                        lambda s, rl, columns, combine, **kw: estimate(
+                            s, rl, columns, lambda m, *r: seen.append(m) or combine(m, *r), **kw))
+    rows = residuals(surf, build_rule(2, 12), 1.0)
+    assert [m.volume for m in seen] == [batch_volume(surf.fields(build_rule(2, q)))
+                                        for q in (12, 24)]
+    # Michael-Simon's euclidean volume is one of its own columns, the sum batch_volume takes
+    batch = surf.fields(build_rule(2, 12))
+    total_H = integrate_batch(batch, np.abs(batch.H_tilde), euclidean=True)
+    assert rows[3].value == total_H - batch_volume(batch, euclidean=True) ** 0.5
 
 
 class TestRefinementError:

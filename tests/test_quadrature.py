@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from starpinch import quadrature as quadrature_module
+from starpinch import surface as surface_module
 from starpinch.pinch import lp_norm
-from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, _reduce, batch_volume, build_rule,
-                                  integrate_batch, refinement_estimate, sphere_area)
+from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, SUM, SphericalRule, _reduce, _Sums,
+                                  batch_volume, build_rule, integrate_batch, refinement_estimate,
+                                  sphere_area)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface, evaluate_nodes
 
@@ -74,6 +77,59 @@ class TestRules:
             rule.weights[0] = 0.0
 
 
+def tensor_rule_oracle(n, order):
+    """Nodes and weights as np.repeat and np.tile of the 1-D factors built whole rules."""
+    cos_t, w_t = np.polynomial.legendre.leggauss(order)
+    m_az = 2 * order
+    phi = 2.0 * math.pi * np.arange(m_az) / m_az
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    nodes = np.column_stack([np.outer(sin_t, np.cos(phi)).ravel(),
+                             np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(cos_t, m_az)])
+    weights = np.repeat(w_t, m_az) * (2.0 * math.pi / m_az)
+    if n == 2:
+        return nodes, weights
+    theta = np.arange(1, order + 1) * math.pi / (order + 1)
+    cos_1 = np.cos(theta)
+    sin_1, w_1 = np.sqrt(1.0 - cos_1**2), (math.pi / (order + 1)) * np.sin(theta) ** 2
+    layered = np.empty((order * len(weights), 4))
+    layered[:, :3] = np.repeat(sin_1, len(weights))[:, None] * np.tile(nodes, (order, 1))
+    layered[:, 3] = np.repeat(cos_1, len(weights))
+    return layered, np.repeat(w_1, len(weights)) * np.tile(weights, order)
+
+
+class TestGeneratedBlocks:
+    @pytest.mark.parametrize("n, order", [(2, q) for q in range(4, 65)]
+                             + [(3, q) for q in range(4, 33)])
+    def test_blocks_are_the_rules_rows(self, n, order):
+        rule = build_rule.__wrapped__(n, order)  # a fresh rule: on S^3, no whole array yet
+        nodes, weights = tensor_rule_oracle(n, order)
+        assert rule.size == len(weights)
+        starts = range(0, rule.size, surface_module._BLOCK)
+        for start in starts:  # the last block is partial unless the block size divides N
+            got = rule.block(start, start + surface_module._BLOCK)
+            span = slice(start, start + surface_module._BLOCK)
+            assert np.array_equal(got[0], nodes[span]) and np.array_equal(got[1], weights[span])
+        assert ("weights" in vars(rule)) == (n == 2)  # S^2 rules are whole, S^3 ones layered
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+    def test_a_last_partial_block(self):
+        rule = build_rule.__wrapped__(3, 12)
+        assert [len(rule.block(b, b + 2048)[1]) for b in (0, 2048)] == [2048, 1408]
+
+    def test_a_hand_built_rule_streams_and_integrates_as_before(self):
+        surf = flat_sphere(1.0)
+        rule = build_rule(2, 64)
+        half = SphericalRule(n=2, order=64, nodes=rule.nodes, weights=rule.weights / 2)
+        blocks = list(surf.blocks(half))
+        assert len(blocks) == 4
+        assert np.array_equal(np.concatenate([b.weights for b in blocks]), half.weights)
+        streamed = quadrature_module._Pass(lambda b: [])
+        for block in blocks:
+            streamed(block)
+        totals = streamed.values(lambda: surf.blocks(half), None)[0]
+        assert totals.volume == batch_volume(surf.fields(half)) == pytest.approx(2.0 * math.pi)
+
+
 def _fsum_outcome(sum_of, values):
     """The float a sum returns, bit for bit, or the type and text of what it raises."""
     try:
@@ -111,9 +167,29 @@ class TestReduce:
         assert _fsum_outcome(_reduce, values) == _fsum_outcome(
             lambda v: math.fsum(v.tolist()), values)
 
+    @settings(max_examples=150, deadline=None)
+    @given(summands(), st.lists(st.floats(0.0, 1.0), max_size=5), st.booleans())
+    @example(np.pad([1e308, 1e308, -1e308], (0, 600)), [1 / 603], True)  # overflows in order
+    def test_running_sums_of_any_split_are_the_whole_arrays(self, values, fractions, first):
+        # the row sits beside a plain one in every (2, B) chunk; chunk lengths are arbitrary
+        plain = np.linspace(-3.0, 5.0, len(values))
+        rows = np.stack([values, plain] if first else [plain, values])
+        cuts = [0, *sorted(int(f * len(values)) for f in fractions), len(values)]
+        chunks = [rows[:, a:b] for a, b in zip(cuts, cuts[1:])]
+
+        def streamed(_):
+            sums = _Sums()
+            for chunk in chunks:
+                sums.add(chunk)
+            totals = sums.totals(lambda: iter(chunks))
+            assert totals[1 if first else 0] == _reduce(plain)
+            return totals[0 if first else 1]
+
+        assert _fsum_outcome(streamed, values) == _fsum_outcome(_reduce, values)
+
 
 def volume_estimate(surface, rule):
-    return refinement_estimate(surface, rule, lambda b: (), lambda m: (batch_volume(m),))[0]
+    return refinement_estimate(surface, rule, lambda b: [], lambda m: (m.volume,))[0]
 
 
 class TestSurfaceIntegral:
@@ -128,18 +204,17 @@ class TestSurfaceIntegral:
 
     def test_support_integral_on_unit_sphere(self):
         est = refinement_estimate(flat_sphere(1.0), build_rule(2, 8),
-                                  lambda b: (b.support,),
-                                  lambda m, f: (integrate_batch(m, f),))[0]
+                                  lambda b: [(SUM, b.support)], lambda m, f: (f,))[0]
         assert est.value == pytest.approx(-4.0 * math.pi, rel=1e-13)
 
     def test_spectral_refinement_decay(self):
         surf = flat_sphere(1.0, perturbation=(((3, 1), 0.15), ((2, -1), 0.1)))
 
         def integrand(batch):
-            return (np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2),)
+            return [(SUM, np.exp(batch.X[:, 0] + 0.3 * batch.X[:, 2] ** 2))]
 
         errs = [refinement_estimate(surf, build_rule(2, o), integrand,
-                                    lambda m, f: (integrate_batch(m, f),))[0].refinement_error
+                                    lambda m, f: (f,))[0].refinement_error
                 for o in (6, 12, 24)]
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 10.0 or fine < 1e-12

@@ -1,11 +1,12 @@
 """The doubled-order rule is reduced block by block and never stored.
 
 `refinement_estimate` reads the base rule's cached batch and streams the
-rule of doubled order through `RadialSurface.blocks`, keeping only the
-columns its caller reduces.  These tests hold the streamed path to the bits
-of a whole batch of that rule, to one kernel pass per caller, to the node
-indices of a whole-rule evaluation in its errors, and to a memory peak
-below what the doubled rule's batch would take.
+rule of doubled order through `RadialSurface.blocks`, reducing each block's
+tagged columns into exact running sums and maxima and seeding its `B_sup`
+with the base rule's.  These tests hold the streamed path to the bits of a
+whole batch of that rule, to one kernel pass per caller (two when the seed
+is above the maximum), to the node indices of a whole-rule evaluation in its
+errors, and to memory peaks below what the doubled rule's batch would take.
 """
 
 import contextlib
@@ -26,9 +27,10 @@ from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.errors import HypothesisError
 from starpinch.identities import (cauchy_schwarz_chain_check, hsiung_minkowski_residual,
-                                  michael_simon_ratio, tau_l2_epsilon_bound)
+                                  michael_simon_ratio, residuals, tau_l2_epsilon_bound)
 from starpinch.pinch import distance_to_geodesic_sphere
-from starpinch.quadrature import batch_volume, build_rule, integrate_batch, refinement_estimate
+from starpinch.quadrature import (MAX, SUM, SUM_EUCLID, batch_volume, build_rule, integrate_batch,
+                                  refinement_estimate)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import B_sup_norm, RadialSurface, evaluate_nodes
 
@@ -78,17 +80,16 @@ class TestBits:
         center = np.full(n + 1, 0.01)
 
         def columns(b):
-            return (b.H[:, 1] * b.support,
-                    distance_to_geodesic_sphere(b.X, center, 0.9, surf.model))
+            return [(SUM, b.H[:, 1] * b.support), (SUM_EUCLID, 1.0),
+                    (MAX, distance_to_geodesic_sphere(b.X, center, 0.9, surf.model))]
 
-        def combine(m, integrand, distance):
-            return (integrate_batch(m, integrand), batch_volume(m, euclidean=True),
-                    float(np.max(distance)), m.B_sup)
+        def combine(m, integral, volume_euclid, distance):
+            return integral, volume_euclid, distance, m.B_sup
 
         estimates = refinement_estimate(surf, rule, columns, combine, sup=True)
         for batch, values in ((surf.fields(rule), [e.value for e in estimates]),
                               (whole_batch(surf, check), [e.check_value for e in estimates])):
-            integrand, distance = columns(batch)
+            (_, integrand), _, (_, distance) = columns(batch)
             assert values == [integrate_batch(batch, integrand),
                               batch_volume(batch, euclidean=True), float(np.max(distance)),
                               float(np.max(np.abs(batch.kappa)))]
@@ -117,27 +118,35 @@ class TestBits:
             assert batch.B_sup == previous_B_sup_norm(batch)
 
 
-class TestBaseVolume:
-    def test_the_base_batch_is_passed_in_place(self):
+class TestOneRoute:
+    def test_the_base_batch_is_read_in_place_and_the_doubled_rule_by_blocks(self):
         surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
-        rule = build_rule(2, 16)
-        batch, measures = surf.fields(rule), []
-        refinement_estimate(surf, rule, lambda b: (b.tau_sq,),
-                            lambda m, tau_sq: measures.append((m, tau_sq)) or (0.0,))
-        (m, tau_sq), (check, _) = measures
-        assert m is batch and tau_sq is batch.tau_sq
-        assert isinstance(check, quadrature_module.RuleMeasure)
-        assert len(check.weights) == nodes(2, 32)
+        rule, check = build_rule(2, 32), build_rule(2, 64)
+        batch, read = surf.fields(rule), []
+        refinement_estimate(surf, rule, lambda b: read.append(b) or [(SUM, b.tau_sq)],
+                            lambda m, tau_sq: (tau_sq,))
+        assert read[0] is batch
+        assert [b.start for b in read[1:]] == list(range(0, len(check.nodes), BLOCK))
+        for block in read[1:]:
+            span = slice(block.start, block.start + BLOCK)
+            assert np.array_equal(block.weights, check.weights[span])
+            assert np.array_equal(block.nodes, check.nodes[span])
 
-    def test_the_base_rules_volume_is_reduced_once(self, monkeypatch):
+    def test_each_block_is_one_stacked_reduction_of_the_volumes_and_columns(self, monkeypatch):
         surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
-        rule = build_rule(2, 16)
-        volume = batch_volume(surf.fields(rule))
-        reductions, reduce = [], quadrature_module._reduce
-        monkeypatch.setattr(quadrature_module, "_reduce",
-                            lambda values: reductions.append(len(values)) or reduce(values))
-        est, = refinement_estimate(surf, rule, lambda b: (), lambda m: (batch_volume(m),))
-        assert est.value == volume and reductions == [nodes(2, 32)]
+        rule = build_rule(2, 32)
+        batch = surf.fields(rule)
+        volumes = batch_volume(batch), batch_volume(batch, euclidean=True)
+        tau_sq = integrate_batch(batch, batch.tau_sq)
+        shapes, add = [], quadrature_module._Sums.add
+        monkeypatch.setattr(quadrature_module._Sums, "add",
+                            lambda sums, chunk: shapes.append(chunk.shape) or add(sums, chunk))
+        est = refinement_estimate(
+            surf, rule, lambda b: [(MAX, b.rho), (SUM_EUCLID, 1.0), (SUM, b.tau_sq)],
+            lambda m, rho, volume_euclid, tau_sq: (m.volume, volume_euclid, tau_sq))
+        assert (est[0].value, est[1].value) == volumes
+        assert est[2].value == tau_sq
+        assert shapes == [(3, nodes(2, 32))] + [(3, BLOCK)] * (nodes(2, 64) // BLOCK)
 
 
 class TestErrors:
@@ -151,7 +160,7 @@ class TestErrors:
         with pytest.raises(HypothesisError) as whole:
             evaluate_nodes(surf, check.nodes)
         with pytest.raises(HypothesisError) as streamed:
-            refinement_estimate(surf, rule, lambda b: (), lambda m: (batch_volume(m),))
+            refinement_estimate(surf, rule, lambda b: [], lambda m: (m.volume,))
         assert str(streamed.value) == str(whole.value)
         assert int(re.search(r"node (\d+)", str(whole.value))[1]) >= 3 * BLOCK
 
@@ -214,6 +223,40 @@ class TestOnePass:
         assert sum(counted.nodes) == nodes(3, 8) + nodes(3, 16) and counted.passes == 1
 
 
+# the bench surfaces: `identities` (n, rho0, perturbation, base orders) and `pinch-n3`
+BENCH_SURFACES = [
+    (2, 1.0, (((3, 1), 0.12), ((2, 0), 0.06)), 16),
+    (2, 1.0, (((3, 1), 0.12), ((2, 0), 0.06)), 32),
+    (3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)), 8),
+    (3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)), 16),
+    (3, 0.9, (("u1u2", 0.04),), 12),
+]
+
+
+class TestSeededBSup:
+    def B_sup(self, surf, rule):
+        return refinement_estimate(surf, rule, lambda b: [], lambda m: (m.B_sup,), sup=True)[0]
+
+    @pytest.mark.parametrize("n, rho0, perturbation, order", BENCH_SURFACES)
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    def test_no_bench_surface_falls_back(self, counted, n, rho0, perturbation, order, delta):
+        surf = make_surface(delta, n, rho0, perturbation)
+        est = self.B_sup(surf, build_rule(n, order))
+        assert counted.passes == 1
+        assert est.check_value >= est.value * (1.0 - quadrature_module._SEED_MARGIN)
+
+    @pytest.mark.parametrize("n, order, perturbation", SURFACES)
+    def test_a_seed_above_the_maximum_costs_one_more_pass(self, counted, monkeypatch, n, order,
+                                                          perturbation):
+        monkeypatch.setattr(quadrature_module, "_SEED_MARGIN", -0.5)  # 1.5 times the base's
+        surf = make_surface(-1.0, n, 0.9, perturbation)
+        rule, check = build_rule(n, order), build_rule(n, 2 * order)
+        est = self.B_sup(surf, rule)
+        assert counted.passes == 2
+        assert est.check_value == float(np.max(np.abs(whole_batch(surf, check).kappa)))
+        assert est.check_value < 1.5 * est.value
+
+
 class TestMemory:
     def cached_orders(self, surface):
         return sorted(rule.order for rule, _ in surface._cache.values())
@@ -233,6 +276,20 @@ class TestMemory:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["identities", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert [self.cached_orders(s) for s in made] == [[8]]
+
+    def test_identities_residuals_stay_within_a_few_blocks(self):
+        build_rule.cache_clear()  # a doubled rule whose whole arrays nothing has read yet
+        surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)))
+        rule, check = build_rule(3, 16), build_rule(3, 32)
+        surf.fields(rule)
+        tracemalloc.start()
+        try:
+            residuals(surf, rule, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20  # the doubled rule's nodes and weights alone are 2.5 MiB
+        assert build_rule(3, 32) is check and "weights" not in vars(check)
 
     def test_run_pinch_peak_stays_below_the_doubled_rules_batch(self):
         surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.04),))

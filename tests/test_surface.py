@@ -373,8 +373,8 @@ class TestRho:
         evaluated = []
         evaluate = surface_module.evaluate_nodes
         monkeypatch.setattr(surface_module, "evaluate_nodes",
-                            lambda surface, nodes: evaluated.append(len(nodes))
-                            or evaluate(surface, nodes))
+                            lambda surface, nodes, *rest: evaluated.append(len(nodes))
+                            or evaluate(surface, nodes, *rest))
         surf = sphere(-1.0, 0.9, n=n)
         batches = [surf.fields(build_rule(n, q)) for q in (8, 16, 8, 16, 8)]
         assert evaluated == [len(build_rule(n, 8).nodes), len(build_rule(n, 16).nodes)]
