@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pinch
 from .pinch import epsilon_field, require_positive_H
 # build_rule stays importable here: bench/tracing.py wraps it at this name
 # integrate_batch stays importable here for the same reason
@@ -86,7 +87,8 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
         surface, rule, lambda b: [column for _, columns, _ in rows for column in columns(b)],
         lambda m, *reduced: tuple(value(m, sums) for sums in [iter(reduced)]
                                   for *_, value in rows),
-        sup="cauchy_schwarz_chain" in names)  # the one row that reads B_sup
+        sup="cauchy_schwarz_chain" in names,  # the one row that reads B_sup
+        integrate=pinch.integrate_batch)  # reduced where pinch.batch_mean reduces
     return [ResidualReport(name=name, value=est.value, tolerance=INTEGRAL_TOLERANCE,
                            refinement_error=est.refinement_error, kind=kind)
             for name, (kind, *_), est in zip(names, rows, estimates)]
@@ -145,7 +147,8 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0, eps = H_r - h of ``epsilon_field`` (normalized)."""
     tau, eps = refinement_estimate(
         surface, rule, lambda b: [(SUM, b.tau_sq), (SUM, np.abs(epsilon_field(b, r, h)[1]))],
-        lambda m, tau_sq, eps: (tau_sq / m.volume, eps / m.volume))
+        lambda m, tau_sq, eps: (tau_sq / m.volume, eps / m.volume),
+        integrate=pinch.integrate_batch)
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,

@@ -43,7 +43,8 @@ from .symfun import partial_H_extremes
 # epsilon field and gates
 
 
-# the one mean and norm: bench/tracing.py counts integrate_batch at this module's name
+# the one mean and norm (and the refinement passes' chunks, from run_pinch and identities):
+# bench/tracing.py counts integrate_batch at this module's name
 def batch_mean(batch, values) -> float:
     """Volume-normalized integral (1/V) int values dv over a rule's batch."""
     return integrate_batch(batch, values) / batch_volume(batch)
@@ -314,7 +315,8 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     eps_l1, tau_l2, dH = refinement_estimate(
         surface, rule, lambda b: [(SUM, np.abs(epsilon_field(b, r, h=h)[1])),
                                   (SUM, np.sqrt(b.tau_sq) ** 2), (MAX, distance(b))],
-        lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist))
+        lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist),
+        integrate=integrate_batch)
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,

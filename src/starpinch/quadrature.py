@@ -47,20 +47,23 @@ class SphericalRule:
     def __init__(self, n: int, order: int, nodes=None, weights=None, *, layers=None):
         self.n, self.order, self.layers = n, order, layers
         if layers is None:
-            self.nodes, self.weights = np.asarray(nodes, float), np.asarray(weights, float)
+            self.arrays = np.asarray(nodes, float), np.asarray(weights, float)
         self.size = len(self.weights) if layers is None else layers[0].size * len(layers[1])
 
-    def __getattr__(self, name):  # reached only while a layered rule's arrays are unbuilt
-        if name not in ("nodes", "weights"):
-            raise AttributeError(name)
-        self.nodes, self.weights = self.block(0, self.size)
-        self.nodes.flags.writeable = self.weights.flags.writeable = False
-        return getattr(self, name)
+    @functools.cached_property
+    def arrays(self) -> tuple:
+        """(nodes, weights); a layered rule builds them, read-only, at their first read."""
+        for array in (arrays := self.block(0, self.size)):
+            array.flags.writeable = False
+        return arrays
+
+    nodes = property(lambda self: self.arrays[0])
+    weights = property(lambda self: self.arrays[1])
 
     def block(self, start: int, stop: int) -> tuple:
         """Nodes and weights [start, stop), the whole arrays' slices bit for bit: node (k, l)
         of S^3 is (sin_k u_l, cos_k) and weighs w_k w_l, for node u_l, w_l of the S^2 rule."""
-        if "weights" in vars(self):
+        if "arrays" in vars(self):
             return self.nodes[start:stop], self.weights[start:stop]
         (inner, sin, cos, w), stop, size = self.layers, min(stop, self.size), self.layers[0].size
         nodes, weights = np.empty((stop - start, 4)), np.empty(stop - start)
@@ -94,8 +97,8 @@ def build_rule(n: int, order: int) -> SphericalRule:
     if n == 3:  # Gauss-Chebyshev (2nd kind) layers of the S^2 rule for the sin^2 weight
         theta = np.arange(1, order + 1) * math.pi / (order + 1)
         cos_1, w_1 = np.cos(theta), (math.pi / (order + 1)) * np.sin(theta) ** 2
-        return SphericalRule(3, order, layers=(build_rule(2, order), np.sqrt(1.0 - cos_1**2),
-                                               cos_1, w_1))
+        inner = build_rule.__wrapped__(2, order)  # not memoized: one cache slot per S^3 order
+        return SphericalRule(3, order, layers=(inner, np.sqrt(1.0 - cos_1**2), cos_1, w_1))
     cos_t, w_t = np.polynomial.legendre.leggauss(order)
     m_az = 2 * order
     phi = 2.0 * math.pi * np.arange(m_az) / m_az
@@ -109,7 +112,7 @@ def build_rule(n: int, order: int) -> SphericalRule:
 
 # at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53;
 # math.fsum is faster up to _FSUM_TERMS values, and the temporaries of _CHUNK stay in cache
-_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 16384
+_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
 
 
 class _Sums:
@@ -159,12 +162,26 @@ def _reduce(values: np.ndarray) -> float:
     return sums.totals(lambda: [values[None]])[0]
 
 
-def integrate_batch(batch, values, *, euclidean: bool = False) -> float:
-    """Fixed-order reduction of sum f * area_element * weight over a rule's batch."""
+def integrate_batch(batch, values, *, euclidean=False, into=None):
+    """Fixed-order reduction of sum f * area_element * weight over a rule's batch.
+
+    With ``into``, a running ``_Sums`` of a rule's blocks, ``values`` lists node columns and
+    ``euclidean`` a flag for each; their summands are added to it as one (k, B) chunk."""
     if batch.weights is None:
         raise ValueError("the batch carries no rule weights; integrate surface.fields(rule)")
+    if into is not None:
+        return into.add(_summands(batch, values, euclidean))
     area = batch.area_element_euclid if euclidean else batch.area_element
     return _reduce(np.asarray(values, dtype=float) * area * batch.weights)
+
+
+def _summands(batch, values, euclidean) -> np.ndarray:
+    """Rows (f * area_element) * weight, as integrate_batch takes them, each with its area."""
+    rows = np.empty((len(values), len(batch.weights)))
+    for row, f, flag in zip(rows, values, euclidean):
+        np.multiply(f, batch.area_element_euclid if flag else batch.area_element, out=row)
+        row *= batch.weights
+    return rows
 
 
 def batch_volume(batch, *, euclidean: bool = False) -> float:
@@ -183,38 +200,35 @@ _SEED_MARGIN = 0.005
 
 
 class _Pass(_Sums):
-    """Weighted blocks reduced to their volume and the caller's columns: one (k, B) sum per
-    block, the volume first, and running column maxima."""
+    """A rule's blocks reduced by ``integrate`` to their volume and the caller's columns, one
+    (k, B) chunk per block with the volume first, and to running column maxima."""
 
-    def __init__(self, columns):
-        self.columns, self.maxima = columns, -np.inf
+    def __init__(self, columns, integrate):
+        self.columns, self.integrate, self.maxima = columns, integrate, -np.inf
 
-    def summands(self, block) -> np.ndarray:
+    def summed(self, block) -> tuple:
+        """The values and euclidean flags of the volume and the summed columns of a block."""
         columns = self.columns(block)
         self.kinds = [kind for kind, _ in columns]
         self.block_maxima = [np.max(values) for kind, values in columns if kind == MAX]
-        area = {SUM: block.area_element, SUM_EUCLID: block.area_element_euclid}
         summed = [(SUM, 1.0), *[column for column in columns if column[0] != MAX]]
-        rows = np.empty((len(summed), len(block.weights)))  # the volume first
-        for row, (kind, values) in zip(rows, summed):
-            np.multiply(values, area[kind], out=row)
-            row *= block.weights  # (f * area) * weights, as integrate_batch takes it
-        return rows
+        return [values for _, values in summed], [kind == SUM_EUCLID for kind, _ in summed]
 
     def __call__(self, block):
-        self.add(self.summands(block))
+        values, euclidean = self.summed(block)
+        self.integrate(block, values, euclidean=euclidean, into=self)
         self.maxima = np.maximum(self.maxima, self.block_maxima)
         return block
 
     def values(self, blocks, B_sup) -> tuple:
         """(Totals, *reduced columns); ``blocks()`` streams the blocks again for a replay."""
-        sums = iter(self.totals(lambda: map(self.summands, blocks())))
+        sums = iter(self.totals(lambda: (_summands(b, *self.summed(b)) for b in blocks())))
         maxima, totals = iter(self.maxima.tolist()), Totals(next(sums), B_sup)
         return totals, *[next(maxima if kind == MAX else sums) for kind in self.kinds]
 
 
 def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
-                        sup: bool = False) -> tuple:
+                        sup: bool = False, integrate=integrate_batch) -> tuple:
     """Scalar functionals of the surface with their refinement errors.
 
     ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
@@ -222,9 +236,11 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
     (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one ``_Pass``: first the
     cached batch of ``rule``, then the doubled rule, whose blocks are generated, reduced and
     dropped one at a time; its ``B_sup`` is seeded by the base rule's less _SEED_MARGIN.
+    Every chunk goes through ``integrate``, ``integrate_batch`` at the name its caller looks
+    up, where bench/tracing.py counts it.
     """
     batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    base, doubled, B_sup = _Pass(columns), _Pass(columns), None
+    base, doubled, B_sup = _Pass(columns, integrate), _Pass(columns, integrate), None
     base(batch)
     base = combine(*base.values(lambda: [batch], batch.B_sup if sup else None))
     passing = map(doubled, surface.blocks(check))

@@ -255,7 +255,7 @@ class SurfaceBatch:
 # Nodes per block, and the block the refinement pass holds at a time: the kernel's
 # temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced; 4.1 MiB for a kernel
 # that built g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice the
-# largest chunk it has unmapped, such as a batch), above which they are returned and
+# largest chunk it has unmapped); temporaries above it are returned to the system and
 # faulted back in.
 _BLOCK = 2048
 
@@ -272,14 +272,10 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0, weights=None) 
     if N <= _BLOCK:  # one block: M and H stay views of the kernel's node-last arrays
         out = _node_block(surface, plan, u.T.copy(), start)
     else:
-        # the fields, shaped as the kernel's on no nodes, in one allocation before the first
-        # block: after it, the batch would sit above the block's temporaries (higher RSS), and
-        # freed as one chunk it lifts glibc's trim threshold over a block's temporaries (_BLOCK)
-        shapes = {name: value.shape[1:]
-                  for name, value in _node_block(surface, plan, u[:0].T.copy(), start).items()}
-        sizes = [N * math.prod(shape) for shape in shapes.values()]
-        out = {name: part.reshape(N, *shape) for (name, shape), part
-               in zip(shapes.items(), np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]))}
+        # each field's array, shaped as the kernel's on no nodes, before the first block:
+        # allocated after it, the batch would sit above the block's temporaries (higher RSS)
+        out = {name: np.empty((N, *value.shape[1:]))
+               for name, value in _node_block(surface, plan, u[:0].T.copy(), start).items()}
         # every operation is per node, so blocks of nodes give the same bits as
         # one pass while the temporaries stay bounded by the block size
         for b in range(0, N, _BLOCK):

@@ -5,8 +5,7 @@ with its JSON record, so a broken workload shows only there.  Here every
 workload of `bench/workloads.py` and its known-answer runs make one pass,
 once plain and once under the tracer of `bench/tracing.py`: no operation
 may raise, every check must come back empty, and a traced pass must count
-node evaluations and, where they go through ``integrate_batch``, surface
-integrals.
+node evaluations and surface integrals.
 """
 
 import sys
@@ -49,6 +48,4 @@ def test_one_traced_pass_is_clean_and_counted(name, tmp_path):
         metrics = tracer.since(start)
     assert {op: found for op, found in problems.items() if found} == {}
     assert metrics["surface.nodes_evaluated"] > 0
-    # `starpinch identities` integrates only in the refinement pass's stacked sums inside
-    # quadrature, where the tracer's integrate_batch wrappers do not reach
-    assert (metrics["quadrature.integrate_batch_calls"] > 0) == (name != "identities")
+    assert metrics["quadrature.integrate_batch_calls"] > 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import starpinch.identities as identities_module
+import starpinch.pinch
 from starpinch.constants import K2
 from starpinch.errors import HypothesisError
 from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
@@ -197,6 +198,15 @@ class TestSharedHypothesisCheck:
         surf, rule = self.failing()
         with pytest.raises(HypothesisError, match="H_3 must be positive"):
             tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
+
+    def test_residual_means_integrate_at_the_name_pinch_looks_up(self, monkeypatch):
+        # bench/tracing.py counts integrate_batch at starpinch.pinch's name
+        calls, integrate = [], starpinch.pinch.integrate_batch
+        monkeypatch.setattr(starpinch.pinch, "integrate_batch",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        hsiung_minkowski_residual(make_surface(-1.0, perturbation=(((3, 1), 0.05),)), 1,
+                                  build_rule(2, 8))
+        assert len(calls) == 2  # one mean on the base rule, one on the doubled rule
 
     def test_residual_means_are_the_batch_means(self):
         # the refinement pass's sum over its volume gives pinch.batch_mean's bits

@@ -109,8 +109,14 @@ class TestGeneratedBlocks:
             got = rule.block(start, start + surface_module._BLOCK)
             span = slice(start, start + surface_module._BLOCK)
             assert np.array_equal(got[0], nodes[span]) and np.array_equal(got[1], weights[span])
-        assert ("weights" in vars(rule)) == (n == 2)  # S^2 rules are whole, S^3 ones layered
+        assert ("arrays" in vars(rule)) == (n == 2)  # S^2 rules are whole, S^3 ones layered
         assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+    def test_an_s3_rule_takes_one_cache_slot(self):
+        # its inner S^2 rule is not memoized: the identities workload's rules take 6 of 8 slots
+        build_rule.cache_clear()
+        build_rule(3, 12)
+        assert build_rule.cache_info().currsize == 1
 
     def test_a_last_partial_block(self):
         rule = build_rule.__wrapped__(3, 12)
@@ -123,7 +129,7 @@ class TestGeneratedBlocks:
         blocks = list(surf.blocks(half))
         assert len(blocks) == 4
         assert np.array_equal(np.concatenate([b.weights for b in blocks]), half.weights)
-        streamed = quadrature_module._Pass(lambda b: [])
+        streamed = quadrature_module._Pass(lambda b: [], integrate_batch)
         for block in blocks:
             streamed(block)
         totals = streamed.values(lambda: surf.blocks(half), None)[0]

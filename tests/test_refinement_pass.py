@@ -289,7 +289,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20  # the doubled rule's nodes and weights alone are 2.5 MiB
-        assert build_rule(3, 32) is check and "weights" not in vars(check)
+        assert build_rule(3, 32) is check and "arrays" not in vars(check)
 
     def test_run_pinch_peak_stays_below_the_doubled_rules_batch(self):
         surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.04),))
