@@ -16,14 +16,17 @@ an integer significand of 53 bits times a power of two, and np.bincount sums
 the high 26 and low 27 bits of the significands per row and exponent.  Those
 sums are integers below 2^53, exact whatever the order or split of the
 stream, and so is each one scaled by its power of two; math.fsum of these
-few terms is the correctly rounded total.  A row with non-finite values,
-exponents within 60 of the float64 limits or over 2^26 values is summed by
-math.fsum over the stream again; ``_reduce`` hands it arrays of 512 or fewer.
+few terms is the correctly rounded total.  If any row has non-finite values,
+exponents within 60 of the float64 limits or over 2^26 values, every row is
+summed by math.fsum over the stream again; ``_reduce`` hands it arrays of
+512 or fewer.
 
 ``refinement_estimate`` is the one refinement estimate of the package: any
 scalar functional of the surface (an integral, a norm, an identity
 residual, a node maximum) carries the difference against the doubled-order
-rule, generated block by block and never built, as its refinement error.
+rule as its refinement error.  Each rule is reduced in one plain loop over
+its blocks: the cached base batch, then the doubled rule's blocks, generated,
+reduced and dropped one at a time, so the doubled rule is never built.
 Volume-normalized means and L^p norms of a batch are ``pinch.batch_mean`` and ``lp_norm``.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -118,18 +121,18 @@ _EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
 class _Sums:
     """Exactly rounded running sums of the rows of (k, B) chunks (see the module docstring)."""
     sums, low, high, count = None, 1024, -1074, 0  # bucket sums by row, half and exponent
+    replay = False  # set when some row can be summed only by math.fsum, in order
 
     @np.errstate(invalid="ignore")  # a non-finite value leaves its row's buckets non-finite
     def add(self, chunk: np.ndarray) -> None:
         if self.sums is None:
-            self.sums, self.replay = np.zeros((len(chunk), 2, 0)), np.zeros(len(chunk), bool)
+            self.sums = np.zeros((len(chunk), 2, 0))
         self.count += chunk.shape[1]
         step = max(_CHUNK // len(chunk), 1)
         for part in (chunk[:, start:start + step] for start in range(0, chunk.shape[1], step)):
             significand, bucket = np.frexp(part)
             lo, hi = int(bucket.min()), int(bucket.max())
-            if lo <= -1021 + 60 or hi >= 1024 - 60:  # such a row is replayed
-                self.replay |= (bucket.min(1) <= -1021 + 60) | (bucket.max(1) >= 1024 - 60)
+            self.replay |= lo <= -1021 + 60 or hi >= 1024 - 60
             if lo < self.low or hi > self.high:  # widen the table to exponents first..last
                 first, last = min(self.low, lo), max(self.high, hi)
                 sums = np.zeros((len(part), 2, last - first + 1))
@@ -145,13 +148,13 @@ class _Sums:
                     minlength=len(part) * (hi - lo + 1)).reshape(len(part), -1)
 
     def totals(self, replay) -> list:
-        """Each row's math.fsum; ``replay()`` streams the chunks again for a replayed row."""
-        exact = ~self.replay & np.isfinite(self.sums).all(axis=(1, 2))
-        scale = np.arange(self.low - 53, self.high - 52) + 27
-        terms = np.ldexp(np.where(exact[:, None, None], self.sums, 0.0), scale)
-        return [math.fsum(row.ravel().tolist()) if ok and self.count <= _EXACT_TERMS else
-                math.fsum(chain.from_iterable(chunk[i].tolist() for chunk in replay()))
-                for i, (ok, row) in enumerate(zip(exact, terms))]
+        """Each row's math.fsum; ``replay()`` streams the chunks again, once per row, when a
+        row has non-finite values, exponents near the limits or too many values."""
+        if self.replay or self.count > _EXACT_TERMS or not np.isfinite(self.sums).all():
+            return [math.fsum(chain.from_iterable(chunk[i].tolist() for chunk in replay()))
+                    for i in range(len(self.sums))]
+        terms = np.ldexp(self.sums, np.arange(self.low - 53, self.high - 52) + 27)
+        return [math.fsum(row.ravel().tolist()) for row in terms]
 
 
 def _reduce(values: np.ndarray) -> float:
@@ -169,10 +172,9 @@ def integrate_batch(batch, values, *, euclidean=False, into=None):
     ``euclidean`` a flag for each; their summands are added to it as one (k, B) chunk."""
     if batch.weights is None:
         raise ValueError("the batch carries no rule weights; integrate surface.fields(rule)")
-    if into is not None:
-        return into.add(_summands(batch, values, euclidean))
-    area = batch.area_element_euclid if euclidean else batch.area_element
-    return _reduce(np.asarray(values, dtype=float) * area * batch.weights)
+    if into is None:
+        return _reduce(_summands(batch, [values], [euclidean])[0])
+    into.add(_summands(batch, values, euclidean))
 
 
 def _summands(batch, values, euclidean) -> np.ndarray:
@@ -185,10 +187,9 @@ def _summands(batch, values, euclidean) -> np.ndarray:
 
 
 def batch_volume(batch, *, euclidean: bool = False) -> float:
-    """integrate_batch of ones, reduced once per batch and kept on it."""
+    """integrate_batch of 1, reduced once per batch and kept on it."""
     if euclidean not in batch.volumes:
-        ones = np.ones(len(batch.area_element))
-        batch.volumes[euclidean] = integrate_batch(batch, ones, euclidean=euclidean)
+        batch.volumes[euclidean] = integrate_batch(batch, 1.0, euclidean=euclidean)
     return batch.volumes[euclidean]
 
 
@@ -199,56 +200,41 @@ Totals = namedtuple("Totals", "volume B_sup")  # what combine reads of a rule be
 _SEED_MARGIN = 0.005
 
 
-class _Pass(_Sums):
-    """A rule's blocks reduced by ``integrate`` to their volume and the caller's columns, one
-    (k, B) chunk per block with the volume first, and to running column maxima."""
-
-    def __init__(self, columns, integrate):
-        self.columns, self.integrate, self.maxima = columns, integrate, -np.inf
-
-    def summed(self, block) -> tuple:
-        """The values and euclidean flags of the volume and the summed columns of a block."""
-        columns = self.columns(block)
-        self.kinds = [kind for kind, _ in columns]
-        self.block_maxima = [np.max(values) for kind, values in columns if kind == MAX]
-        summed = [(SUM, 1.0), *[column for column in columns if column[0] != MAX]]
-        return [values for _, values in summed], [kind == SUM_EUCLID for kind, _ in summed]
-
-    def __call__(self, block):
-        values, euclidean = self.summed(block)
-        self.integrate(block, values, euclidean=euclidean, into=self)
-        self.maxima = np.maximum(self.maxima, self.block_maxima)
-        return block
-
-    def values(self, blocks, B_sup) -> tuple:
-        """(Totals, *reduced columns); ``blocks()`` streams the blocks again for a replay."""
-        sums = iter(self.totals(lambda: (_summands(b, *self.summed(b)) for b in blocks())))
-        maxima, totals = iter(self.maxima.tolist()), Totals(next(sums), B_sup)
-        return totals, *[next(maxima if kind == MAX else sums) for kind in self.kinds]
-
-
 def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
                         sup: bool = False, integrate=integrate_batch) -> tuple:
     """Scalar functionals of the surface with their refinement errors.
 
     ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
     kind says, and ``combine(totals, *reduced)`` a tuple of values from a rule's ``Totals``
-    (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one ``_Pass``: first the
-    cached batch of ``rule``, then the doubled rule, whose blocks are generated, reduced and
-    dropped one at a time; its ``B_sup`` is seeded by the base rule's less _SEED_MARGIN.
-    Every chunk goes through ``integrate``, ``integrate_batch`` at the name its caller looks
-    up, where bench/tracing.py counts it.
+    (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one loop over its blocks,
+    the cached batch of ``rule`` or the doubled rule's, generated and dropped one at a time:
+    a block's volume and summed columns go through ``integrate`` as one (k, B) chunk (at the
+    name its caller looks up, where bench/tracing.py counts it), and with ``sup`` the doubled
+    rule's B_sup = B_sup_norm(block, B_sup) starts at the base's less _SEED_MARGIN.
     """
+    def summed(tagged):  # the values and euclidean flags of the volume and the summed columns
+        tagged = [(SUM, 1.0), *[column for column in tagged if column[0] != MAX]]
+        return [values for _, values in tagged], [kind == SUM_EUCLID for kind, _ in tagged]
+
+    def reduced(blocks, B_sup):  # (Totals, *reduced columns) of one rule's blocks
+        sums, maxima = _Sums(), -np.inf
+        for block in blocks():
+            tagged = columns(block)
+            kinds = [kind for kind, _ in tagged]
+            values, euclidean = summed(tagged)
+            integrate(block, values, euclidean=euclidean, into=sums)
+            maxima = np.maximum(maxima, [np.max(v) for kind, v in tagged if kind == MAX])
+            if sup:
+                B_sup = batch.B_sup if block is batch else B_sup_norm(block, B_sup)
+            del block, tagged, values  # a streamed block is freed before the next is evaluated
+        sums = iter(sums.totals(lambda: (_summands(b, *summed(columns(b))) for b in blocks())))
+        maxima = iter(maxima.tolist())
+        return Totals(next(sums), B_sup), *[next(maxima if k == MAX else sums) for k in kinds]
+
     batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    base, doubled, B_sup = _Pass(columns, integrate), _Pass(columns, integrate), None
-    base(batch)
-    base = combine(*base.values(lambda: [batch], batch.B_sup if sup else None))
-    passing = map(doubled, surface.blocks(check))
-    if sup:
-        seed = batch.B_sup * (1.0 - _SEED_MARGIN)
-        B_sup = B_sup_norm(passing, seed)
-        if B_sup < seed:  # a lower bound, so the stream it seeds gives the maximum
-            B_sup = B_sup_norm(surface.blocks(check), B_sup)
-    deque(passing, maxlen=0)  # the pass itself, where B_sup_norm has not made it
-    doubled = combine(*doubled.values(lambda: surface.blocks(check), B_sup))
-    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, doubled))
+    base = combine(*reduced(lambda: [batch], None))
+    seed = batch.B_sup * (1.0 - _SEED_MARGIN) if sup else None  # solved by the base loop
+    doubled = reduced(lambda: surface.blocks(check), seed)
+    if sup and doubled[0].B_sup == seed:  # a floor no node reached: stream again without it
+        doubled = reduced(lambda: surface.blocks(check), -math.inf)
+    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, combine(*doubled)))

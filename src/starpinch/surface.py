@@ -57,7 +57,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import HypothesisError, NumericalError
 from .spaceform import SpaceFormModel, radius_from_chart_norm, s_delta
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,13 @@ class RadialSurface:
         """Batch of pointwise data at a rule's nodes with its weights, cached (base rules only)."""
         key = id(rule)  # the entry holds the rule, so this id is not reused while it lives
         if key not in self._cache:
-            self._cache[key] = rule, evaluate_nodes(self, rule.nodes, 0, rule.weights)
+            with np.errstate(all="ignore"):  # out-of-range fields are rejected below
+                batch = evaluate_nodes(self, rule.nodes, 0, rule.weights)
+            bad = np.flatnonzero(~(np.isfinite(batch.H).all(axis=1) & (batch.area_element > 0)))
+            if len(bad):  # once per base rule: the blocks of its doubled rule share its scale
+                raise NumericalError(f"surface fields leave the float64 range at node {bad[0]}: "
+                                     f"H = {batch.H[bad[0]]}, dA = {batch.area_element[bad[0]]}")
+            self._cache[key] = rule, batch
         return self._cache[key][1]
 
     def blocks(self, rule):
@@ -244,7 +250,7 @@ class SurfaceBatch:
     @cached_property
     def B_sup(self) -> float:
         """max_i |kappa_i| over the nodes, from ``B_sup_norm``; solved at the first read."""
-        return B_sup_norm([self])
+        return B_sup_norm(self)
 
     @cached_property
     def volumes(self) -> dict:
@@ -252,10 +258,11 @@ class SurfaceBatch:
         return {}
 
 
-# Nodes per block, and the block the refinement pass holds at a time: the kernel's
-# temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced; 4.1 MiB for a kernel
-# that built g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice the
-# largest chunk it has unmapped); temporaries above it are returned to the system and
+# Nodes per block.  The refinement pass holds one block at a time: it reduces the block,
+# solves the block's B_sup candidates and drops it before the next one is evaluated.  The
+# kernel's temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced; 4.1 MiB for a
+# kernel that built g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice
+# the largest chunk it has unmapped); temporaries above it are returned to the system and
 # faulted back in.
 _BLOCK = 2048
 
@@ -480,37 +487,21 @@ def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
                            R=float(np.max(batch.r)))
 
 
-def B_sup_norm(blocks, seed: float | None = None) -> float:
-    """Sup of the shape-operator spectral norm, max_i |kappa_i| over the nodes of blocks.
+def B_sup_norm(batch: SurfaceBatch, floor: float = -math.inf) -> float:
+    """max(floor, max_i |kappa_i|), the sup of the shape-operator spectral norm over a batch.
 
-    Bitwise np.max(np.abs(batch.kappa)) of their batch if at least ``seed`` (by default the
-    |kappa| of the first block's first node of largest U), but the Jacobi solve runs only
-    where the maximum can be: the largest |kappa| is at least every q |M_ii| and solved
-    |kappa|, and a node's lie within U = |H_1| + sqrt((n-1) tau^2 / n), so only nodes whose
-    U reaches the larger of those and ``seed``, less 256 ulps for rounding, are solved (per
-    node, so with the same bits), a block's worth at a time, keeping the running maximum.
-    A result below ``seed`` is a lower bound; seeded with it, a second stream is exact.
+    At least ``floor``, it is bitwise np.max(np.abs(batch.kappa)), but the Jacobi solve runs
+    only where the maximum can be: it is at least every q |M_ii|, and a node's |kappa| lie
+    within U = |H_1| + sqrt((n-1) tau^2 / n), so only nodes whose U reaches the larger of
+    those and ``floor``, less 256 ulps for rounding, are solved (per node, so with the same
+    bits).  With no floor, the node of largest U is solved first and its |kappa| is the floor.
     """
-    lower = best = -np.inf
-    slack, rows = 1.0 - 256 * np.finfo(float).eps, []
-
-    def solve(rows):  # the max |kappa| of the candidates still within reach of the bound
-        upper, M, q = (np.concatenate(part) for part in zip(*rows))
-        near = upper >= max(lower, seed) * slack
-        kappa = _principal_curvatures(M[near], q[near]) if near.any() else np.empty(0)
-        return np.max(np.abs(kappa), initial=-np.inf)
-
-    for block in blocks:
-        n, M, q = block.n, block.M, block.q
-        upper = np.abs(block.H[:, 1]) + np.sqrt((n - 1) / n * block.tau_sq)
-        if seed is None:
-            i = int(np.argmax(upper))
-            seed = np.max(np.abs(_principal_curvatures(M[i:i + 1], q[i:i + 1])))
-        lower = max(lower, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
-        near = upper >= max(lower, seed) * slack
-        rows.append((upper[near], M[near], q[near]))
-        if sum(len(row[0]) for row in rows) >= _BLOCK:
-            best, rows = max(best, solve(rows)), []
-            lower = max(lower, best)
-        del block, M, q  # a streamed block is freed before the next one is evaluated
-    return float(max(best, solve(rows)) if rows else best)
+    n, M, q = batch.n, batch.M, batch.q
+    upper = np.abs(batch.H[:, 1]) + np.sqrt((n - 1) / n * batch.tau_sq)
+    if floor == -math.inf:
+        i = int(np.argmax(upper))
+        floor = np.max(np.abs(_principal_curvatures(M[i:i + 1], q[i:i + 1])))
+    lower = max(floor, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
+    near = upper >= lower * (1.0 - 256 * np.finfo(float).eps)
+    kappa = _principal_curvatures(M[near], q[near]) if near.any() else np.empty(0)
+    return float(max(floor, np.max(np.abs(kappa), initial=-math.inf)))

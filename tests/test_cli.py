@@ -453,6 +453,23 @@ class TestCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["report", "identities", "pinch"])
+    @pytest.mark.parametrize("n, rho0, perturbation", [
+        (2, "1e155", "3,1:0.05"), (3, "1e-160", "u1u2:0.05")], ids=["overflow", "underflow"])
+    def test_fields_outside_float_range_exit_2(self, tmp_path, capsys, command, n, rho0,
+                                               perturbation):
+        # the first used to exit 1 as "not starshaped" (identities: a CSV of nan rows), the
+        # second to escape as a ZeroDivisionError traceback (exit 1)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[surface]\nn = {n}\ndelta = 0.0\nrho0 = {rho0}\n"
+                       f"perturbation = {perturbation}\n\n[experiment]\nr = 1\nquad_order = 8\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: surface fields leave the float64 range at node")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_scaling_without_amplitudes_exits_3(self, tmp_path):
         cfg = tmp_path / "sphere.ini"
         cfg.write_text(SPHERE_CONFIG)

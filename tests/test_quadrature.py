@@ -129,11 +129,12 @@ class TestGeneratedBlocks:
         blocks = list(surf.blocks(half))
         assert len(blocks) == 4
         assert np.array_equal(np.concatenate([b.weights for b in blocks]), half.weights)
-        streamed = quadrature_module._Pass(lambda b: [], integrate_batch)
+        streamed = _Sums()
         for block in blocks:
-            streamed(block)
-        totals = streamed.values(lambda: surf.blocks(half), None)[0]
-        assert totals.volume == batch_volume(surf.fields(half)) == pytest.approx(2.0 * math.pi)
+            integrate_batch(block, [1.0], euclidean=[False], into=streamed)
+        volume = streamed.totals(lambda: (quadrature_module._summands(b, [1.0], [False])
+                                          for b in surf.blocks(half)))[0]
+        assert volume == batch_volume(surf.fields(half)) == pytest.approx(2.0 * math.pi)
 
 
 def _fsum_outcome(sum_of, values):

@@ -5,8 +5,9 @@ rule of doubled order through `RadialSurface.blocks`, reducing each block's
 tagged columns into exact running sums and maxima and seeding its `B_sup`
 with the base rule's.  These tests hold the streamed path to the bits of a
 whole batch of that rule, to one kernel pass per caller (two when the seed
-is above the maximum), to the node indices of a whole-rule evaluation in its
-errors, and to memory peaks below what the doubled rule's batch would take.
+is above the maximum), to one live block at a time, to the node indices of
+a whole-rule evaluation in its errors, and to memory peaks below what the
+doubled rule's batch would take.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import io
 import math
 import re
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,7 +104,23 @@ class TestBits:
         batch = whole_batch(surf, check)
         expect = previous_B_sup_norm(batch)
         assert expect == float(np.max(np.abs(batch.kappa)))
-        assert B_sup_norm(surf.blocks(check)) == batch.B_sup == expect
+        B_sup = -math.inf
+        for block in surf.blocks(check):  # a running floor, as the refinement pass keeps it
+            B_sup = B_sup_norm(block, B_sup)
+        assert B_sup == batch.B_sup == expect
+
+    @pytest.mark.parametrize("n, order, perturbation", SURFACES)
+    def test_B_sup_norm_is_the_larger_of_its_floor_and_the_batch_maximum(self, n, order,
+                                                                         perturbation):
+        surf = make_surface(-1.0, n, 0.9, perturbation)
+        check = build_rule(n, 2 * order)
+        top = float(np.max(np.abs(whole_batch(surf, check).kappa)))
+        floors = [-math.inf, 0.0, 0.5 * top, np.nextafter(top, 0.0), top,
+                  np.nextafter(top, math.inf), 2.0 * top]
+        for batch in [whole_batch(surf, check), *surf.blocks(check)]:
+            largest = float(np.max(np.abs(batch.kappa)))
+            for floor in [*floors, largest, np.nextafter(largest, math.inf)]:
+                assert B_sup_norm(batch, floor) == max(float(floor), largest)
 
     def test_largest_kappa_lies_in_the_last_block(self):
         # the premise of the last two SURFACES
@@ -257,9 +275,41 @@ class TestSeededBSup:
         assert est.check_value < 1.5 * est.value
 
 
+class TestJacobiRows:
+    @pytest.mark.parametrize("delta, most", [(-1.0, 10877), (0.0, 6909), (1.0, 4945)])
+    def test_identities_solve_no_more_rows_than_buffered_candidates(self, monkeypatch, delta,
+                                                                    most):
+        # `most` is what one call solved, base batch included, when B_sup_norm buffered the
+        # doubled rule's candidate rows across blocks
+        solved, solve = [], surface_module._principal_curvatures
+        monkeypatch.setattr(surface_module, "_principal_curvatures",
+                            lambda M, q: solved.append(len(q)) or solve(M, q))
+        surf = make_surface(delta, 3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)))
+        residuals(surf, build_rule(3, 16), 1.0)
+        assert sum(solved) <= most
+
+
 class TestMemory:
     def cached_orders(self, surface):
         return sorted(rule.order for rule, _ in surface._cache.values())
+
+    @pytest.mark.parametrize("run", [lambda s: residuals(s, build_rule(3, 8), 1.0),
+                                     lambda s: run_pinch(s, 2, PINCH)],
+                             ids=["residuals", "run_pinch"])
+    def test_one_streamed_block_is_alive_at_a_time(self, monkeypatch, run):
+        surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.08),))
+        surf.fields(build_rule(3, 8))  # cached first, so every evaluation below is a block
+        blocks, evaluate = [], surface_module.evaluate_nodes
+
+        def watched(surface, nodes, *start):
+            assert [block() for block in blocks] == [None] * len(blocks)
+            block = evaluate(surface, nodes, *start)
+            blocks.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(surface_module, "evaluate_nodes", watched)
+        run(surf)
+        assert len(blocks) == nodes(3, 16) // BLOCK
 
     def test_run_pinch_caches_no_doubled_rule(self):
         surf = make_surface(0.0, 3, 0.9, (("u1u2", 0.04),))
