@@ -34,8 +34,7 @@ import numpy as np
 from . import identities as ident
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, HypothesisError, NumericalError
-from .pinch import (RunSettings, batch_mean, report_text, run_pinch, scaling_csv,
-                    scaling_study)
+from .pinch import RunSettings, report_text, run_pinch, scaling_csv, scaling_study
 from .quadrature import batch_volume, build_rule
 # integrate_batch stays importable here: bench/tracing.py wraps it at this name
 from .quadrature import integrate_batch  # noqa: F401
@@ -91,7 +90,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     batch = cfg.surface().fields(build_rule(cfg.n, cfg.quad_order))
     star = starshape_report(batch)
     H = batch.H
-    mean_Hr = batch_mean(batch, H[:, cfg.r])
+    mean_Hr = ident.batch_mean(batch, H[:, cfg.r])
     eps = np.abs(H[:, cfg.r] - mean_Hr)
     values = {
         "n": cfg.n, "delta": cfg.delta, "starshaped_sign": star.sign,
@@ -100,7 +99,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         **{f"H{k}_range": [float(np.min(H[:, k])), float(np.max(H[:, k]))]
            for k in range(1, cfg.n + 1)},
         "h_mean_Hr": mean_Hr,
-        "eps_l1": batch_mean(batch, eps),
+        "eps_l1": ident.batch_mean(batch, eps),
         "eps_linf": float(np.max(eps)),
         # relative to |h|: a tiny exact sphere misses an absolute 1e-12 by one ulp of h
         "eps_is_zero": bool(np.max(eps) <= 1e-12 * abs(mean_Hr)),

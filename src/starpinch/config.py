@@ -73,13 +73,13 @@ class ExperimentConfig:
             raise ConfigError("experiment.amplitudes must be strictly decreasing")
         if self.h_fixed is not None and not self.h_fixed > 0.0:
             raise ConfigError(f"experiment.h must be positive, got h={self.h_fixed}")
-        if self.delta > 0.0:
-            limit = 2.0 / math.sqrt(self.delta)
-            if self.rho0 >= 0.95 * limit:
-                raise ConfigError(
-                    f"surface.rho0 = {self.rho0} leaves no margin inside the chart "
-                    f"(radius {limit:.6g}) of the upper half-sphere"
-                )
+        limit = 2.0 / math.sqrt(abs(self.delta)) if self.delta else math.inf  # chart radius
+        if self.delta > 0.0 and self.rho0 >= 0.95 * limit:
+            raise ConfigError(f"surface.rho0 = {self.rho0} leaves no margin inside the chart "
+                              f"(radius {limit:.6g}) of the upper half-sphere")
+        if self.rho0 >= limit:  # a hyperbolic base sphere outside the conformal ball
+            raise ConfigError(f"surface.rho0 = {self.rho0} lies outside the conformal ball "
+                              f"(radius {limit:.6g})")
 
     def model(self) -> SpaceFormModel:
         return SpaceFormModel(delta=self.delta, ambient_dim=self.n + 1)

@@ -65,8 +65,6 @@ def K2(delta: float, K1: float, R0: float, B_sup: float, R: float) -> float:
         raise ValueError("K1 must be positive, B_sup and R nonnegative")
     if delta > 0.0:
         return (K1 / R0) * (1.0 + B_sup / math.sqrt(delta))
-    if delta == 0.0:
-        return (K1 / R0) * (1.0 + B_sup * R)
     return (K1 / R0) * (c_delta(R, delta) + B_sup * s_delta(R, delta))
 
 
@@ -90,8 +88,6 @@ def gamma_exponent(alpha: float, n: int) -> float:
 
 def phi_sup(model: SpaceFormModel, R: float) -> float:
     """sup |phi| over the geodesic ball of radius R around the base point."""
-    if model.delta == 0.0:
-        return 0.0
     s = chart_radius(R, model)
     return abs(float(math.log1p(0.25 * model.delta * s * s)))
 

@@ -1,29 +1,34 @@
-"""Numerical residuals for the integral identities and inequality chain.
+"""Integral functionals of a surface and numerical residuals of the identities.
+
+``batch_mean`` and ``lp_norm`` are the package's one volume-normalized mean and L^p norm
+of a batch, |f|_p = ((1/V) int |f|^p dv)^(1/p), so a constant has norm |c| on any surface,
+and ``epsilon_field`` its one eps = H_r - h.  ``refinement_estimate`` gives any scalar
+functional (an integral, a norm, a residual, a node maximum) its difference against the
+doubled-order rule as refinement error, reducing the cached base batch and then the doubled
+rule's blocks one at a time.  Integrals go through this module's ``integrate_batch`` and the
+doubled rule through its ``build_rule``, the names bench/tracing.py wraps.
 
 Every check reads the H_k, tau^2 and other fields of ``surface.fields(rule)``, the batch
 the integrals read; pointwise checks report their worst node.  Each check returns a
 ResidualReport.  An identity passes when |value| is at most its fixed tolerance, an
 inequality when its gap is at least minus that tolerance.  The quadrature refinement
 error (base rule vs doubled rule) is reported next to the value and never widens the
-verdict.  Integral residuals are volume-normalized, as pinch.batch_mean and lp_norm
-normalize, so tolerances compare across surfaces of different size; the lemma rows'
-H_{r+1} > 0 check and eps = H_r - h are run_pinch's require_positive_H and epsilon_field.
+verdict.  Integral residuals are volume-normalized, as batch_mean and lp_norm normalize,
+so tolerances compare across surfaces of different size.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pinch
-from .pinch import epsilon_field, require_positive_H
-# build_rule stays importable here: bench/tracing.py wraps it at this name
-# integrate_batch stays importable here for the same reason
-from .quadrature import build_rule, integrate_batch  # noqa: F401
-from .quadrature import SUM, SUM_EUCLID, SphericalRule, refinement_estimate
+from .errors import HypothesisError, NumericalError
+from .quadrature import SphericalRule, _Sums, _summands, batch_volume, build_rule, integrate_batch
 from .spaceform import c_delta
-from .surface import RadialSurface
+from .surface import B_sup_norm, RadialSurface, SurfaceBatch
 
 IDENTITY = "identity"
 INEQUALITY = "inequality"
@@ -57,6 +62,106 @@ def residual_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def batch_mean(batch, values) -> float:
+    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
+    return integrate_batch(batch, values) / batch_volume(batch)
+
+
+def lp_norm(batch, values, p: float) -> float:
+    """Volume-normalized L^p norm of a node field over a rule's batch."""
+    if p < 1.0:
+        raise ValueError("p must be at least 1")
+    return _in_float_range(f"an L^{p:g} norm", lambda: batch_mean(
+        batch, np.abs(np.asarray(values, dtype=float)) ** p) ** (1.0 / p))
+
+
+def _in_float_range(what: str, compute):
+    """compute() if it does not overflow and its floats are finite; else NumericalError."""
+    try:
+        with np.errstate(over="raise"):  # numpy's overflow too, whether or not warnings are errors
+            if np.isfinite(result := compute()).all():
+                return result
+    except (OverflowError, FloatingPointError):
+        pass
+    raise NumericalError(f"{what} leaves the float64 range")
+
+
+def require_positive_H(batch: SurfaceBatch, k: int) -> None:
+    """HypothesisError unless H_k > 0 at every node, naming the worst node and its u."""
+    bad = int(np.argmin(batch.H[:, k]))
+    if not batch.H[bad, k] > 0.0:
+        raise HypothesisError(f"H_{k} must be positive at every node; node {batch.start + bad} "
+                              f"has {batch.H[bad, k]:.6g} (u = {batch.nodes[bad]})")
+
+
+def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
+    """The level h of H_r and the node field eps = H_r - h of a rule's batch.
+
+    With ``h`` unset it defaults to the volume-normalized mean of H_r,
+    which minimizes |eps|_2 among constants.  Requires H_{r+1} > 0 at
+    every node when r > 1.
+    """
+    if r > 1:
+        require_positive_H(batch, r + 1)
+    if h is None:
+        h = batch_mean(batch, batch.H[:, r])
+    return float(h), batch.H[:, r] - h
+
+
+@dataclass(frozen=True)
+class IntegralEstimate:
+    value: float
+    refinement_error: float
+    check_value: float  # on the rule of doubled order
+
+
+# a column's reduction: integrate_batch's with either area element, or its node maximum
+SUM, SUM_EUCLID, MAX = "sum", "sum_euclid", "max"
+Totals = namedtuple("Totals", "volume B_sup")  # what combine reads of a rule besides columns
+# the doubled and base rules' B_sup differ by -1.3e-3 to +5.0e-3 relative on the bench surfaces
+_SEED_MARGIN = 0.005
+
+
+def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
+                        sup: bool = False) -> tuple:
+    """Scalar functionals of the surface with their refinement errors.
+
+    ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
+    kind says, and ``combine(totals, *reduced)`` a tuple of values from a rule's ``Totals``
+    (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one loop over its blocks,
+    the cached batch of ``rule`` or the doubled rule's, generated and dropped one at a time:
+    a block's volume and summed columns go through ``integrate_batch`` as one (k, B) chunk,
+    and with ``sup`` the doubled rule's B_sup = B_sup_norm(block, B_sup) starts at the
+    base's less _SEED_MARGIN.
+    """
+    def summed(tagged):  # the values and euclidean flags of the volume and the summed columns
+        tagged = [(SUM, 1.0), *[column for column in tagged if column[0] != MAX]]
+        return [values for _, values in tagged], [kind == SUM_EUCLID for kind, _ in tagged]
+
+    def reduced(blocks, B_sup):  # (Totals, *reduced columns) of one rule's blocks
+        sums, maxima = _Sums(), -np.inf
+        for block in blocks():
+            tagged = columns(block)
+            kinds = [kind for kind, _ in tagged]
+            values, euclidean = summed(tagged)
+            integrate_batch(block, values, euclidean=euclidean, into=sums)
+            maxima = np.maximum(maxima, [np.max(v) for kind, v in tagged if kind == MAX])
+            if sup:
+                B_sup = batch.B_sup if block is batch else B_sup_norm(block, B_sup)
+            del block, tagged, values  # a streamed block is freed before the next is evaluated
+        sums = iter(sums.totals(lambda: (_summands(b, *summed(columns(b))) for b in blocks())))
+        maxima = iter(maxima.tolist())
+        return Totals(next(sums), B_sup), *[next(maxima if k == MAX else sums) for k in kinds]
+
+    batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
+    base = combine(*reduced(lambda: [batch], None))
+    seed = batch.B_sup * (1.0 - _SEED_MARGIN) if sup else None  # solved by the base loop
+    doubled = reduced(lambda: surface.blocks(check), seed)
+    if sup and doubled[0].B_sup == seed:  # a floor no node reached: stream again without it
+        doubled = reduced(lambda: surface.blocks(check), -math.inf)
+    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, combine(*doubled)))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -83,19 +188,19 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
                                lambda m, sums: Kn * next(sums) - next(sums) ** ((n - 1) / n))}
     names = list(table) if names is None else names
     rows = [table[name] for name in names]
-    estimates = refinement_estimate(
-        surface, rule, lambda b: [column for _, columns, _ in rows for column in columns(b)],
-        lambda m, *reduced: tuple(value(m, sums) for sums in [iter(reduced)]
-                                  for *_, value in rows),
-        sup="cauchy_schwarz_chain" in names,  # the one row that reads B_sup
-        integrate=pinch.integrate_batch)  # reduced where pinch.batch_mean reduces
-    return [ResidualReport(name=name, value=est.value, tolerance=INTEGRAL_TOLERANCE,
-                           refinement_error=est.refinement_error, kind=kind)
-            for name, (kind, *_), est in zip(names, rows, estimates)]
+    values = _in_float_range("an identity row", lambda: [  # (value, refinement error)
+        (est.value, est.refinement_error) for est in refinement_estimate(
+            surface, rule, lambda b: [column for _, columns, _ in rows for column in columns(b)],
+            lambda m, *reduced: tuple(value(m, sums) for sums in [iter(reduced)]
+                                      for *_, value in rows),
+            sup="cauchy_schwarz_chain" in names)])  # the one row that reads B_sup
+    return [ResidualReport(name=name, value=value, tolerance=INTEGRAL_TOLERANCE,
+                           refinement_error=error, kind=kind)
+            for name, (kind, *_), (value, error) in zip(names, rows, values)]
 
 
 def residuals(surface: RadialSurface, rule: SphericalRule, Kn: float) -> list:
-    """Every row of `starpinch identities`, the integral rows from one pass."""
+    """Every row of the identities command, the integral rows from one pass."""
     return _integral_reports(surface, rule, None, Kn) + [gauss_algebraic_check(surface, rule)]
 
 
@@ -147,8 +252,7 @@ def tau_l2_epsilon_bound(surface: RadialSurface, r: int, h: float, K2: float,
     """Gap K2 |eps|_1 - |tau|_2^2 >= 0, eps = H_r - h of ``epsilon_field`` (normalized)."""
     tau, eps = refinement_estimate(
         surface, rule, lambda b: [(SUM, b.tau_sq), (SUM, np.abs(epsilon_field(b, r, h)[1]))],
-        lambda m, tau_sq, eps: (tau_sq / m.volume, eps / m.volume),
-        integrate=pinch.integrate_batch)
+        lambda m, tau_sq, eps: (tau_sq / m.volume, eps / m.volume))
     return ResidualReport(name=f"tau_l2_epsilon_bound_r{r}",
                           value=K2 * eps.value - tau.value, tolerance=INTEGRAL_TOLERANCE,
                           refinement_error=K2 * eps.refinement_error + tau.refinement_error,
@@ -161,7 +265,7 @@ def michael_simon_ratio(surface: RadialSurface, rule: SphericalRule,
 
     Runs on the Euclidean-metric data of the chart immersion with the
     configured Kn (``Kn_MS``; the sharp constant is not derived here).  Like
-    every row of `starpinch identities` it gates that command (exit 2 when
-    it fails); `run_pinch` does not use it.
+    every row of the identities command it gates that command (exit 2 when
+    it fails); the stability run does not use it.
     """
     return _integral_reports(surface, rule, ["michael_simon"], Kn)[0]

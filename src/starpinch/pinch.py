@@ -7,9 +7,9 @@ the constant chain, fits the nearest geodesic sphere, measures the
 Hausdorff distance in the ambient metric and compares it against the
 stability bound C |eps|_1^gamma.  A scaling study repeats this along a
 family of shrinking perturbation amplitudes and regresses log d_H against
-log |eps|_1.  Means and norms are volume-normalized, the package's one
-``batch_mean`` and ``lp_norm``: |f|_p = ((1/V) int |f|^p dv)^(1/p), so a
-constant has norm |c| on any surface.
+log |eps|_1.  Means, norms, eps and the refinement errors come from
+``identities``: |f|_p = ((1/V) int |f|^p dv)^(1/p), so a constant has norm
+|c| on any surface.
 
 Geodesic spheres of the conformal models are Euclidean spheres in the
 chart, so sphere sampling is exact through the chart representation and the
@@ -32,51 +32,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
-from .errors import HypothesisError, NumericalError
-from .quadrature import MAX, SUM, batch_volume, build_rule, integrate_batch, refinement_estimate
+from .errors import NumericalError
+from .identities import MAX, SUM, epsilon_field, lp_norm, refinement_estimate
+# integrate_batch stays importable here: bench/tracing.py wraps it at this name
+from .quadrature import batch_volume, build_rule, integrate_batch  # noqa: F401
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
-from .surface import RadialSurface, SurfaceBatch, starshape_report
+from .surface import RadialSurface, starshape_report
 from .symfun import partial_H_extremes
 
 # ---------------------------------------------------------------------------
-# epsilon field and gates
-
-
-# the one mean and norm (and the refinement passes' chunks, from run_pinch and identities):
-# bench/tracing.py counts integrate_batch at this module's name
-def batch_mean(batch, values) -> float:
-    """Volume-normalized integral (1/V) int values dv over a rule's batch."""
-    return integrate_batch(batch, values) / batch_volume(batch)
-
-
-def lp_norm(batch, values, p: float) -> float:
-    """Volume-normalized L^p norm of a node field over a rule's batch."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    return batch_mean(batch, np.abs(np.asarray(values, dtype=float)) ** p) ** (1.0 / p)
-
-
-def require_positive_H(batch: SurfaceBatch, k: int) -> None:
-    """HypothesisError unless H_k > 0 at every node, naming the worst node and its u."""
-    bad = int(np.argmin(batch.H[:, k]))
-    if not batch.H[bad, k] > 0.0:
-        raise HypothesisError(f"H_{k} must be positive at every node; node {batch.start + bad} "
-                              f"has {batch.H[bad, k]:.6g} (u = {batch.nodes[bad]})")
-
-
-def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
-    """The pinching level h and the node field eps = H_r - h of a rule's batch.
-
-    With ``h`` unset it defaults to the volume-normalized mean of H_r,
-    which minimizes |eps|_2 among constants.  Requires H_{r+1} > 0 at
-    every node when r > 1.
-    """
-    if r > 1:
-        require_positive_H(batch, r + 1)
-    if h is None:
-        h = batch_mean(batch, batch.H[:, r])
-    return float(h), batch.H[:, r] - h
+# gates
 
 
 @dataclass(frozen=True)
@@ -315,8 +281,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
     eps_l1, tau_l2, dH = refinement_estimate(
         surface, rule, lambda b: [(SUM, np.abs(epsilon_field(b, r, h=h)[1])),
                                   (SUM, np.sqrt(b.tau_sq) ** 2), (MAX, distance(b))],
-        lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist),
-        integrate=integrate_batch)
+        lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist))
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,

@@ -19,28 +19,16 @@ stream, and so is each one scaled by its power of two; math.fsum of these
 few terms is the correctly rounded total.  If any row has non-finite values,
 exponents within 60 of the float64 limits or over 2^26 values, every row is
 summed by math.fsum over the stream again; ``_reduce`` hands it arrays of
-512 or fewer.
-
-``refinement_estimate`` is the one refinement estimate of the package: any
-scalar functional of the surface (an integral, a norm, an identity
-residual, a node maximum) carries the difference against the doubled-order
-rule as its refinement error.  Each rule is reduced in one plain loop over
-its blocks: the cached base batch, then the doubled rule's blocks, generated,
-reduced and dropped one at a time, so the doubled rule is never built.
-Volume-normalized means and L^p norms of a batch are ``pinch.batch_mean`` and ``lp_norm``.
+512 or fewer.  ``identities`` builds means, norms and refinement errors on them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-from .surface import B_sup_norm, RadialSurface
 
 
 class SphericalRule:
@@ -76,13 +64,6 @@ class SphericalRule:
             np.multiply(sin[k], inner.nodes[part], out=nodes[out, :3])
             nodes[out, 3], weights[out] = cos[k], w[k] * inner.weights[part]
         return nodes, weights
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float
-    refinement_error: float
-    check_value: float  # on the rule of doubled order
 
 
 def sphere_area(n: int) -> float:
@@ -192,49 +173,3 @@ def batch_volume(batch, *, euclidean: bool = False) -> float:
         batch.volumes[euclidean] = integrate_batch(batch, 1.0, euclidean=euclidean)
     return batch.volumes[euclidean]
 
-
-# a column's reduction: integrate_batch's with either area element, or its node maximum
-SUM, SUM_EUCLID, MAX = "sum", "sum_euclid", "max"
-Totals = namedtuple("Totals", "volume B_sup")  # what combine reads of a rule besides columns
-# the doubled and base rules' B_sup differ by -1.3e-3 to +5.0e-3 relative on the bench surfaces
-_SEED_MARGIN = 0.005
-
-
-def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, combine, *,
-                        sup: bool = False, integrate=integrate_batch) -> tuple:
-    """Scalar functionals of the surface with their refinement errors.
-
-    ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
-    kind says, and ``combine(totals, *reduced)`` a tuple of values from a rule's ``Totals``
-    (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one loop over its blocks,
-    the cached batch of ``rule`` or the doubled rule's, generated and dropped one at a time:
-    a block's volume and summed columns go through ``integrate`` as one (k, B) chunk (at the
-    name its caller looks up, where bench/tracing.py counts it), and with ``sup`` the doubled
-    rule's B_sup = B_sup_norm(block, B_sup) starts at the base's less _SEED_MARGIN.
-    """
-    def summed(tagged):  # the values and euclidean flags of the volume and the summed columns
-        tagged = [(SUM, 1.0), *[column for column in tagged if column[0] != MAX]]
-        return [values for _, values in tagged], [kind == SUM_EUCLID for kind, _ in tagged]
-
-    def reduced(blocks, B_sup):  # (Totals, *reduced columns) of one rule's blocks
-        sums, maxima = _Sums(), -np.inf
-        for block in blocks():
-            tagged = columns(block)
-            kinds = [kind for kind, _ in tagged]
-            values, euclidean = summed(tagged)
-            integrate(block, values, euclidean=euclidean, into=sums)
-            maxima = np.maximum(maxima, [np.max(v) for kind, v in tagged if kind == MAX])
-            if sup:
-                B_sup = batch.B_sup if block is batch else B_sup_norm(block, B_sup)
-            del block, tagged, values  # a streamed block is freed before the next is evaluated
-        sums = iter(sums.totals(lambda: (_summands(b, *summed(columns(b))) for b in blocks())))
-        maxima = iter(maxima.tolist())
-        return Totals(next(sums), B_sup), *[next(maxima if k == MAX else sums) for k in kinds]
-
-    batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    base = combine(*reduced(lambda: [batch], None))
-    seed = batch.B_sup * (1.0 - _SEED_MARGIN) if sup else None  # solved by the base loop
-    doubled = reduced(lambda: surface.blocks(check), seed)
-    if sup and doubled[0].B_sup == seed:  # a floor no node reached: stream again without it
-        doubled = reduced(lambda: surface.blocks(check), -math.inf)
-    return tuple(IntegralEstimate(a, abs(a - b), b) for a, b in zip(base, combine(*doubled)))

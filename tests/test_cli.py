@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -158,6 +159,19 @@ class TestConfig:
         p.write_text("[surface]\nn = 2\ndelta = 1.0\nrho0 = 1.95\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_hyperbolic_base_sphere_outside_the_ball(self, tmp_path, capsys):
+        # used to exit 1 as "point outside the conformal ball"; there is no margin, so
+        # the geodesic sphere of radius 10 (rho0 = 2 tanh 5) still runs
+        p = tmp_path / "bad.ini"
+        p.write_text("[surface]\nn = 2\ndelta = -1.0\nrho0 = 9.9\n")
+        assert main(["report", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("configuration error: surface.rho0 = 9.9 ")
+        with pytest.raises(ConfigError, match="surface.rho0"):
+            ExperimentConfig(n=2, delta=-1.0, rho0=2.0)
+        p.write_text(f"[surface]\nn = 2\ndelta = -1.0\nrho0 = {2.0 * math.tanh(5.0)!r}\n\n"
+                     "[experiment]\nr = 1\nquad_order = 8\n")
+        assert main(["pinch", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
 
     def test_former_constant_keys_give_the_exact_constant_run(self, tmp_path):
         # c_n is exact and the b-constants are 1, so old files load unchanged
@@ -468,6 +482,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: surface fields leave the float64 range at node")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["identities", "pinch"])
+    @pytest.mark.parametrize("n, rho0, perturbation, order", [
+        (3, "1e-40", "u1u2:0.05", 8), (2, "1e-60", "3,1:0.05", 16),
+        (3, "1e-100", "u1u2:0.05", 8)], ids=["n3", "n2", "power"])
+    def test_rows_and_norms_outside_float_range_exit_2(self, tmp_path, capsys, command, n,
+                                                       rho0, perturbation, order):
+        # identities used to escape as an OverflowError traceback (exit 1) in the
+        # Cauchy-Schwarz row, and both commands on numpy's overflow warning in |tau|^(n+1)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[surface]\nn = {n}\ndelta = 0.0\nrho0 = {rho0}\n"
+                       f"perturbation = {perturbation}\n\n[experiment]\nr = 1\n"
+                       f"quad_order = {order}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        if command == "identities" or rho0 == "1e-100":
+            assert err.endswith(" leaves the float64 range\n")
         assert not out.exists()
 
     def test_scaling_without_amplitudes_exits_3(self, tmp_path):

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 import starpinch.identities as identities_module
-import starpinch.pinch
+from starpinch import ConstantsConfig, RunSettings, run_pinch
 from starpinch.constants import K2
 from starpinch.errors import HypothesisError
-from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport,
-                                  cauchy_schwarz_chain_check,
+from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport, batch_mean,
+                                  cauchy_schwarz_chain_check, epsilon_field,
                                   gauss_algebraic_check,
                                   hsiung_minkowski_residual, lemma1_gap,
                                   michael_simon_ratio, residuals,
                                   tau_l2_epsilon_bound)
-from starpinch.pinch import batch_mean, epsilon_field
 from starpinch.quadrature import batch_volume, build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel, c_delta
 from starpinch.surface import RadialSurface
@@ -199,17 +198,27 @@ class TestSharedHypothesisCheck:
         with pytest.raises(HypothesisError, match="H_3 must be positive"):
             tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
 
-    def test_residual_means_integrate_at_the_name_pinch_looks_up(self, monkeypatch):
-        # bench/tracing.py counts integrate_batch at starpinch.pinch's name
-        calls, integrate = [], starpinch.pinch.integrate_batch
-        monkeypatch.setattr(starpinch.pinch, "integrate_batch",
+    def test_residual_means_integrate_at_the_identities_name(self, monkeypatch):
+        # bench/tracing.py counts integrate_batch at starpinch.identities' name
+        calls, integrate = [], identities_module.integrate_batch
+        monkeypatch.setattr(identities_module, "integrate_batch",
                             lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
         hsiung_minkowski_residual(make_surface(-1.0, perturbation=(((3, 1), 0.05),)), 1,
                                   build_rule(2, 8))
         assert len(calls) == 2  # one mean on the base rule, one on the doubled rule
 
+    def test_run_pinch_integrates_at_the_identities_name(self, monkeypatch):
+        calls, integrate = [], identities_module.integrate_batch
+        monkeypatch.setattr(identities_module, "integrate_batch",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        run_pinch(make_surface(-1.0, rho0=0.9, perturbation=(("u1u2", 0.04),), n=3), 2,
+                  RunSettings(quad_order=8, constants=ConstantsConfig(eps0=10.0)))
+        assert build_rule(3, 16).size == 4 * 2048
+        # the means h and |tau|_4, the base batch and the four blocks of the doubled rule
+        assert len(calls) == 2 + 1 + 4
+
     def test_residual_means_are_the_batch_means(self):
-        # the refinement pass's sum over its volume gives pinch.batch_mean's bits
+        # the refinement pass's sum over its volume gives batch_mean's bits
         surf, rule = make_surface(-1.0, perturbation=(((3, 1), 0.05),)), build_rule(2, 8)
         rep = hsiung_minkowski_residual(surf, 1, rule)
         b = surf.fields(rule)

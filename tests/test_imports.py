@@ -1,4 +1,5 @@
-"""No unused imports in the package, the tests or the demos (stdlib ast only).
+"""No unused imports in the package, the tests or the demos, and no upward import in the
+package (stdlib ast only).
 
 A name counts as used when the module reads it anywhere (a bare name, or
 the head of an attribute chain) or lists it in ``__all__``.  An import line
@@ -52,3 +53,21 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# each module of the package imports only modules listed before it
+LAYERS = ("errors", "spaceform", "symfun", "surface", "quadrature", "constants", "identities",
+          "pinch", "config", "cli")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_package_imports_only_earlier_modules(module):
+    tree = ast.parse((ROOT / "src" / "starpinch" / f"{module}.py").read_text())
+    imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                for name in ([node.module] if node.module else [a.name for a in node.names])}
+    assert imported <= set(LAYERS[:LAYERS.index(module)])
+
+
+def test_layers_list_every_module():
+    assert {path.stem for path in (ROOT / "src" / "starpinch").glob("*.py")} == {
+        "__init__", *LAYERS}

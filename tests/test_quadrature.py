@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from starpinch import quadrature as quadrature_module
 from starpinch import surface as surface_module
-from starpinch.pinch import lp_norm
-from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, SUM, SphericalRule, _reduce, _Sums,
-                                  batch_volume, build_rule, integrate_batch, refinement_estimate,
-                                  sphere_area)
+from starpinch.identities import SUM, lp_norm, refinement_estimate
+from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, SphericalRule, _reduce, _Sums,
+                                  batch_volume, build_rule, integrate_batch, sphere_area)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface, evaluate_nodes
 

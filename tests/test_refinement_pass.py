@@ -24,15 +24,16 @@ import pytest
 
 import starpinch.config
 from starpinch import ConstantsConfig, RunSettings, run_pinch
+from starpinch import identities as identities_module
 from starpinch import quadrature as quadrature_module
 from starpinch import surface as surface_module
 from starpinch.cli import main
 from starpinch.errors import HypothesisError
-from starpinch.identities import (cauchy_schwarz_chain_check, hsiung_minkowski_residual,
-                                  michael_simon_ratio, residuals, tau_l2_epsilon_bound)
+from starpinch.identities import (MAX, SUM, SUM_EUCLID, cauchy_schwarz_chain_check,
+                                  hsiung_minkowski_residual, michael_simon_ratio,
+                                  refinement_estimate, residuals, tau_l2_epsilon_bound)
 from starpinch.pinch import distance_to_geodesic_sphere
-from starpinch.quadrature import (MAX, SUM, SUM_EUCLID, batch_volume, build_rule, integrate_batch,
-                                  refinement_estimate)
+from starpinch.quadrature import batch_volume, build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import B_sup_norm, RadialSurface, evaluate_nodes
 
@@ -261,12 +262,12 @@ class TestSeededBSup:
         surf = make_surface(delta, n, rho0, perturbation)
         est = self.B_sup(surf, build_rule(n, order))
         assert counted.passes == 1
-        assert est.check_value >= est.value * (1.0 - quadrature_module._SEED_MARGIN)
+        assert est.check_value >= est.value * (1.0 - identities_module._SEED_MARGIN)
 
     @pytest.mark.parametrize("n, order, perturbation", SURFACES)
     def test_a_seed_above_the_maximum_costs_one_more_pass(self, counted, monkeypatch, n, order,
                                                           perturbation):
-        monkeypatch.setattr(quadrature_module, "_SEED_MARGIN", -0.5)  # 1.5 times the base's
+        monkeypatch.setattr(identities_module, "_SEED_MARGIN", -0.5)  # 1.5 times the base's
         surf = make_surface(-1.0, n, 0.9, perturbation)
         rule, check = build_rule(n, order), build_rule(n, 2 * order)
         est = self.B_sup(surf, rule)
