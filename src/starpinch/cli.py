@@ -16,8 +16,8 @@ worst-node Gauss identity included, reads the fields the integrals read.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 configuration error (also an unknown key or section, a number that is
-nan or infinite, a nonpositive h or amplitudes that do not strictly
-decrease).  Every output file starts with
+nan or infinite, a nonpositive h, amplitudes that do not strictly
+decrease or an --out that cannot be written).  Every output file starts with
 a header block (config hash, constant provenance); runs with equal config
 hashes produce byte-identical files.  No command draws random numbers.
 """
@@ -35,9 +35,7 @@ from . import identities as ident
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, HypothesisError, NumericalError
 from .pinch import RunSettings, report_text, run_pinch, scaling_csv, scaling_study
-from .quadrature import batch_volume, build_rule
-# integrate_batch stays importable here: bench/tracing.py wraps it at this name
-from .quadrature import integrate_batch  # noqa: F401
+from .quadrature import build_rule, integrate_batch
 from .surface import starshape_report
 
 EXIT_OK = 0
@@ -80,9 +78,12 @@ def _settings(cfg: ExperimentConfig) -> RunSettings:
 
 
 def _write(path: Path, header: list, body: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = "".join(f"# {line}\n" for line in header) + body
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {path}")
 
 
@@ -94,7 +95,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     eps = np.abs(H[:, cfg.r] - mean_Hr)
     values = {
         "n": cfg.n, "delta": cfg.delta, "starshaped_sign": star.sign,
-        "R0": star.R0, "R": star.R, "volume": batch_volume(batch), "B_sup": batch.B_sup,
+        "R0": star.R0, "R": star.R, "volume": integrate_batch(batch, 1.0), "B_sup": batch.B_sup,
         "rho_min": float(np.min(batch.rho)), "rho_max": float(np.max(batch.rho)),
         **{f"H{k}_range": [float(np.min(H[:, k])), float(np.max(H[:, k]))]
            for k in range(1, cfg.n + 1)},

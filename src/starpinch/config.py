@@ -73,7 +73,7 @@ class ExperimentConfig:
             raise ConfigError("experiment.amplitudes must be strictly decreasing")
         if self.h_fixed is not None and not self.h_fixed > 0.0:
             raise ConfigError(f"experiment.h must be positive, got h={self.h_fixed}")
-        limit = 2.0 / math.sqrt(abs(self.delta)) if self.delta else math.inf  # chart radius
+        limit = self.model().model_radius
         if self.delta > 0.0 and self.rho0 >= 0.95 * limit:
             raise ConfigError(f"surface.rho0 = {self.rho0} leaves no margin inside the chart "
                               f"(radius {limit:.6g}) of the upper half-sphere")
@@ -172,9 +172,10 @@ def load_config(path) -> ExperimentConfig:
     # with no default section, [DEFAULT] is an unknown section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # one line, as every error is
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse {path}: {message}") from exc
     if not read:
         raise ConfigError(f"configuration file not found: {path}")
 

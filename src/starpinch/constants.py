@@ -39,8 +39,9 @@ class ConstantsConfig:
     Kn_MS: float = 1.0         # Michael-Simon constant K(n)
 
     def __post_init__(self):
-        if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):
-            raise ValueError("constants must be strictly positive and finite")
+        bad = [f.name for f in fields(self) if not 0.0 < getattr(self, f.name) < math.inf]
+        if bad:
+            raise ValueError(f"constants.{bad[0]} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NumericalError
-from .quadrature import SphericalRule, _Sums, _summands, batch_volume, build_rule, integrate_batch
+from .quadrature import SphericalRule, _Sums, _summands, build_rule, integrate_batch
 from .spaceform import c_delta
 from .surface import B_sup_norm, RadialSurface, SurfaceBatch
 
@@ -64,7 +64,7 @@ def residual_table(reports) -> str:
 
 def batch_mean(batch, values) -> float:
     """Volume-normalized integral (1/V) int values dv over a rule's batch."""
-    return integrate_batch(batch, values) / batch_volume(batch)
+    return integrate_batch(batch, values) / integrate_batch(batch, 1.0)
 
 
 def lp_norm(batch, values, p: float) -> float:

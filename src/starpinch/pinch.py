@@ -34,8 +34,7 @@ import numpy as np
 from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
 from .errors import NumericalError
 from .identities import MAX, SUM, epsilon_field, lp_norm, refinement_estimate
-# integrate_batch stays importable here: bench/tracing.py wraps it at this name
-from .quadrature import batch_volume, build_rule, integrate_batch  # noqa: F401
+from .quadrature import build_rule, integrate_batch
 from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
                         s_delta)
 from .surface import RadialSurface, starshape_report
@@ -263,7 +262,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
 
     star = starshape_report(batch)
     h, eps = epsilon_field(batch, r, h=settings.h_fixed)
-    vol = batch_volume(batch)
+    vol = integrate_batch(batch, 1.0)
     eps_linf = float(np.max(np.abs(eps)))
     tau_lnp1 = lp_norm(batch, np.sqrt(batch.tau_sq), n + 1)
 

@@ -10,16 +10,18 @@ S^2 rule and generates the nodes and weights of any index range from them.
 Surface integrals read one batch of ``RadialSurface.fields(rule)``, which
 carries the rule's weights, with its h-metric area element and an exactly
 rounded sum, so results depend neither on the order of the nodes nor on
-worker-thread count.  ``_Sums`` gives math.fsum's result for each row of a
-stream of (k, B) chunks without a Python loop: np.frexp writes each value as
-an integer significand of 53 bits times a power of two, and np.bincount sums
-the high 26 and low 27 bits of the significands per row and exponent.  Those
-sums are integers below 2^53, exact whatever the order or split of the
-stream, and so is each one scaled by its power of two; math.fsum of these
-few terms is the correctly rounded total.  If any row has non-finite values,
-exponents within 60 of the float64 limits or over 2^26 values, every row is
-summed by math.fsum over the stream again; ``_reduce`` hands it arrays of
-512 or fewer.  ``identities`` builds means, norms and refinement errors on them.
+worker-thread count.  A volume is ``integrate_batch(batch, 1.0)``, reduced
+where it is read like any other integral; nothing caches it.  ``_Sums`` gives
+math.fsum's result for each row of a stream of (k, B) chunks without a Python
+loop: np.frexp writes each value as an integer significand of 53 bits times a
+power of two, and np.bincount sums the high 26 and low 27 bits of the
+significands per row and exponent.  Those sums are integers below 2^53, exact
+whatever the order or split of the stream, and so is each one scaled by its
+power of two; math.fsum of these few terms is the correctly rounded total.  If
+any row has non-finite values, exponents within 60 of the float64 limits or
+over 2^26 values, every row is summed by math.fsum over the stream again;
+``_reduce`` hands it arrays of 512 or fewer.  ``identities`` builds means,
+norms and refinement errors on them.
 """
 
 from __future__ import annotations
@@ -101,30 +103,25 @@ _EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
 
 class _Sums:
     """Exactly rounded running sums of the rows of (k, B) chunks (see the module docstring)."""
-    sums, low, high, count = None, 1024, -1074, 0  # bucket sums by row, half and exponent
+    sums, count = None, 0  # bucket sums by row, half and np.frexp exponent + 1073 (-1073..1024)
     replay = False  # set when some row can be summed only by math.fsum, in order
 
     @np.errstate(invalid="ignore")  # a non-finite value leaves its row's buckets non-finite
     def add(self, chunk: np.ndarray) -> None:
         if self.sums is None:
-            self.sums = np.zeros((len(chunk), 2, 0))
+            self.sums = np.zeros((len(chunk), 2, 2098))
         self.count += chunk.shape[1]
         step = max(_CHUNK // len(chunk), 1)
         for part in (chunk[:, start:start + step] for start in range(0, chunk.shape[1], step)):
             significand, bucket = np.frexp(part)
             lo, hi = int(bucket.min()), int(bucket.max())
             self.replay |= lo <= -1021 + 60 or hi >= 1024 - 60
-            if lo < self.low or hi > self.high:  # widen the table to exponents first..last
-                first, last = min(self.low, lo), max(self.high, hi)
-                sums = np.zeros((len(part), 2, last - first + 1))
-                sums[:, :, self.low - first:self.high - first + 1] = self.sums
-                self.sums, self.low, self.high = sums, first, last
             bucket += ((hi - lo + 1) * np.arange(len(part)) - lo).astype(bucket.dtype)[:, None]
             low = significand * 2.0**26  # its high 26 bits, and its low 27 in units of 2^-27
             top = np.trunc(low)
             low -= top
             for half, value in enumerate((top, low)):
-                self.sums[:, half, lo - self.low:hi - self.low + 1] += np.bincount(
+                self.sums[:, half, lo + 1073:hi + 1074] += np.bincount(
                     bucket.ravel(), weights=value.ravel(),
                     minlength=len(part) * (hi - lo + 1)).reshape(len(part), -1)
 
@@ -134,7 +131,8 @@ class _Sums:
         if self.replay or self.count > _EXACT_TERMS or not np.isfinite(self.sums).all():
             return [math.fsum(chain.from_iterable(chunk[i].tolist() for chunk in replay()))
                     for i in range(len(self.sums))]
-        terms = np.ldexp(self.sums, np.arange(self.low - 53, self.high - 52) + 27)
+        used = np.flatnonzero(self.sums.any(axis=(0, 1)))
+        terms = np.ldexp(self.sums[:, :, used], used - 1073 - 53 + 27)
         return [math.fsum(row.ravel().tolist()) for row in terms]
 
 
@@ -165,11 +163,4 @@ def _summands(batch, values, euclidean) -> np.ndarray:
         np.multiply(f, batch.area_element_euclid if flag else batch.area_element, out=row)
         row *= batch.weights
     return rows
-
-
-def batch_volume(batch, *, euclidean: bool = False) -> float:
-    """integrate_batch of 1, reduced once per batch and kept on it."""
-    if euclidean not in batch.volumes:
-        batch.volumes[euclidean] = integrate_batch(batch, 1.0, euclidean=euclidean)
-    return batch.volumes[euclidean]
 

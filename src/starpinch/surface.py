@@ -220,7 +220,7 @@ class SurfaceBatch:
 
     The shape operator is q M (see the module docstring); H_k and tau^2
     come from the invariants of M, and the principal curvatures only when
-    ``kappa`` is first read.
+    ``kappa`` is first read.  No integral, not even the volume, is kept on it.
     """
 
     nodes: np.ndarray          # (N, n+1) unit parameter directions
@@ -251,11 +251,6 @@ class SurfaceBatch:
     def B_sup(self) -> float:
         """max_i |kappa_i| over the nodes, from ``B_sup_norm``; solved at the first read."""
         return B_sup_norm(self)
-
-    @cached_property
-    def volumes(self) -> dict:
-        """euclidean -> volume, filled by quadrature.batch_volume."""
-        return {}
 
 
 # Nodes per block.  The refinement pass holds one block at a time: it reduces the block,

@@ -216,6 +216,32 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["report", "identities", "pinch", "scaling"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_unwritable_out_exits_3(self, config_file, tmp_path, capsys, command, under):
+        # a FileExistsError or NotADirectoryError used to escape as a traceback (exit 1)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "out" if under else taken
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: cannot write {out}")
+        assert len(captured.err.splitlines()) == 1 and "wrote" not in captured.out
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe[surface]\nn = 2\n",
+                                      b"n = 2\n[surface]\nrho0 = 1.0\n"],
+                             ids=["not_utf8", "key_before_section"])
+    def test_unreadable_config_exits_3_on_one_line(self, tmp_path, capsys, text):
+        # bytes that are not UTF-8 used to escape as a traceback (exit 1), and
+        # configparser's message on a key before any section spanned three lines
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text)
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
     def test_lone_percent_exits_3(self, tmp_path, capsys):
         # configparser's interpolation error used to escape as a traceback (exit 1)
         cfg = tmp_path / "percent.ini"
@@ -405,6 +431,15 @@ class TestCommands:
         assert len(data) == 1 + 3  # header + one row per amplitude
         assert any(l.startswith("# regression slope=") for l in lines)
 
+    def test_scaling_with_one_amplitude_has_no_regression(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(GOOD_CONFIG.replace("0.06 0.03 0.015", "0.06"))
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "scaling.csv").read_text().splitlines()
+        assert len([l for l in lines if l and not l.startswith("#")]) == 1 + 1
+        assert "# regression undefined (fewer than 2 usable rows)" in lines
+
     @pytest.mark.parametrize("amplitudes", ["0.02 0.04", "0.04 0.04"])
     def test_scaling_amplitudes_not_decreasing_exit_3(self, tmp_path, capsys, amplitudes):
         cfg = tmp_path / "exp.ini"
@@ -430,10 +465,14 @@ class TestCommands:
         ("pinch", "delta = 0.0", "delta = nan", "[surface] delta"),
         ("pinch", "3,1:0.04", "3,1:nan", "perturbation entry '3,1:nan'"),
         ("scaling", "0.06 0.03", "0.06 nan", "[experiment] amplitudes"),
+        ("pinch", "quad_order = 8", "quad_order = 3", "experiment.quad_order"),
+        ("pinch", "3,1:0.04", "3,1", "perturbation entry '3,1'"),
+        ("pinch", "eps0 = 10.0", "eps0 = 0", "constants.eps0"),
     ], ids=["eps0", "alpha", "h", "rho0_nan", "rho0_inf", "delta", "perturbation",
-            "amplitude"])
+            "amplitude", "quad_order_3", "entry_without_colon", "eps0_zero"])
     def test_non_finite_number_exits_3(self, tmp_path, capsys, command, old, new, named):
-        # each used to run: exit 0 with a nan or inf bound, or exit 1 as "not starshaped"
+        # each non-finite number used to run: exit 0 with a nan or inf bound, or exit 1 as
+        # "not starshaped"; the last three cases are the other checks of a number or entry
         text = (GOOD_CONFIG.replace("delta = -1.0", "delta = 0.0")
                 .replace("quad_order = 12", "quad_order = 8"))
         assert old in text
@@ -441,7 +480,8 @@ class TestCommands:
         cfg.write_text(text.replace(old, new))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pinch", "scaling"])

@@ -16,7 +16,7 @@ from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport, batch_me
                                   hsiung_minkowski_residual, lemma1_gap,
                                   michael_simon_ratio, residuals,
                                   tau_l2_epsilon_bound)
-from starpinch.quadrature import batch_volume, build_rule, integrate_batch
+from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel, c_delta
 from starpinch.surface import RadialSurface
 from starpinch.symfun import default_c_n, mean_curvatures, K1
@@ -214,8 +214,9 @@ class TestSharedHypothesisCheck:
         run_pinch(make_surface(-1.0, rho0=0.9, perturbation=(("u1u2", 0.04),), n=3), 2,
                   RunSettings(quad_order=8, constants=ConstantsConfig(eps0=10.0)))
         assert build_rule(3, 16).size == 4 * 2048
-        # the means h and |tau|_4, the base batch and the four blocks of the doubled rule
-        assert len(calls) == 2 + 1 + 4
+        # the means h and |tau|_4 with their volumes, the base batch and the four blocks of
+        # the doubled rule
+        assert len(calls) == 2 * 2 + 1 + 4
 
     def test_residual_means_are_the_batch_means(self):
         # the refinement pass's sum over its volume gives batch_mean's bits
@@ -274,12 +275,12 @@ def test_identity_rows_read_each_rules_volume(monkeypatch):
                         lambda s, rl, columns, combine, **kw: estimate(
                             s, rl, columns, lambda m, *r: seen.append(m) or combine(m, *r), **kw))
     rows = residuals(surf, build_rule(2, 12), 1.0)
-    assert [m.volume for m in seen] == [batch_volume(surf.fields(build_rule(2, q)))
+    assert [m.volume for m in seen] == [integrate_batch(surf.fields(build_rule(2, q)), 1.0)
                                         for q in (12, 24)]
-    # Michael-Simon's euclidean volume is one of its own columns, the sum batch_volume takes
+    # Michael-Simon's euclidean volume is one of its own columns, integrate_batch's sum of 1
     batch = surf.fields(build_rule(2, 12))
     total_H = integrate_batch(batch, np.abs(batch.H_tilde), euclidean=True)
-    assert rows[3].value == total_H - batch_volume(batch, euclidean=True) ** 0.5
+    assert rows[3].value == total_H - integrate_batch(batch, 1.0, euclidean=True) ** 0.5
 
 
 class TestRefinementError:

@@ -2,14 +2,11 @@
 package (stdlib ast only).
 
 A name counts as used when the module reads it anywhere (a bare name, or
-the head of an attribute chain) or lists it in ``__all__``.  An import line
-that ends in ``# noqa: F401`` keeps only the names that a
-``# <name> stays importable`` comment in the same file names, so the
-exemption cannot hide a dead import beside the one it is for.
+the head of an attribute chain) or lists it in ``__all__``.  No comment
+exempts an import.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -22,8 +19,6 @@ FILES = sorted(path for folder in ("src", "tests", "demos")
 def unused_imports(source: str) -> list:
     """(line, name) of every import binding the module never reads."""
     tree = ast.parse(source)
-    lines = source.splitlines()
-    kept = set(re.findall(r"^# (\w+) stays importable", source, re.M))
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -31,8 +26,7 @@ def unused_imports(source: str) -> list:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if alias.name != "*" and not (
-                        name in kept and "noqa: F401" in lines[alias.lineno - 1]):
+                if alias.name != "*":
                     bound.setdefault(name, alias.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
@@ -43,11 +37,11 @@ def unused_imports(source: str) -> list:
 
 
 def test_finds_an_unused_import():
-    # the noqa line keeps pi, which a stays-importable comment names, and not tau
+    # a noqa comment or a stays-importable comment keeps no import
     source = ("from __future__ import annotations\nimport os, sys\n"
               "# pi stays importable: a wrapper patches it at this name\n"
               "from math import pi, tau  # noqa: F401\nimport numpy as np\nprint(sys.argv)\n")
-    assert unused_imports(source) == [(2, "os"), (4, "tau"), (5, "np")]
+    assert unused_imports(source) == [(2, "os"), (4, "pi"), (4, "tau"), (5, "np")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -11,7 +11,7 @@ from starpinch import quadrature as quadrature_module
 from starpinch import surface as surface_module
 from starpinch.identities import SUM, lp_norm, refinement_estimate
 from starpinch.quadrature import (_CHUNK, _FSUM_TERMS, SphericalRule, _reduce, _Sums,
-                                  batch_volume, build_rule, integrate_batch, sphere_area)
+                                  build_rule, integrate_batch, sphere_area)
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface, evaluate_nodes
 
@@ -133,7 +133,7 @@ class TestGeneratedBlocks:
             integrate_batch(block, [1.0], euclidean=[False], into=streamed)
         volume = streamed.totals(lambda: (quadrature_module._summands(b, [1.0], [False])
                                           for b in surf.blocks(half)))[0]
-        assert volume == batch_volume(surf.fields(half)) == pytest.approx(2.0 * math.pi)
+        assert volume == integrate_batch(surf.fields(half), 1.0) == pytest.approx(2.0 * math.pi)
 
 
 def _fsum_outcome(sum_of, values):
@@ -237,11 +237,11 @@ class TestBatchWeights:
     def test_a_batch_off_a_rule_cannot_be_integrated(self):
         batch = evaluate_nodes(flat_sphere(1.0), build_rule(2, 8).nodes)
         assert batch.weights is None
-        for reduce in (lambda: integrate_batch(batch, batch.rho), lambda: batch_volume(batch),
-                       lambda: batch_volume(batch, euclidean=True)):
+        for reduce in (lambda: integrate_batch(batch, batch.rho),
+                       lambda: integrate_batch(batch, 1.0),
+                       lambda: integrate_batch(batch, 1.0, euclidean=True)):
             with pytest.raises(ValueError, match="no rule weights"):
                 reduce()
-        assert batch.volumes == {}
 
 
 class TestGeodesicSphereAreas:

@@ -33,7 +33,7 @@ from starpinch.identities import (MAX, SUM, SUM_EUCLID, cauchy_schwarz_chain_che
                                   hsiung_minkowski_residual, michael_simon_ratio,
                                   refinement_estimate, residuals, tau_l2_epsilon_bound)
 from starpinch.pinch import distance_to_geodesic_sphere
-from starpinch.quadrature import batch_volume, build_rule, integrate_batch
+from starpinch.quadrature import build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import B_sup_norm, RadialSurface, evaluate_nodes
 
@@ -94,7 +94,7 @@ class TestBits:
                               (whole_batch(surf, check), [e.check_value for e in estimates])):
             (_, integrand), _, (_, distance) = columns(batch)
             assert values == [integrate_batch(batch, integrand),
-                              batch_volume(batch, euclidean=True), float(np.max(distance)),
+                              integrate_batch(batch, 1.0, euclidean=True), float(np.max(distance)),
                               float(np.max(np.abs(batch.kappa)))]
         assert all(e.refinement_error == abs(e.value - e.check_value) for e in estimates)
 
@@ -155,7 +155,7 @@ class TestOneRoute:
         surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
         rule = build_rule(2, 32)
         batch = surf.fields(rule)
-        volumes = batch_volume(batch), batch_volume(batch, euclidean=True)
+        volumes = integrate_batch(batch, 1.0), integrate_batch(batch, 1.0, euclidean=True)
         tau_sq = integrate_batch(batch, batch.tau_sq)
         shapes, add = [], quadrature_module._Sums.add
         monkeypatch.setattr(quadrature_module._Sums, "add",
