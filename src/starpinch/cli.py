@@ -94,8 +94,8 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     mean_Hr = ident.batch_mean(batch, H[:, cfg.r])
     eps = np.abs(H[:, cfg.r] - mean_Hr)
     values = {
-        "n": cfg.n, "delta": cfg.delta, "starshaped_sign": star.sign,
-        "R0": star.R0, "R": star.R, "volume": integrate_batch(batch, 1.0), "B_sup": batch.B_sup,
+        "n": cfg.n, "delta": cfg.delta, "R0": star.R0, "R": star.R,
+        "volume": integrate_batch(batch, 1.0), "B_sup": batch.B_sup,
         "rho_min": float(np.min(batch.rho)), "rho_max": float(np.max(batch.rho)),
         **{f"H{k}_range": [float(np.min(H[:, k])), float(np.max(H[:, k]))]
            for k in range(1, cfg.n + 1)},

@@ -172,12 +172,15 @@ def load_config(path) -> ExperimentConfig:
     # with no default section, [DEFAULT] is an unknown section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
-        read = parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            parser.read_file(file)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"configuration file not found: {path}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:  # one line, as every error is
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigError(f"cannot parse {path}: {message}") from exc
-    if not read:
-        raise ConfigError(f"configuration file not found: {path}")
 
     def get(section, key):  # interpolation stays on, so %% reads %
         try:

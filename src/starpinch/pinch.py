@@ -1,15 +1,15 @@
 """The stability experiment: eps = H_r - h, gates, sphere fit, Hausdorff bound.
 
 One run takes a starshaped surface and a curvature order r, measures the
-deviation field eps = H_r - h, checks every hypothesis (starshapedness,
-sup/L1 smallness of eps, positivity of H_{r+1}, containment), evaluates
-the constant chain, fits the nearest geodesic sphere, measures the
-Hausdorff distance in the ambient metric and compares it against the
-stability bound C |eps|_1^gamma.  A scaling study repeats this along a
-family of shrinking perturbation amplitudes and regresses log d_H against
-log |eps|_1.  Means, norms, eps and the refinement errors come from
-``identities``: |f|_p = ((1/V) int |f|^p dv)^(1/p), so a constant has norm
-|c| on any surface.
+deviation field eps = H_r - h, checks every hypothesis (R0 > 0 in
+``starshape_report``, then the gates: sup/L1 smallness of eps, positivity
+of H_{r+1}, containment), evaluates the constant chain, fits the nearest
+geodesic sphere, measures the Hausdorff distance in the ambient metric and
+compares it against the stability bound C |eps|_1^gamma.  A scaling study
+repeats this along a family of shrinking perturbation amplitudes and
+regresses log d_H against log |eps|_1.  Means, norms, eps and the
+refinement errors come from ``identities``: |f|_p = ((1/V) int |f|^p
+dv)^(1/p), so a constant has norm |c| on any surface.
 
 Geodesic spheres of the conformal models are Euclidean spheres in the
 chart, so sphere sampling is exact through the chart representation and the
@@ -51,13 +51,11 @@ class GateCheck:
     detail: str
 
 
-def hypothesis_gate(*, R0: float, eps_linf: float, h: float, eps_l1: float, eps1: float,
+def hypothesis_gate(*, eps_linf: float, h: float, eps_l1: float, eps1: float,
                     minH_rplus1: float, R: float, R_limit: float) -> tuple:
-    """Individually reported hypothesis checks; overall pass is their conjunction."""
-    # run_pinch gates only surfaces whose support sign starshape_report has checked
+    """Individually reported hypothesis checks; overall pass is their conjunction.  R0 > 0 is
+    not among them: ``starshape_report`` raises before a run reaches the gates."""
     checks = (
-        GateCheck("starshaped", True, "support pairing has constant sign"),
-        GateCheck("R0_positive", R0 > 0.0, f"R0 = {R0:.6g}"),
         GateCheck("eps_linf_le_half_h", eps_linf <= 0.5 * h,
                   f"|eps|_inf = {eps_linf:.6g} vs h/2 = {0.5 * h:.6g}"),
         GateCheck("eps_l1_le_eps1", eps_l1 <= eps1,
@@ -283,8 +281,7 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
         lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist))
 
     R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
-    gates = hypothesis_gate(R0=star.R0, eps_linf=eps_linf, h=h,
-                            eps_l1=eps_l1.value, eps1=consts.eps1,
+    gates = hypothesis_gate(eps_linf=eps_linf, h=h, eps_l1=eps_l1.value, eps1=consts.eps1,
                             minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
 
     bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)

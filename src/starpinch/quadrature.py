@@ -35,7 +35,7 @@ import numpy as np
 
 class SphericalRule:
     """Positive rule on the parameter n-sphere: ``nodes`` (N, n+1) and ``weights`` (N,), or,
-    from ``build_rule`` on S^3, ``layers`` of the S^2 rule that build them at their first read."""
+    from ``build_rule``, ``layers`` over an inner rule on S^(n-1) that build them when read."""
 
     def __init__(self, n: int, order: int, nodes=None, weights=None, *, layers=None):
         self.n, self.order, self.layers = n, order, layers
@@ -55,16 +55,16 @@ class SphericalRule:
 
     def block(self, start: int, stop: int) -> tuple:
         """Nodes and weights [start, stop), the whole arrays' slices bit for bit: node (k, l)
-        of S^3 is (sin_k u_l, cos_k) and weighs w_k w_l, for node u_l, w_l of the S^2 rule."""
+        of S^n is (sin_k u_l, cos_k) and weighs w_k w_l, for node u_l, w_l of the inner rule."""
         if "arrays" in vars(self):
             return self.nodes[start:stop], self.weights[start:stop]
         (inner, sin, cos, w), stop, size = self.layers, min(stop, self.size), self.layers[0].size
-        nodes, weights = np.empty((stop - start, 4)), np.empty(stop - start)
+        nodes, weights = np.empty((stop - start, self.n + 1)), np.empty(stop - start)
         for k in range(start // size, (stop - 1) // size + 1):  # the layers the range meets
             a, b = max(start, k * size), min(stop, (k + 1) * size)
             out, part = slice(a - start, b - start), slice(a - k * size, b - k * size)
-            np.multiply(sin[k], inner.nodes[part], out=nodes[out, :3])
-            nodes[out, 3], weights[out] = cos[k], w[k] * inner.weights[part]
+            np.multiply(sin[k], inner.nodes[part], out=nodes[out, :-1])
+            nodes[out, -1], weights[out] = cos[k], w[k] * inner.weights[part]
         return nodes, weights
 
 
@@ -85,14 +85,13 @@ def build_rule(n: int, order: int) -> SphericalRule:
         cos_1, w_1 = np.cos(theta), (math.pi / (order + 1)) * np.sin(theta) ** 2
         inner = build_rule.__wrapped__(2, order)  # not memoized: one cache slot per S^3 order
         return SphericalRule(3, order, layers=(inner, np.sqrt(1.0 - cos_1**2), cos_1, w_1))
-    cos_t, w_t = np.polynomial.legendre.leggauss(order)
-    m_az = 2 * order
-    phi = 2.0 * math.pi * np.arange(m_az) / m_az
-    sin_t = np.sqrt(1.0 - cos_t**2)
-    rule = SphericalRule(2, order, np.column_stack([
-        np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(),
-        np.repeat(cos_t, m_az)]), np.repeat(w_t, m_az) * (2.0 * math.pi / m_az))
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    cos_t, w_t = np.polynomial.legendre.leggauss(order)  # Gauss-Legendre layers of a ring
+    m = 2 * order
+    phi = 2.0 * math.pi * np.arange(m) / m
+    ring = SphericalRule(1, order, np.column_stack([np.cos(phi), np.sin(phi)]),
+                         np.full(m, 2.0 * math.pi / m))
+    rule = SphericalRule(2, order, layers=(ring, np.sqrt(1.0 - cos_t**2), cos_t, w_t))
+    rule.arrays  # built now, read-only: a slice of them is far cheaper than a generated block
     return rule
 
 

@@ -197,16 +197,15 @@ class RadialSurface:
 
     def fields(self, rule) -> "SurfaceBatch":
         """Batch of pointwise data at a rule's nodes with its weights, cached (base rules only)."""
-        key = id(rule)  # the entry holds the rule, so this id is not reused while it lives
-        if key not in self._cache:
+        if rule not in self._cache:  # keyed by identity; the key keeps the rule alive
             with np.errstate(all="ignore"):  # out-of-range fields are rejected below
                 batch = evaluate_nodes(self, rule.nodes, 0, rule.weights)
             bad = np.flatnonzero(~(np.isfinite(batch.H).all(axis=1) & (batch.area_element > 0)))
             if len(bad):  # once per base rule: the blocks of its doubled rule share its scale
                 raise NumericalError(f"surface fields leave the float64 range at node {bad[0]}: "
                                      f"H = {batch.H[bad[0]]}, dA = {batch.area_element[bad[0]]}")
-            self._cache[key] = rule, batch
-        return self._cache[key][1]
+            self._cache[rule] = batch
+        return self._cache[rule]
 
     def blocks(self, rule):
         """A rule's batch block by block with its weights, from ``evaluate_nodes``; uncached."""
@@ -448,38 +447,24 @@ def _jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StarshapeReport:
-    sign: int
     R0: float
     R: float
 
 
-def _constant_sign(values: np.ndarray):
-    """Common sign of the support values, or the offending node index.
-
-    A value counts as zero within 1e-12 min(1, max |value|): relative to the
-    scale below unit size, so a tiny flat sphere keeps its verdict, and the
-    absolute 1e-12 above it.
-    """
-    values = np.asarray(values, dtype=float)
-    if np.any(np.abs(values) <= 1e-12 * min(1.0, np.max(np.abs(values)))):
-        return None, int(np.argmin(np.abs(values)))
-    signs = np.sign(values)
-    if np.all(signs == signs[0]):
-        return int(signs[0]), None
-    flip = int(np.argmax(signs != signs[0]))
-    return None, flip
-
-
 def starshape_report(batch: SurfaceBatch) -> StarshapeReport:
-    """Sign of <Z,nu>, R0 = min |<Z,nu>| and the containment radius R."""
-    sign, bad = _constant_sign(batch.support)
-    if sign is None:
+    """R0 = min |<Z,nu>| and the containment radius R; raises unless R0 > 1e-12 min(1,
+    max |<Z,nu>|) (relative below unit size, so a tiny flat sphere keeps its verdict; a nan
+    fails).  The support -s_d(r) rho / W < 0 by construction: the kernel rejects rho <= 0
+    and points outside the chart, so only R0 can fail."""
+    magnitude = np.abs(batch.support)
+    R0 = float(np.min(magnitude))
+    if not R0 > 1e-12 * min(1.0, np.max(magnitude)):
+        bad = int(np.argmin(magnitude))
         raise HypothesisError(
             f"surface is not starshaped: support sign degenerates at node {bad} "
             f"(u = {batch.nodes[bad]}, support = {batch.support[bad]:.6g})"
         )
-    return StarshapeReport(sign=sign, R0=float(np.min(np.abs(batch.support))),
-                           R=float(np.max(batch.r)))
+    return StarshapeReport(R0=R0, R=float(np.max(batch.r)))
 
 
 def B_sup_norm(batch: SurfaceBatch, floor: float = -math.inf) -> float:

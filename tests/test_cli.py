@@ -336,16 +336,39 @@ class TestCommands:
     def test_calibrate_command_is_gone(self, tmp_path):
         assert main(["calibrate", "--n", "3", "--r", "2", "--out", str(tmp_path)]) == 3
 
-    def test_missing_config_exits_3(self, tmp_path):
-        assert main(["report", "--config", str(tmp_path / "nope.ini"),
-                     "--out", str(tmp_path)]) == 3
+    def test_missing_config_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "nope.ini"
+        assert main(["report", "--config", str(missing), "--out", str(tmp_path)]) == 3
+        assert (capsys.readouterr().err
+                == f"configuration error: configuration file not found: {missing}\n")
+
+    def test_config_that_cannot_be_read_exits_3(self, tmp_path, capsys):
+        # a directory used to be reported as "not found"; a file without read permission
+        # takes the same branch, but the tests may run as root, who reads it anyway
+        assert main(["report", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {tmp_path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_non_starshaped_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[surface]\nn = 2\ndelta = 0.0\nrho0 = 1.0\n"
                        "perturbation = 2,0:4.0\n")
         assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "node" in capsys.readouterr().err
+        assert "radial graph is nonpositive at node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "pinch"])
+    def test_vanishing_support_exits_1(self, tmp_path, capsys, command):
+        # amplitude (1 - 1e-13) / (sqrt(5/pi)/4): rho = 1e-13 on the equator, a node of order 9
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("[surface]\nn = 2\ndelta = 0.0\nrho0 = 1.0\n"
+                       "perturbation = 2,0:3.170661838084491\n[experiment]\nquad_order = 9\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violation: surface is not starshaped: support sign "
+                              "degenerates at node 74 (")
+        assert err.endswith(", support = -1.00031e-13)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_identities_pass_on_sphere(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -614,3 +637,18 @@ def test_no_command_loads_scipy(config_file, tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["codes"] == [0, 0, 0, 0]
     assert seen["scipy"] == []
+
+
+def test_module_entry_point(tmp_path):
+    # python -m starpinch.cli: exit codes reach the shell, messages stay one line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "starpinch.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    missing = run("report", "--config", "nope.ini")
+    assert missing.returncode == 3 and missing.stdout == ""
+    assert missing.stderr == "configuration error: configuration file not found: nope.ini\n"
+    shown = run("--help")
+    assert shown.returncode == 0 and "starpinch report" in shown.stdout

@@ -82,14 +82,12 @@ class TestEpsilonField:
 
 class TestGates:
     def test_sphere_all_pass(self):
-        checks = hypothesis_gate(R0=1.0, eps_linf=0.0, h=1.0,
-                                 eps_l1=0.0, eps1=0.1, minH_rplus1=1.0,
+        checks = hypothesis_gate(eps_linf=0.0, h=1.0, eps_l1=0.0, eps1=0.1, minH_rplus1=1.0,
                                  R=1.0, R_limit=np.inf)
         assert gate_overall(checks)
 
     def test_only_eps1_gate_fails(self):
-        checks = hypothesis_gate(R0=1.0, eps_linf=0.1, h=1.0,
-                                 eps_l1=0.05, eps1=0.01, minH_rplus1=1.0,
+        checks = hypothesis_gate(eps_linf=0.1, h=1.0, eps_l1=0.05, eps1=0.01, minH_rplus1=1.0,
                                  R=1.0, R_limit=np.inf)
         failed = [c.name for c in checks if not c.passed]
         assert failed == ["eps_l1_le_eps1"]

@@ -292,7 +292,7 @@ class TestJacobiRows:
 
 class TestMemory:
     def cached_orders(self, surface):
-        return sorted(rule.order for rule, _ in surface._cache.values())
+        return sorted(rule.order for rule in surface._cache)
 
     @pytest.mark.parametrize("run", [lambda s: residuals(s, build_rule(3, 8), 1.0),
                                      lambda s: run_pinch(s, 2, PINCH)],

@@ -3,17 +3,20 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import SphericalRule, build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
-from starpinch.surface import (RadialSurface, _constant_sign, _jacobi_eigenvalues,
-                               evaluate_nodes, starshape_report)
+from starpinch.surface import (S3_BASIS_KEYS, RadialSurface, StarshapeReport,
+                               _jacobi_eigenvalues, evaluate_nodes, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
 
@@ -121,8 +124,6 @@ class TestBasis:
         assert np.max(np.abs(gram - np.eye(len(keys)))) < 1e-12
 
     def test_s3_basis_normalized_and_mean_zero(self):
-        from starpinch.surface import S3_BASIS_KEYS
-
         rule = build_rule(3, 16)
         for key in S3_BASIS_KEYS:
             v = basis_values(3, key, rule.nodes)
@@ -596,14 +597,12 @@ class TestReports:
         surf = sphere(0.0, 2.0)
         rule = build_rule(2, 8)
         rep = starshape_report(surf.fields(rule))
-        assert rep.sign == -1
         assert rep.R0 == pytest.approx(2.0, abs=1e-12)
         assert rep.R == pytest.approx(2.0, abs=1e-12)
 
     def test_perturbed_sphere_report(self):
         surf = sphere(0.0, 1.0, perturbation=(((3, -1), 0.1),))
         rep = starshape_report(surf.fields(build_rule(2, 16)))
-        assert rep.sign == -1
         assert 0.8 < rep.R0 < 1.2
 
     def test_tiny_flat_sphere_is_starshaped(self):
@@ -614,13 +613,27 @@ class TestReports:
         assert ratios == pytest.approx([ratios[-1]] * 4, rel=1e-14)
         assert ratios[-1] == pytest.approx(0.988, abs=1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.05, 1.5),
+           st.lists(st.tuples(st.integers(0, 24), st.floats(-0.5, 0.5)), max_size=3))
+    def test_support_is_negative_by_construction(self, n, delta, rho0, terms):
+        # the fact starshape_report rests on: -s_d(r) rho / W < 0 on every valid radial graph
+        keys = ([(l, m) for l in range(5) for m in range(-l, l + 1)] if n == 2
+                else list(S3_BASIS_KEYS))
+        surf = sphere(delta, rho0, n=n, perturbation=[(keys[k % len(keys)], a) for k, a in terms])
+        try:
+            batch = evaluate_nodes(surf, build_rule(n, 6).nodes)
+        except HypothesisError:  # rho <= 0 somewhere, or a point outside the chart
+            assume(False)
+        assert np.all(batch.support < 0.0)
+
     def test_sign_change_detection(self):
-        sign, bad = _constant_sign(np.array([-1.0, -0.5, 0.7, -0.2]))
-        assert sign is None and bad == 2
-        sign, bad = _constant_sign(np.array([-1.0, -0.5, -1e-15]))
-        assert sign is None and bad == 2
-        sign, bad = _constant_sign(np.array([-1.0, -0.5, -0.2]))
-        assert sign == -1 and bad is None
+        def report(support):
+            return starshape_report(SimpleNamespace(support=np.array(support), r=np.ones(3),
+                                                    nodes=np.eye(3)))
+        with pytest.raises(HypothesisError, match="degenerates at node 2"):
+            report([-1.0, -0.5, -1e-15])
+        assert report([-1.0, -0.5, -0.2]) == StarshapeReport(R0=0.2, R=1.0)
 
     def test_b_sup_norm(self):
         b_sup = sphere(0.0, 2.0).fields(build_rule(2, 8)).B_sup
