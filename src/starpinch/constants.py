@@ -101,13 +101,13 @@ def c_n_phi_default(model: SpaceFormModel, R: float, Kn_MS: float) -> float:
 def final_bound(eps_l1: float, rho0: float, consts: ProofConstants):
     """The stability bound C |eps|_1^gamma and its applicability flag.
 
-    The flag records whether eps_l1 <= eps1; the value is computed either
-    way so inapplicable runs stay informative.
+    The flag records whether eps_l1 <= eps1; the value, 0 on exact spheres,
+    is computed either way so inapplicable runs stay informative.
     """
     if eps_l1 < 0.0:
         raise ValueError("eps_l1 must be nonnegative")
-    C = consts.config.c_RS * rho0 * consts.K3**consts.gamma
-    bound = C * eps_l1**consts.gamma
+    bound = _in_range("final bound", lambda: consts.config.c_RS * rho0 * consts.K3**consts.gamma
+                      * eps_l1**consts.gamma, least=0.0)
     return bound, bool(eps_l1 <= consts.eps1)
 
 
@@ -131,13 +131,13 @@ def build_chain(model: SpaceFormModel, r: int, *, h: float, B_sup: float, R0: fl
                           gamma=gamma, c_n_phi=c_phi, config=config, dependencies=deps)
 
 
-def _in_range(name: str, constant, *args) -> float:
-    """constant(*args); NumericalError names it if it overflows (or divides by 0) or underflows."""
+def _in_range(name: str, constant, *args, least=math.ulp(0.0)) -> float:
+    """constant(*args); NumericalError names it if it overflows (or divides by 0) or is < least."""
     try:
         value = constant(*args)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not least <= value < math.inf:
         raise NumericalError(f"constant chain: {name} = {value!r} left the floating-point range")
     return value
 

@@ -377,7 +377,7 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
     amps = [float(a) for a in amplitudes]
     if any(a2 >= a1 for a1, a2 in zip(amps, amps[1:])):
         raise ValueError("amplitudes must be strictly decreasing")
-    rows = []
+    rows, usable = [], []
     for a in amps:
         scaled = replace(base_surface, perturbation=tuple(
             (key, a * amp) for key, amp in base_surface.perturbation))
@@ -385,8 +385,10 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
         rows.append(ScalingRow(amplitude=a, gates_passed=gate_overall(rep.gates),
                                **{c: getattr(rep, c) for c in SCALING_COLUMNS
                                   if c != "amplitude"}))
+        # |eps|_1 <= 64 eps |h| is rounding: unperturbed spheres read up to 0.94 eps |h|
+        if rows[-1].gates_passed and rep.eps_l1 > 64 * 2.0**-52 * abs(rep.h) and rep.dH > 0.0:
+            usable.append(rows[-1])
 
-    usable = [row for row in rows if row.gates_passed and row.eps_l1 > 0.0 and row.dH > 0.0]
     regression = None
     if len(usable) >= 2:
         x = np.log([row.eps_l1 for row in usable])

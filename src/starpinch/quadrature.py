@@ -12,16 +12,16 @@ carries the rule's weights, with its h-metric area element and an exactly
 rounded sum, so results depend neither on the order of the nodes nor on
 worker-thread count.  A volume is ``integrate_batch(batch, 1.0)``, reduced
 where it is read like any other integral; nothing caches it.  ``_Sums`` gives
-math.fsum's result for each row of a stream of (k, B) chunks without a Python
-loop: np.frexp writes each value as an integer significand of 53 bits times a
-power of two, and np.bincount sums the high 26 and low 27 bits of the
-significands per row and exponent.  Those sums are integers below 2^53, exact
-whatever the order or split of the stream, and so is each one scaled by its
-power of two; math.fsum of these few terms is the correctly rounded total.  If
-any row has non-finite values, exponents within 60 of the float64 limits or
-over 2^26 values, every row is summed by math.fsum over the stream again;
-``_reduce`` hands it arrays of 512 or fewer.  ``identities`` builds means,
-norms and refinement errors on them.
+math.fsum's result for each row of a stream of (k, B) chunks by error-free
+extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): with 2^M > B
+and sigma a power of two above 2^M max|x| in each row, a level takes
+q = (sigma + x) - sigma, a multiple of 2^-53 sigma, and leaves x - q exactly; a
+row's sum of q is below sigma, so np.sum is exact in any order.  The next
+level's sigma is 2^(M-53) times this one; math.fsum of the exact level sums is
+the correctly rounded total.  Non-finite values, a maximum within 60 binades
+of overflow or a remainder whose sigma is subnormal send every row to math.fsum
+over the stream again; ``_reduce`` sends arrays of 512 or fewer there.
+``identities`` builds means, norms and refinement errors on them.
 """
 
 from __future__ import annotations
@@ -95,44 +95,42 @@ def build_rule(n: int, order: int) -> SphericalRule:
     return rule
 
 
-# at most 2^26 values: per-exponent sums of 26- and 27-bit integers stay below 2^53;
 # math.fsum is faster up to _FSUM_TERMS values, and the temporaries of _CHUNK stay in cache
-_EXACT_TERMS, _FSUM_TERMS, _CHUNK = 2**26, 512, 8192
+_FSUM_TERMS, _CHUNK, _TINY = 512, 8192, np.finfo(float).tiny
 
 
 class _Sums:
     """Exactly rounded running sums of the rows of (k, B) chunks (see the module docstring)."""
-    sums, count = None, 0  # bucket sums by row, half and np.frexp exponent + 1073 (-1073..1024)
-    replay = False  # set when some row can be summed only by math.fsum, in order
+    levels, replay = (), False  # exact level sums, (k,) each; set when math.fsum must replay
 
-    @np.errstate(invalid="ignore")  # a non-finite value leaves its row's buckets non-finite
     def add(self, chunk: np.ndarray) -> None:
-        if self.sums is None:
-            self.sums = np.zeros((len(chunk), 2, 2098))
-        self.count += chunk.shape[1]
-        step = max(_CHUNK // len(chunk), 1)
-        for part in (chunk[:, start:start + step] for start in range(0, chunk.shape[1], step)):
-            significand, bucket = np.frexp(part)
-            lo, hi = int(bucket.min()), int(bucket.max())
-            self.replay |= lo <= -1021 + 60 or hi >= 1024 - 60
-            bucket += ((hi - lo + 1) * np.arange(len(part)) - lo).astype(bucket.dtype)[:, None]
-            low = significand * 2.0**26  # its high 26 bits, and its low 27 in units of 2^-27
-            top = np.trunc(low)
-            low -= top
-            for half, value in enumerate((top, low)):
-                self.sums[:, half, lo + 1073:hi + 1074] += np.bincount(
-                    bucket.ravel(), weights=value.ravel(),
-                    minlength=len(part) * (hi - lo + 1)).reshape(len(part), -1)
+        self.rows, step = len(chunk), max(_CHUNK // len(chunk), 1)
+        buffers = np.empty((3, len(chunk) * min(step, chunk.shape[1])))  # q, x - q and sigma
+        for start in range(0, chunk.shape[1], step):
+            x = chunk[:, start:start + step]
+            q, rest, sigma = (buffer[:x.size].reshape(x.shape) for buffer in buffers)
+            bits, top = x.shape[1].bit_length(), np.abs(x, out=q).max(axis=1)  # 2^bits > B
+            if self.replay or not top.max() < 2.0**964:  # non-finite, or near overflow
+                self.replay = True
+                return
+            sigma[...] = np.ldexp(1.0, np.frexp(top * 2.0**bits)[1])[:, None]  # > 2^bits max|x|
+            while sigma[:, 0].min() >= _TINY or not (sigma[x.any(axis=1), 0] < _TINY).any():
+                np.add(x, sigma, out=q)
+                q -= sigma  # on the grid of 2^-53 sigma, and x - q below it
+                self.levels += (q.sum(axis=1),)
+                x = np.subtract(x, q, out=rest)
+                if not x.any():
+                    break
+                sigma *= 2.0 ** (bits - 53)
+            else:  # a remainder whose sigma is subnormal
+                self.replay = True
 
     def totals(self, replay) -> list:
-        """Each row's math.fsum; ``replay()`` streams the chunks again, once per row, when a
-        row has non-finite values, exponents near the limits or too many values."""
-        if self.replay or self.count > _EXACT_TERMS or not np.isfinite(self.sums).all():
+        """Each row's math.fsum; ``replay()`` streams the chunks again when a guard failed."""
+        if self.replay:
             return [math.fsum(chain.from_iterable(chunk[i].tolist() for chunk in replay()))
-                    for i in range(len(self.sums))]
-        used = np.flatnonzero(self.sums.any(axis=(0, 1)))
-        terms = np.ldexp(self.sums[:, :, used], used - 1073 - 53 + 27)
-        return [math.fsum(row.ravel().tolist()) for row in terms]
+                    for i in range(self.rows)]
+        return [math.fsum(row) for row in np.reshape(self.levels, (-1, self.rows)).T.tolist()]
 
 
 def _reduce(values: np.ndarray) -> float:

@@ -254,10 +254,10 @@ class SurfaceBatch:
 
 # Nodes per block.  The refinement pass holds one block at a time: it reduces the block,
 # solves the block's B_sup candidates and drops it before the next one is evaluated.  The
-# kernel's temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced; 4.1 MiB for a
-# kernel that built g, B and nu at 4096 nodes), below glibc's dynamic trim threshold (twice
-# the largest chunk it has unmapped); temporaries above it are returned to the system and
-# faulted back in.
+# kernel's temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced).  They stay
+# resident only once the process has freed a larger chunk: until then glibc's dynamic trim
+# threshold (twice the largest chunk it has unmapped, 128 KiB at start) sits below them,
+# and the heap top is returned to the system and faulted back in at every block.
 _BLOCK = 2048
 
 

@@ -463,6 +463,19 @@ class TestCommands:
         assert len([l for l in lines if l and not l.startswith("#")]) == 1 + 1
         assert "# regression undefined (fewer than 2 usable rows)" in lines
 
+    def test_scaling_of_an_exact_sphere_has_no_regression(self, tmp_path):
+        # its |eps|_1 is rounding noise (2.2e-16): it used to fit slope=0.4903846153846155
+        # through two noise rows, with numpy's RankWarning
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[surface]\nn = 2\ndelta = -1.0\nrho0 = 1.0\n\n[experiment]\nr = 1\n"
+                       "amplitudes = 0.5 0.25\n")
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", str(cfg), "--out", str(out),
+                     "--quad-order", "8"]) == 0
+        lines = (out / "scaling.csv").read_text().splitlines()
+        assert [float(l.split(",")[1]) for l in lines[4:6]] == [2.220446049250313e-16] * 2
+        assert "# regression undefined (fewer than 2 usable rows)" in lines
+
     @pytest.mark.parametrize("amplitudes", ["0.02 0.04", "0.04 0.04"])
     def test_scaling_amplitudes_not_decreasing_exit_3(self, tmp_path, capsys, amplitudes):
         cfg = tmp_path / "exp.ini"
@@ -528,6 +541,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: constant chain: {named} ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pinch", "scaling"])
+    def test_final_bound_outside_float_range_exits_2(self, tmp_path, capsys, command):
+        # K3^gamma overflows at alpha = 1e6: it used to escape as an OverflowError
+        # traceback (exit 1)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[surface]\nn = 2\ndelta = 0.0\nrho0 = 1.0\n\n[experiment]\nr = 1\n"
+                       "amplitudes = 0.5 0.25\n\n[constants]\nalpha = 1e6\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quad-order", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: constant chain: final bound = inf left the "
+                       "floating-point range\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "identities", "pinch"])

@@ -9,7 +9,7 @@ import pytest
 from starpinch.constants import (ConstantsConfig, K2, K3, ProofConstants, build_chain,
                                  c_n_phi_default, describe, eps1, final_bound,
                                  gamma_exponent, phi_sup)
-from starpinch.errors import HypothesisError
+from starpinch.errors import HypothesisError, NumericalError
 from starpinch.spaceform import SpaceFormModel
 
 TEN_POW_MINUS_TWO_THIRDS = 0.21544346900318834  # (1e-4)^(1/6)
@@ -105,6 +105,19 @@ class TestFinalBound:
     def test_zero_deviation(self):
         bound, applicable = final_bound(0.0, 1.0, self.consts())
         assert bound == 0.0 and applicable
+
+    @pytest.mark.parametrize("eps_l1, K3_value, alpha, rho0", [
+        (0.0, 2.0, 1e6, 1.0),  # K3^gamma raises OverflowError
+        (2.0, 1.0, 1e6, 1.0),  # |eps|_1^gamma raises OverflowError
+        (1e3, 1.0, 1.0, 1e308),  # C * |eps|_1^gamma is inf
+        (0.0, 1e300, 6.0, 1e300),  # C is inf, and inf * 0 is nan
+    ], ids=["K3_power", "eps_power", "product", "nan"])
+    def test_a_bound_outside_the_float_range_is_named(self, eps_l1, K3_value, alpha, rho0):
+        with pytest.raises(NumericalError, match=r"^constant chain: final bound = (inf|nan) "):
+            final_bound(eps_l1, rho0, self.consts(K3_value, alpha))
+
+    def test_a_bound_that_underflows_is_zero(self):
+        assert final_bound(1e-300, 1.0, self.consts(alpha=600.0))[0] == 0.0
 
     def test_hand_arithmetic(self):
         bound, _ = final_bound(1e-4, 1.0, self.consts(alpha=1.0))

@@ -194,6 +194,91 @@ class TestReduce:
         assert _fsum_outcome(streamed, values) == _fsum_outcome(_reduce, values)
 
 
+def _stream(chunks):
+    """A _Sums fed the chunks in order, and its totals."""
+    sums = _Sums()
+    for chunk in chunks:
+        sums.add(chunk)
+    return sums, sums.totals(lambda: iter(chunks))
+
+
+def _fsums(chunks):
+    """Each row's math.fsum over the chunks, as bytes."""
+    rows = np.concatenate(chunks, axis=1)
+    return np.array([math.fsum(row.tolist()) for row in rows]).tobytes()
+
+
+def _wide(rng, size, lo, hi):
+    """Random signed values with exponents in [lo, hi)."""
+    return rng.standard_normal(size) * np.exp2(rng.integers(lo, hi, size))
+
+
+class TestExtraction:
+    """Exact level sums by error-free extraction, each case bit for bit math.fsum's."""
+
+    @pytest.mark.parametrize("exponent, replayed", [(962, False), (963, False), (964, True)])
+    def test_a_row_maximum_near_overflow(self, exponent, replayed):
+        values = _wide(np.random.default_rng(1), (3, 3000), exponent - 60, exponent - 3)
+        values[:, 0] = -math.ldexp(1.0, exponent)  # each row's maximum |x|; 2^964 replays
+        sums, totals = _stream([values[:, :1000], values[:, 1000:]])
+        assert sums.replay == replayed
+        assert np.array(totals).tobytes() == _fsums([values])
+
+    @pytest.mark.parametrize("lo, hi, replayed", [(-905, -895, False), (-960, 0, False),
+                                                  (-1070, -1060, True), (-1074, 10, True)])
+    def test_tiny_values(self, lo, hi, replayed):
+        # sigma stays normal down to 2^-900; a subnormal one replays through math.fsum
+        values = _wide(np.random.default_rng(2), (4, 2500), lo, hi)
+        sums, totals = _stream([values])
+        assert sums.replay == replayed
+        assert np.array(totals).tobytes() == _fsums([values])
+
+    def test_all_zero_rows_beside_rows_of_many_levels(self):
+        # the zero rows' sigma turns subnormal long before the live rows end; it does not
+        # send them to math.fsum
+        values = np.zeros((4, 1500))
+        values[1] = _wide(np.random.default_rng(3), 1500, -920, 900)
+        values[3, ::7] = 1.0
+        sums, totals = _stream([values[:, :700], values[:, 700:]])
+        assert not sums.replay and len(sums.levels) > 40
+        assert np.array(totals).tobytes() == _fsums([values])
+
+    def test_negative_zeros(self):
+        values = np.full((3, 1024), -0.0)
+        values[1, 5] = 1e-280
+        values[2, ::2] = 0.0
+        sums, totals = _stream([values])
+        assert not sums.replay
+        assert np.array(totals).tobytes() == _fsums([values])
+
+    def test_a_row_of_three_levels_or_more(self):
+        values = np.tile([1e-40, -1e-40], 1000)
+        values[0], values[1] = 1.0, 1e-40  # the 1e-40 terms cancel but one
+        sums, totals = _stream([values[None]])
+        assert len(sums.levels) >= 3
+        assert np.array(totals).tobytes() == _fsums([values[None]])
+        assert totals == [1.0 + 1e-40]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parts_of_two_to_the_m_values_and_one_fewer(self, sign):
+        # two rows: parts of 4096 = 2^12 values (M = 13) and 4095 (M = 12), each value near
+        # its part's maximum so that a level sum comes near sigma
+        rng = np.random.default_rng(4)
+        values = sign * np.nextafter(1.0, 0.0) * (1.0 - rng.random((2, 8191)) * 2.0**-40)
+        assert [part.shape[1].bit_length() for part in (values[:, :4096], values[:, 4096:])] \
+            == [13, 12]
+        sums, totals = _stream([values])
+        assert not sums.replay
+        assert np.array(totals).tobytes() == _fsums([values])
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1000, math.inf])
+    def test_add_leaves_its_chunk_unchanged(self, scale):
+        values = _wide(np.random.default_rng(5), (8, 5000), -60, 0) * scale
+        kept = values.copy()
+        _Sums().add(values)
+        assert values.tobytes() == kept.tobytes()
+
+
 def volume_estimate(surface, rule):
     return refinement_estimate(surface, rule, lambda b: [], lambda m: (m.volume,))[0]
 
