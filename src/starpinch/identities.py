@@ -176,21 +176,28 @@ def _integral_reports(surface: RadialSurface, rule: SphericalRule, names, Kn=Non
         tau_l2_sq, tau_lp = mean(m, sums), mean(m, sums) ** (1.0 / (n + 1))
         return m.B_sup ** (2 * n) * tau_l2_sq - tau_lp ** (2 * (n + 1))
 
-    # name -> (kind, its node columns of a batch, each with how it reduces, its value)
-    table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, k=k: [
-                    (SUM, b.H[:, k + 1] * b.support + c_delta(b.r, delta) * b.H[:, k])], mean)
+    # name -> (kind, its node columns of a batch b given c = c_delta(b.r), each with how it
+    # reduces, its value)
+    table = {**{f"hsiung_minkowski_k{k}": (IDENTITY, lambda b, c, k=k: [
+                    (SUM, b.H[:, k + 1] * b.support + c * b.H[:, k])], mean)
                 for k in range(n)},
-             "cauchy_schwarz_chain": (INEQUALITY, lambda b: [
+             "cauchy_schwarz_chain": (INEQUALITY, lambda b, c: [
                  (SUM, np.sqrt(b.tau_sq) ** 2), (SUM, np.abs(np.sqrt(b.tau_sq)) ** (n + 1))],
                  cauchy_schwarz),
-             "michael_simon": (INEQUALITY, lambda b: [(SUM_EUCLID, np.abs(b.H_tilde)),
-                                                      (SUM_EUCLID, 1.0)],  # and the volume
+             "michael_simon": (INEQUALITY, lambda b, c: [(SUM_EUCLID, np.abs(b.H_tilde)),
+                                                         (SUM_EUCLID, 1.0)],  # and the volume
                                lambda m, sums: Kn * next(sums) - next(sums) ** ((n - 1) / n))}
     names = list(table) if names is None else names
     rows = [table[name] for name in names]
+    cosine = any(name.startswith("hsiung_minkowski") for name in names)
+
+    def columns(b):  # c_delta(r) once per batch, shared by the Hsiung-Minkowski rows
+        c = c_delta(b.r, delta) if cosine else None
+        return [column for _, row_columns, _ in rows for column in row_columns(b, c)]
+
     values = _in_float_range("an identity row", lambda: [  # (value, refinement error)
         (est.value, est.refinement_error) for est in refinement_estimate(
-            surface, rule, lambda b: [column for _, columns, _ in rows for column in columns(b)],
+            surface, rule, columns,
             lambda m, *reduced: tuple(value(m, sums) for sums in [iter(reduced)]
                                       for *_, value in rows),
             sup="cauchy_schwarz_chain" in names)])  # the one row that reads B_sup

@@ -35,8 +35,8 @@ from .constants import ConstantsConfig, ProofConstants, build_chain, describe, f
 from .errors import NumericalError
 from .identities import MAX, SUM, epsilon_field, lp_norm, refinement_estimate
 from .quadrature import build_rule, integrate_batch
-from .spaceform import (SpaceFormModel, chart_radius, geodesic_distance, geodesic_radius,
-                        s_delta)
+from .spaceform import (SpaceFormModel, chart_norm_sq, chart_radius, geodesic_distance,
+                        geodesic_radius, s_delta)
 from .surface import RadialSurface, starshape_report
 from .symfun import partial_H_extremes
 
@@ -154,7 +154,7 @@ def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereF
 
     # |x|^2 = 2 a.x + c is linear in (a, c); the chart sphere has radius^2 = c + |a|^2
     lhs = np.hstack([2.0 * pts, np.ones((len(pts), 1))]) * sqrt_w[:, None]
-    sol = np.linalg.lstsq(lhs, np.sum(pts * pts, axis=1) * sqrt_w, rcond=None)[0]
+    sol = np.linalg.lstsq(lhs, chart_norm_sq(pts) * sqrt_w, rcond=None)[0]
     a, c = sol[:-1], sol[-1]
     params = np.append(*_chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a)))
 
@@ -371,8 +371,10 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
 
     The base perturbation coefficients are multiplied by each amplitude in
     turn (so amplitude 1 reproduces the base surface).  Rows whose gates
-    fail are flagged and excluded from the log-log regression.  The study
-    is ``monotone`` when dH never increases from one amplitude to the next.
+    fail are flagged and excluded from the log-log regression, and so are
+    rows whose |eps|_1 is rounding or repeats a usable row's to rounding.
+    The study is ``monotone`` when dH never increases from one amplitude to
+    the next.
     """
     amps = [float(a) for a in amplitudes]
     if any(a2 >= a1 for a1, a2 in zip(amps, amps[1:])):
@@ -385,8 +387,11 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
         rows.append(ScalingRow(amplitude=a, gates_passed=gate_overall(rep.gates),
                                **{c: getattr(rep, c) for c in SCALING_COLUMNS
                                   if c != "amplitude"}))
-        # |eps|_1 <= 64 eps |h| is rounding: unperturbed spheres read up to 0.94 eps |h|
-        if rows[-1].gates_passed and rep.eps_l1 > 64 * 2.0**-52 * abs(rep.h) and rep.dH > 0.0:
+        # |eps|_1 <= 64 eps |h| is rounding: unperturbed spheres read up to 0.94 eps |h|.  A
+        # row whose log |eps|_1 repeats a usable row's to rounding adds no abscissa (at a fixed
+        # h an unperturbed sphere reads one |eps|_1 at every amplitude)
+        if (rows[-1].gates_passed and rep.eps_l1 > 64 * 2.0**-52 * abs(rep.h) and rep.dH > 0.0
+                and all(_distinct_logs(rep.eps_l1, row.eps_l1) for row in usable)):
             usable.append(rows[-1])
 
     regression = None
@@ -401,6 +406,12 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
 
     monotone = all(r1.dH >= r2.dH for r1, r2 in zip(rows, rows[1:]))
     return ScalingStudy(rows=tuple(rows), regression=regression, monotone=monotone)
+
+
+def _distinct_logs(a: float, b: float) -> bool:
+    """log a and log b (positive a, b) differ by more than 64 ulps of the larger."""
+    x, y = math.log(a), math.log(b)
+    return abs(x - y) > 64 * 2.0**-52 * max(1.0, abs(x), abs(y))
 
 
 def scaling_csv(study: ScalingStudy) -> str:

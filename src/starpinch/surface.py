@@ -32,10 +32,11 @@ trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
 by four sweeps of cyclic Jacobi, solved only where they are read: at every
 node on the first read of ``SurfaceBatch.kappa``, at the few nodes that can
-hold the maximum in ``SurfaceBatch.B_sup``.  g, B and the normal nu are
-never built.  Blocks of nodes are evaluated node-last, as (d, N) directions
-and (n, n, N) matrices, and every operation is elementwise across nodes, so
-a block of one node gives the bits of any other block.
+hold the maximum in ``SurfaceBatch.B_sup`` (at none once ``kappa`` is solved).
+g, B and the normal nu are never built.  Blocks of nodes are evaluated
+node-last, as (d, N) directions and (n, n, N) matrices, and every operation is
+elementwise across nodes, so a block of one node gives the bits of any other
+block.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -58,7 +59,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import HypothesisError, NumericalError
-from .spaceform import SpaceFormModel, radius_from_chart_norm, s_delta
+from .spaceform import SpaceFormModel, chart_norm_sq, radius_from_chart_norm, s_delta
 
 # ---------------------------------------------------------------------------
 # polynomial bases on the parameter sphere
@@ -200,7 +201,10 @@ class RadialSurface:
         if rule not in self._cache:  # keyed by identity; the key keeps the rule alive
             with np.errstate(all="ignore"):  # out-of-range fields are rejected below
                 batch = evaluate_nodes(self, rule.nodes, 0, rule.weights)
-            bad = np.flatnonzero(~(np.isfinite(batch.H).all(axis=1) & (batch.area_element > 0)))
+            good = reduce(np.logical_and, (np.isfinite(column) for column in
+                                           (*batch.H.T, batch.area_element)),
+                          batch.area_element > 0)
+            bad = np.flatnonzero(~good)
             if len(bad):  # once per base rule: the blocks of its doubled rule share its scale
                 raise NumericalError(f"surface fields leave the float64 range at node {bad[0]}: "
                                      f"H = {batch.H[bad[0]]}, dA = {batch.area_element[bad[0]]}")
@@ -248,7 +252,10 @@ class SurfaceBatch:
 
     @cached_property
     def B_sup(self) -> float:
-        """max_i |kappa_i| over the nodes, from ``B_sup_norm``; solved at the first read."""
+        """max_i |kappa_i| over the nodes: from ``kappa`` if it is solved already, else from
+        ``B_sup_norm`` (the same bits); solved at the first read."""
+        if "kappa" in self.__dict__:  # the cached_property's value
+            return float(np.max(np.abs(self.kappa)))
         return B_sup_norm(self)
 
 
@@ -359,7 +366,7 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) 
         raise HypothesisError(f"radial graph is nonpositive at node {start + bad}: "
                               f"rho = {rho[bad]:.6g}")
     X = rho * u
-    norm_sq = reduce(np.add, X * X)  # np.sum's order: q and r are those of the points X
+    norm_sq = chart_norm_sq(X.T)  # q and r are those of the points X
     norm = np.sqrt(norm_sq)
     model.require_norms_inside(norm, margin=1e-9)
     s, v, R = _tangential_derivatives(u, grad, hess)
@@ -377,13 +384,16 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) 
     z = c * reduce(np.add, R * v[:, None])
     p = z + (0.5 * ((rho - s) / (W * W) - c * reduce(np.add, z * v))) * v
     M = (v[:, None] * p + p[:, None] * v - R) / (rho * W)
-    M[range(n), range(n)] += (s + rho) / (rho * W) - dphi_nu
+    diagonal = (s + rho) / (rho * W) - dphi_nu
+    for i in range(n):
+        M[i, i] += diagonal
     del u, R, z, p
 
     H, tau_sq = _curvature_invariants(M, q)
     r = radius_from_chart_norm(norm, delta)
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
-    # X in C order: sums over its coordinates (geodesic_distance) keep their bits
+    # X in C order: chart_norm_sq's column fold gives the same bits in any layout, but the
+    # sphere fit's np.einsum over X's coordinates does not
     return {
         "X": X.T.copy(), "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
         "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q**n,
@@ -481,7 +491,7 @@ def B_sup_norm(batch: SurfaceBatch, floor: float = -math.inf) -> float:
     if floor == -math.inf:
         i = int(np.argmax(upper))
         floor = np.max(np.abs(_principal_curvatures(M[i:i + 1], q[i:i + 1])))
-    lower = max(floor, np.max(q * np.abs(np.diagonal(M, 0, 1, 2)).max(axis=1)))
+    lower = max(floor, np.max(q * reduce(np.maximum, (np.abs(M[:, i, i]) for i in range(n)))))
     near = upper >= lower * (1.0 - 256 * np.finfo(float).eps)
     kappa = _principal_curvatures(M[near], q[near]) if near.any() else np.empty(0)
     return float(max(floor, np.max(np.abs(kappa), initial=-math.inf)))

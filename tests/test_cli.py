@@ -476,6 +476,19 @@ class TestCommands:
         assert [float(l.split(",")[1]) for l in lines[4:6]] == [2.220446049250313e-16] * 2
         assert "# regression undefined (fewer than 2 usable rows)" in lines
 
+    def test_scaling_of_an_exact_sphere_at_a_fixed_h_has_no_regression(self, tmp_path):
+        # every row reads the one |eps|_1 = |H_2 - h|: np.polyfit used to warn RankWarning
+        # (a traceback under -W error) and fit a line through a single abscissa
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[surface]\nn = 3\ndelta = -1.0\nrho0 = 1.45\n\n[experiment]\nr = 2\n"
+                       "quad_order = 8\nh = 1.65\namplitudes = 0.6 0.3 0.15\n\n"
+                       "[constants]\neps0 = 300.0\n")
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "scaling.csv").read_text().splitlines()
+        assert len({l.split(",")[1] for l in lines[4:7]}) == 1
+        assert "# regression undefined (fewer than 2 usable rows)" in lines
+
     @pytest.mark.parametrize("amplitudes", ["0.02 0.04", "0.04 0.04"])
     def test_scaling_amplitudes_not_decreasing_exit_3(self, tmp_path, capsys, amplitudes):
         cfg = tmp_path / "exp.ini"
@@ -559,11 +572,13 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["report", "identities", "pinch"])
     @pytest.mark.parametrize("n, rho0, perturbation", [
-        (2, "1e155", "3,1:0.05"), (3, "1e-160", "u1u2:0.05")], ids=["overflow", "underflow"])
+        (2, "1e155", "3,1:0.05"), (3, "1e-160", "u1u2:0.05"), (3, "1e110", "u1u2:0.05")],
+        ids=["overflow", "underflow", "area_overflow"])
     def test_fields_outside_float_range_exit_2(self, tmp_path, capsys, command, n, rho0,
                                                perturbation):
         # the first used to exit 1 as "not starshaped" (identities: a CSV of nan rows), the
-        # second to escape as a ZeroDivisionError traceback (exit 1)
+        # second to escape as a ZeroDivisionError traceback (exit 1), the third, whose H is
+        # finite and area element infinite, on numpy's invalid-value warning in an integral
         cfg = tmp_path / "exp.ini"
         cfg.write_text(f"[surface]\nn = {n}\ndelta = 0.0\nrho0 = {rho0}\n"
                        f"perturbation = {perturbation}\n\n[experiment]\nr = 1\nquad_order = 8\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starpinch.errors import HypothesisError
-from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
+from starpinch.spaceform import (SpaceFormModel, c_delta, chart_norm_sq, chart_radius,
                                  geodesic_distance, geodesic_radius,
                                  position_vector, s_delta)
 
@@ -201,3 +201,56 @@ class TestPositionVector:
         z = position_vector(x, m)
         cross = np.cross(z, x)
         assert np.max(np.abs(cross)) < 1e-15
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _points(d, seed, specials=()):
+    """(200, d) C-order chart points of norm below 1, some entries replaced by specials."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.uniform(-0.55, 0.55, size=(200, d)) * 10.0 ** rng.integers(-3, 1, size=(200, d))
+    if specials:
+        where = rng.random((200, d)) < 0.1
+        x[where] = rng.choice(specials, size=where.sum())
+    return x
+
+
+class TestChartNormSq:
+    """chart_norm_sq is np.sum(x * x) over the last axis, bit for bit, in any layout."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_np_sum_bit_for_bit(self, d):
+        # one nan sign only: np.sum and the fold may keep either sign when a row holds both
+        x = _points(d, 41, specials=(0.0, -0.0, math.inf, -math.inf, math.nan))
+        x[:4] = [[0.0] * d, [-0.0] * d, [math.inf, -math.inf] + [0.0] * (d - 2),
+                 [math.nan, -math.inf] + [-0.0] * (d - 2)]
+        for view in (x, x.T.copy().T, x[::3]):  # C order, a transposed (d, N) array, strided
+            assert _bits(chart_norm_sq(view)) == _bits(np.sum(view * view, axis=-1))
+        for row in x:
+            assert _bits(chart_norm_sq(row)) == _bits(np.sum(row * row, axis=-1))
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_distance_and_conformal_factor_match_np_sum(self, delta, d):
+        m = model(delta, dim=d)
+
+        def reference(x, y):  # geodesic_distance with its sums written as np.sum
+            if delta == 0.0:
+                return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+            k = math.sqrt(abs(delta))
+            u, v = 0.5 * k * x, 0.5 * k * y
+            du2 = np.sum((u - v) ** 2, axis=-1)
+            u2, v2 = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
+            if delta < 0.0:
+                w = 2.0 * du2 / ((1.0 - u2) * (1.0 - v2))
+                return np.log1p(w + np.sqrt(w * (w + 2.0))) / k
+            return 2.0 * np.arcsin(np.clip(np.sqrt(du2 / ((1.0 + u2) * (1.0 + v2))), 0.0, 1.0)) / k
+
+        x, y = _points(d, 43), _points(d, 47)
+        for a, b in [(x, y[0]), (x, y), (x.T.copy().T, y[5]), (x[7], y[9])]:
+            assert _bits(geodesic_distance(a, b, m)) == _bits(reference(a, b))
+        for a in (x, x.T.copy().T, x[3]):
+            expected = 1.0 + 0.25 * delta * np.sum(a * a, axis=-1)
+            assert _bits(m.conformal_factor(a)) == _bits(expected)

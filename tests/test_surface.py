@@ -15,7 +15,7 @@ from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import SphericalRule, build_rule, integrate_batch
 from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
-from starpinch.surface import (S3_BASIS_KEYS, RadialSurface, StarshapeReport,
+from starpinch.surface import (S3_BASIS_KEYS, B_sup_norm, RadialSurface, StarshapeReport,
                                _jacobi_eigenvalues, evaluate_nodes, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
 
@@ -568,8 +568,9 @@ class TestInvariants:
         (2, 0.7, (), (16,)),  # exact spheres: every node ties
         (3, 0.9, (), (8,)),
     ])
+    @pytest.mark.parametrize("kappa_first", [False, True], ids=["B_sup_first", "kappa_first"])
     def test_b_sup_is_the_full_solve_bit_for_bit(self, monkeypatch, n, rho0, perturbation,
-                                                 orders, delta):
+                                                 orders, delta, kappa_first):
         solved = []
 
         def counted(M, q):
@@ -583,11 +584,19 @@ class TestInvariants:
             rule = build_rule(n, order)
             solved.clear()
             batch = surf.fields(rule)
-            b_sup = batch.B_sup
-            pruned = sum(solved)
-            assert b_sup == float(np.max(np.abs(batch.kappa)))
-            assert solved[-1] == len(rule.nodes)
-            assert pruned < len(rule.nodes) / 2 if perturbation else pruned > len(rule.nodes)
+            if kappa_first:
+                kappa = batch.kappa
+                solved.clear()
+                b_sup = batch.B_sup
+                assert solved == []  # read from the solved kappa
+                assert b_sup == B_sup_norm(batch)  # the pruned solve, with the same bits
+            else:
+                b_sup = batch.B_sup
+                pruned = sum(solved)
+                kappa = batch.kappa
+                assert solved[-1] == len(rule.nodes)
+                assert pruned < len(rule.nodes) / 2 if perturbation else pruned > len(rule.nodes)
+            assert b_sup == float(np.max(np.abs(kappa)))
             solved.clear()
             assert batch.B_sup == b_sup and solved == []  # cached on the batch
 
