@@ -14,8 +14,8 @@ misses its fixed tolerance, ``pinch`` and ``scaling`` when dH exceeds an
 applicable bound by more than rounding.  Every ``identities`` row, the
 worst-node Gauss identity included, reads the fields the integrals read.
 
-Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 configuration error (also an unknown key or section, a number that is
+Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure
+(out of memory too), 3 configuration error (also an unknown key or section, a number that is
 nan or infinite, a nonpositive h, amplitudes that do not strictly
 decrease or an --out that cannot be written).  Every output file starts with
 a header block (config hash, constant provenance); runs with equal config
@@ -157,6 +157,9 @@ def main(argv=None) -> int:
         return EXIT_HYPOTHESIS
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # a rule too large to allocate (a huge quad_order)
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

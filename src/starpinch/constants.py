@@ -13,8 +13,8 @@ theorem; they are configuration with documented defaults, kept on the
 evaluated chain as its ``config`` and printed in every report so that no
 number masquerades as derived.  K1 is ``symfun.K1`` at the pinching level
 h.  Its sharpened-Newton constant c_n is derived: the exact value of
-``symfun.default_c_n``, recorded in the dependency ledger.  The dimension
-n and the curvature delta come from the space-form model.  The conformal
+``symfun.default_c_n``, the chain's first field.  The dimension n and
+the curvature delta come from the space-form model.  The conformal
 Sobolev constant c_{n,phi} defaults to Kn_MS * exp(n * sup|phi|) over the
 containment ball, a safe computable bound for the volume distortion.
 """
@@ -46,8 +46,9 @@ class ConstantsConfig:
 
 @dataclass(frozen=True)
 class ProofConstants:
-    """Evaluated constant chain for one surface, with its configured inputs and provenance."""
+    """Evaluated constant chain for one surface, with its configured inputs."""
 
+    c_n: float
     K1: float
     K2: float
     K3: float
@@ -55,7 +56,6 @@ class ProofConstants:
     gamma: float
     c_n_phi: float
     config: ConstantsConfig
-    dependencies: dict = field(default_factory=dict)
 
 
 def K2(delta: float, K1: float, R0: float, B_sup: float, R: float) -> float:
@@ -98,23 +98,19 @@ def c_n_phi_default(model: SpaceFormModel, R: float, Kn_MS: float) -> float:
     return Kn_MS * math.exp((model.ambient_dim - 1) * phi_sup(model, R))
 
 
-def final_bound(eps_l1: float, rho0: float, consts: ProofConstants):
-    """The stability bound C |eps|_1^gamma and its applicability flag.
-
-    The flag records whether eps_l1 <= eps1; the value, 0 on exact spheres,
-    is computed either way so inapplicable runs stay informative.
-    """
+def final_bound(eps_l1: float, rho0: float, consts: ProofConstants) -> float:
+    """The stability bound C |eps|_1^gamma, 0 on exact spheres.  Whether it applies is the
+    gates' verdict; it is computed either way so inapplicable runs stay informative."""
     if eps_l1 < 0.0:
         raise ValueError("eps_l1 must be nonnegative")
-    bound = _in_range("final bound", lambda: consts.config.c_RS * rho0 * consts.K3**consts.gamma
-                      * eps_l1**consts.gamma, least=0.0)
-    return bound, bool(eps_l1 <= consts.eps1)
+    return _in_range("final bound", lambda: consts.config.c_RS * rho0 * consts.K3**consts.gamma
+                     * eps_l1**consts.gamma, least=0.0)
 
 
 def build_chain(model: SpaceFormModel, r: int, *, h: float, B_sup: float, R0: float,
                 R: float, volume: float, minH_partial: float,
                 config: ConstantsConfig) -> ProofConstants:
-    """Evaluate the chain for one surface (n and delta from its model), recording its inputs."""
+    """Evaluate the chain for one surface (n and delta from its model)."""
     n, delta = model.ambient_dim - 1, model.delta
     c_n = symfun.default_c_n(n)
     K1_value = _in_range("K1", symfun.K1, n, r, minH_partial, h, B_sup, c_n)
@@ -123,12 +119,8 @@ def build_chain(model: SpaceFormModel, r: int, *, h: float, B_sup: float, R0: fl
     K3_value = _in_range("K3", K3, K2_value, c_phi, volume, n)
     eps1_value = _in_range("eps1", eps1, config.eps0, K3_value, n)
     gamma = _in_range("gamma", gamma_exponent, config.alpha, n)
-    deps = {
-        "n": n, "r": r, "delta": delta, "h": h, "minH_partial": minH_partial,
-        "B_sup": B_sup, "volume": volume, "R0": R0, "R": R, "c_n": c_n,
-    }
-    return ProofConstants(K1=K1_value, K2=K2_value, K3=K3_value, eps1=eps1_value,
-                          gamma=gamma, c_n_phi=c_phi, config=config, dependencies=deps)
+    return ProofConstants(c_n=c_n, K1=K1_value, K2=K2_value, K3=K3_value, eps1=eps1_value,
+                          gamma=gamma, c_n_phi=c_phi, config=config)
 
 
 def _in_range(name: str, constant, *args, least=math.ulp(0.0)) -> float:
@@ -145,10 +137,8 @@ def _in_range(name: str, constant, *args, least=math.ulp(0.0)) -> float:
 def describe(consts: ProofConstants) -> str:
     """Stable text block for report headers: derived values, then the configured ones flagged."""
     lines = [f"{f.name} = {getattr(consts, f.name)!r}" for f in fields(consts)
-             if f.name not in ("config", "dependencies")]
+             if f.name != "config"]
     for f in fields(consts.config):
         flag = "configured placeholder" if f.metadata.get("placeholder") else "configured"
         lines.append(f"{f.name} = {getattr(consts.config, f.name)!r}  ({flag})")
-    dep = " ".join(f"{k}={v!r}" for k, v in sorted(consts.dependencies.items()))
-    lines.append(f"depends_on: {dep}")
     return "\n".join(lines)

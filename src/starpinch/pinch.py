@@ -2,8 +2,8 @@
 
 One run takes a starshaped surface and a curvature order r, measures the
 deviation field eps = H_r - h, checks every hypothesis (R0 > 0 in
-``starshape_report``, then the gates: sup/L1 smallness of eps, positivity
-of H_{r+1}, containment), evaluates the constant chain, fits the nearest
+``starshape_report``, then the three gates: sup and L1 smallness of eps,
+positivity of H_{r+1}), evaluates the constant chain, fits the nearest
 geodesic sphere, measures the Hausdorff distance in the ambient metric and
 compares it against the stability bound C |eps|_1^gamma.  A scaling study
 repeats this along a family of shrinking perturbation amplitudes and
@@ -52,24 +52,18 @@ class GateCheck:
 
 
 def hypothesis_gate(*, eps_linf: float, h: float, eps_l1: float, eps1: float,
-                    minH_rplus1: float, R: float, R_limit: float) -> tuple:
-    """Individually reported hypothesis checks; overall pass is their conjunction.  R0 > 0 is
-    not among them: ``starshape_report`` raises before a run reaches the gates."""
-    checks = (
+                    minH_rplus1: float) -> tuple:
+    """The three hypotheses a run reports one by one; the bound applies when all pass.  R0 > 0
+    and containment are decided before: ``starshape_report`` raises on R0, the kernel's chart
+    check keeps R < pi/(2 sqrt(delta)) and ``build_chain`` raises on an infinite R (K2)."""
+    return (
         GateCheck("eps_linf_le_half_h", eps_linf <= 0.5 * h,
                   f"|eps|_inf = {eps_linf:.6g} vs h/2 = {0.5 * h:.6g}"),
         GateCheck("eps_l1_le_eps1", eps_l1 <= eps1,
                   f"|eps|_1 = {eps_l1:.6g} vs eps1 = {eps1:.6g}"),
         GateCheck("H_rplus1_positive", minH_rplus1 > 0.0,
                   f"min H_(r+1) = {minH_rplus1:.6g}"),
-        GateCheck("contained_in_ball", R < R_limit,
-                  f"R = {R:.6g} vs limit {R_limit:.6g}"),
     )
-    return checks
-
-
-def gate_overall(checks) -> bool:
-    return all(c.passed for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +274,11 @@ def run_pinch(surface: RadialSurface, r: int, settings: RunSettings = RunSetting
                                   (SUM, np.sqrt(b.tau_sq) ** 2), (MAX, distance(b))],
         lambda m, eps, tau, dist: (eps / m.volume, math.sqrt(tau / m.volume), dist))
 
-    R_limit = math.inf if model.delta <= 0.0 else 0.5 * math.pi / math.sqrt(model.delta)
     gates = hypothesis_gate(eps_linf=eps_linf, h=h, eps_l1=eps_l1.value, eps1=consts.eps1,
-                            minH_rplus1=minH_rplus1, R=star.R, R_limit=R_limit)
+                            minH_rplus1=minH_rplus1)
 
-    bound, eps_gate = final_bound(eps_l1.value, fit.rho0, consts)
-    applicable = gate_overall(gates) and eps_gate
+    bound = final_bound(eps_l1.value, fit.rho0, consts)
+    applicable = all(gate.passed for gate in gates)
     bound_ok = not applicable or dH.check_value <= bound + _DH_ROUNDING * fit.rho0
     if not bound_ok:
         raise NumericalError(
@@ -384,7 +377,7 @@ def scaling_study(base_surface: RadialSurface, amplitudes, r: int,
         scaled = replace(base_surface, perturbation=tuple(
             (key, a * amp) for key, amp in base_surface.perturbation))
         rep = run_pinch(scaled, r, settings)
-        rows.append(ScalingRow(amplitude=a, gates_passed=gate_overall(rep.gates),
+        rows.append(ScalingRow(amplitude=a, gates_passed=rep.applicable,
                                **{c: getattr(rep, c) for c in SCALING_COLUMNS
                                   if c != "amplitude"}))
         # |eps|_1 <= 64 eps |h| is rounding: unperturbed spheres read up to 0.94 eps |h|.  A

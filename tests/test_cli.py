@@ -186,9 +186,7 @@ class TestConfig:
         assert load_config(old).digest() == load_config(base).digest()
         out = tmp_path / "out"
         assert main(["pinch", "--config", str(old), "--out", str(out)]) == 0
-        ledger = [l for l in (out / "pinch.txt").read_text().splitlines()
-                  if l.startswith("depends_on:")]
-        assert len(ledger) == 1 and " c_n=0.125 " in ledger[0]
+        assert (out / "pinch.txt").read_text().splitlines().count("c_n = 0.125") == 1
 
     def test_bad_perturbation_entry(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -679,6 +677,29 @@ def test_no_command_loads_scipy(config_file, tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["codes"] == [0, 0, 0, 0]
     assert seen["scipy"] == []
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_a_rule_too_large_to_allocate_exits_2(tmp_path, where):
+    # leggauss(100000) asks for a 74.5 GiB companion matrix; under a 1 GiB address-space
+    # limit it fails at once, and used to end in a MemoryError traceback (exit 1)
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[surface]\nn = 2\ndelta = 0.0\nrho0 = 1.0\n"
+                   + ("\n[experiment]\nquad_order = 100000\n" if where == "config" else ""))
+    option = ["--quad-order", "100000"] if where == "option" else []
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "starpinch.cli", "report", "--config",
+                           str(cfg), "--out", str(tmp_path / "out"), *option], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def test_module_entry_point(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from starpinch import symfun
 from starpinch.constants import (ConstantsConfig, K2, K3, ProofConstants, build_chain,
                                  c_n_phi_default, describe, eps1, final_bound,
                                  gamma_exponent, phi_sup)
@@ -97,14 +98,14 @@ class TestEps1:
 class TestFinalBound:
     def consts(self, K3_value=1.0, alpha=1.0, n=2):
         return ProofConstants(
-            K1=2.0, K2=1.0, K3=K3_value, eps1=eps1(0.1, K3_value, n),
+            c_n=0.5, K1=2.0, K2=1.0, K3=K3_value, eps1=eps1(0.1, K3_value, n),
             gamma=gamma_exponent(alpha, n), c_n_phi=1.0,
             config=ConstantsConfig(eps0=0.1, c_RS=1.0, alpha=alpha, Kn_MS=1.0),
         )
 
     def test_zero_deviation(self):
-        bound, applicable = final_bound(0.0, 1.0, self.consts())
-        assert bound == 0.0 and applicable
+        bound = final_bound(0.0, 1.0, self.consts())
+        assert type(bound) is float and bound == 0.0
 
     @pytest.mark.parametrize("eps_l1, K3_value, alpha, rho0", [
         (0.0, 2.0, 1e6, 1.0),  # K3^gamma raises OverflowError
@@ -117,26 +118,19 @@ class TestFinalBound:
             final_bound(eps_l1, rho0, self.consts(K3_value, alpha))
 
     def test_a_bound_that_underflows_is_zero(self):
-        assert final_bound(1e-300, 1.0, self.consts(alpha=600.0))[0] == 0.0
+        assert final_bound(1e-300, 1.0, self.consts(alpha=600.0)) == 0.0
 
     def test_hand_arithmetic(self):
-        bound, _ = final_bound(1e-4, 1.0, self.consts(alpha=1.0))
+        bound = final_bound(1e-4, 1.0, self.consts(alpha=1.0))
         assert bound == pytest.approx(TEN_POW_MINUS_TWO_THIRDS, rel=1e-13)
 
     def test_monotone_and_concave(self):
         c = self.consts()
         xs = np.linspace(0.0, 1e-3, 9)
-        bounds = [final_bound(float(x), 1.0, c)[0] for x in xs]
+        bounds = [final_bound(float(x), 1.0, c) for x in xs]
         assert all(a <= b for a, b in zip(bounds, bounds[1:]))
-        mid = final_bound(5e-4, 1.0, c)[0]
+        mid = final_bound(5e-4, 1.0, c)
         assert mid >= 0.5 * (bounds[0] + bounds[-1])
-
-    def test_gate_flag(self):
-        c = self.consts(K3_value=1.0)
-        _, ok = final_bound(c.eps1 * 0.5, 1.0, c)
-        assert ok
-        _, bad = final_bound(c.eps1 * 2.0, 1.0, c)
-        assert not bad
 
 
 class TestPhiBound:
@@ -170,18 +164,23 @@ class TestChain:
         assert c.eps1 == c.config.eps0 ** (2 * 3) / c.K3
         assert c.gamma == c.config.alpha / 6.0
 
-    def test_dependency_ledger(self):
-        # exactly the values the chain consumed
+    def test_c_n_is_the_exact_value_K1_read(self):
         c = chain(delta=-1.0)
-        assert set(c.dependencies) == {"n", "r", "delta", "h", "minH_partial", "B_sup",
-                                       "volume", "R0", "R", "c_n"}
+        assert c.c_n == symfun.default_c_n(2) == 0.5
         # r = 1: K1 is the exact dimensional constant n(n-1)
         assert c.K1 == 2.0
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0])
+    @pytest.mark.parametrize("B_sup", [1.2, 0.0])
+    def test_an_infinite_radius_overflows_K2(self, delta, B_sup):
+        # for delta <= 0 this, not a gate, rejects a surface that leaves every ball
+        with pytest.raises(NumericalError, match=r"^constant chain: K2 = (inf|nan) "):
+            chain(delta=delta, B_sup=B_sup, R=math.inf)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     def test_n_and_delta_come_from_the_model(self, delta):
         c = chain(delta=delta, n=3)
-        assert c.dependencies["n"] == 3 and c.dependencies["delta"] == delta
+        assert c.c_n == 0.125 and c.K2 == K2(delta, c.K1, 0.9, 1.2, 1.1)
         # gamma = alpha / (2(n+1)) and eps1 = eps0^(2(n+1)) / K3 at n = 3
         assert c.gamma == c.config.alpha / 8.0
         assert c.eps1 == c.config.eps0 ** 8 / c.K3
@@ -197,16 +196,15 @@ class TestChain:
     def test_describe_names_the_fields_in_order(self):
         c = chain(delta=-1.0)
         names = [line.split(" = ")[0] for line in describe(c).splitlines()]
-        derived = [f.name for f in dataclasses.fields(ProofConstants)
-                   if f.name not in ("config", "dependencies")]
+        derived = [f.name for f in dataclasses.fields(ProofConstants) if f.name != "config"]
         configured = [f.name for f in dataclasses.fields(ConstantsConfig)]
-        assert names[:-1] == derived + configured
-        assert names[-1].startswith("depends_on: ")
+        assert derived == ["c_n", "K1", "K2", "K3", "eps1", "gamma", "c_n_phi"]
+        assert names == derived + configured
 
     def test_describe_flags_configured_values(self):
         c = chain(delta=0.0)
-        assert describe(c).splitlines()[:10] == [
-            f"K1 = {c.K1!r}", f"K2 = {c.K2!r}", f"K3 = {c.K3!r}", f"eps1 = {c.eps1!r}",
-            f"gamma = {c.gamma!r}", f"c_n_phi = {c.c_n_phi!r}",
+        assert describe(c).splitlines() == [
+            "c_n = 0.5", f"K1 = {c.K1!r}", f"K2 = {c.K2!r}", f"K3 = {c.K3!r}",
+            f"eps1 = {c.eps1!r}", f"gamma = {c.gamma!r}", f"c_n_phi = {c.c_n_phi!r}",
             "eps0 = 0.1  (configured)", "c_RS = 1.0  (configured)",
             "alpha = 0.5  (configured placeholder)", "Kn_MS = 1.0  (configured)"]

@@ -1,4 +1,4 @@
-"""Every demo runs to completion."""
+"""Every demo runs to completion, with warnings as errors and nothing on stderr."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                            env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

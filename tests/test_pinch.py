@@ -7,9 +7,9 @@ import starpinch.pinch
 from starpinch.constants import ConstantsConfig
 from starpinch.errors import HypothesisError, NumericalError
 from starpinch.pinch import (RunSettings, SphereFit, distance_to_geodesic_sphere,
-                             epsilon_field, fit_geodesic_sphere, gate_overall,
-                             geodesic_sphere_chart, hypothesis_gate, run_pinch,
-                             sample_geodesic_sphere, scaling_csv, scaling_study)
+                             epsilon_field, fit_geodesic_sphere, geodesic_sphere_chart,
+                             hypothesis_gate, run_pinch, sample_geodesic_sphere, scaling_csv,
+                             scaling_study)
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
                                  geodesic_distance, s_delta)
@@ -81,17 +81,34 @@ class TestEpsilonField:
 
 
 class TestGates:
-    def test_sphere_all_pass(self):
-        checks = hypothesis_gate(eps_linf=0.0, h=1.0, eps_l1=0.0, eps1=0.1, minH_rplus1=1.0,
-                                 R=1.0, R_limit=np.inf)
-        assert gate_overall(checks)
+    PASSING = dict(eps_linf=0.0, h=1.0, eps_l1=0.0, eps1=0.1, minH_rplus1=1.0)
 
-    def test_only_eps1_gate_fails(self):
-        checks = hypothesis_gate(eps_linf=0.1, h=1.0, eps_l1=0.05, eps1=0.01, minH_rplus1=1.0,
-                                 R=1.0, R_limit=np.inf)
-        failed = [c.name for c in checks if not c.passed]
-        assert failed == ["eps_l1_le_eps1"]
-        assert not gate_overall(checks)
+    def test_sphere_all_pass(self):
+        checks = hypothesis_gate(**self.PASSING)
+        assert [c.name for c in checks] == ["eps_linf_le_half_h", "eps_l1_le_eps1",
+                                            "H_rplus1_positive"]
+        assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("gate, change", [
+        ("eps_linf_le_half_h", dict(eps_linf=0.5000001)),
+        ("eps_l1_le_eps1", dict(eps_l1=0.1000001)),
+        ("H_rplus1_positive", dict(minH_rplus1=0.0)),
+    ])
+    def test_each_gate_fails_alone(self, gate, change):
+        checks = hypothesis_gate(**{**self.PASSING, **change})
+        assert [c.name for c in checks if not c.passed] == [gate]
+
+    @pytest.mark.parametrize("eps0", [10.0, 0.1])
+    def test_the_bound_applies_exactly_when_every_gate_passes(self, eps0):
+        # the pinch-n3 surface: only the smallness gate depends on eps0, and the bound is
+        # reported either way
+        surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.04),))
+        rep = run_pinch(surf, 2, RunSettings(quad_order=12,
+                                             constants=ConstantsConfig(eps0=eps0)))
+        failed = [g.name for g in rep.gates if not g.passed]
+        assert failed == ([] if eps0 == 10.0 else ["eps_l1_le_eps1"])
+        assert rep.applicable is (not failed)
+        assert rep.bound > 0.0
 
 
 class TestSphereFit:
@@ -407,10 +424,8 @@ class TestRunPinch:
         monkeypatch.setattr(symfun, "sample_positive_curvatures", no_sampling)
         surf = make_surface(-1.0, rho0=0.9, n=3, perturbation=(("u1u2", 0.03),))
         rep = run_pinch(surf, 2, settings(order=6))
-        deps = rep.constants.dependencies
-        assert deps["c_n"] == 0.125
-        assert rep.constants.K1 == symfun.K1(3, 2, deps["minH_partial"], deps["h"],
-                                             deps["B_sup"], 0.125)
+        assert rep.constants.c_n == 0.125
+        assert rep.constants.K1 == symfun.K1(3, 2, rep.minH_partial, rep.h, rep.B_sup, 0.125)
 
     def test_rigid_motion_equivariance_flat(self):
         from test_identities import rotated_copy, rotation_z

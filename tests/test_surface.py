@@ -636,6 +636,26 @@ class TestReports:
             assume(False)
         assert np.all(batch.support < 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    # delta from 1e-6: near 0 the area element of rho0 ~ 2/sqrt(delta) overflows
+    @given(st.sampled_from([2, 3]), st.floats(1e-6, 4.0),
+           st.floats(np.log(1.01e-9), np.log(0.5)), st.sampled_from([0.0, -0.05, 0.05]))
+    def test_the_chart_check_keeps_R_below_the_hemisphere_radius(self, n, delta, log_t, a):
+        # why run_pinch has no containment gate: at delta > 0 every batch the kernel
+        # accepts has R < pi / (2 sqrt(delta)), and a base sphere within 1e-9 of the
+        # chart's edge is rejected (the margin at t = 1.01e-9, delta = 1 is 1.0e-9)
+        t = float(np.exp(log_t))
+        edge = 2.0 / np.sqrt(delta)
+        key = (3, 1) if n == 2 else "u1u2"
+        surf = sphere(delta, edge * (1.0 - t), n=n, perturbation=((key, a * t),) if a else ())
+        try:
+            batch = surf.fields(build_rule(n, 6))
+        except HypothesisError:  # a perturbed point outside the chart
+            assume(False)
+        assert starshape_report(batch).R < 0.5 * np.pi / np.sqrt(delta)
+        with pytest.raises(HypothesisError, match="outside the chart"):
+            sphere(delta, edge * (1.0 - 0.99e-9), n=n).fields(build_rule(n, 6))
+
     def test_sign_change_detection(self):
         def report(support):
             return starshape_report(SimpleNamespace(support=np.array(support), r=np.ones(3),
