@@ -91,19 +91,19 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     batch = cfg.surface().fields(build_rule(cfg.n, cfg.quad_order))
     star = starshape_report(batch)
     H = batch.H
-    mean_Hr = ident.batch_mean(batch, H[:, cfg.r])
-    eps = np.abs(H[:, cfg.r] - mean_Hr)
+    h, eps = ident.epsilon_field(batch, cfg.r)
+    eps = np.abs(eps)
     values = {
         "n": cfg.n, "delta": cfg.delta, "R0": star.R0, "R": star.R,
         "volume": integrate_batch(batch, 1.0), "B_sup": batch.B_sup,
         "rho_min": float(np.min(batch.rho)), "rho_max": float(np.max(batch.rho)),
         **{f"H{k}_range": [float(np.min(H[:, k])), float(np.max(H[:, k]))]
            for k in range(1, cfg.n + 1)},
-        "h_mean_Hr": mean_Hr,
-        "eps_l1": ident.batch_mean(batch, eps),
+        "h_mean_Hr": h,
+        "eps_l1": ident.lp_norm(batch, eps, 1),
         "eps_linf": float(np.max(eps)),
         # relative to |h|: a tiny exact sphere misses an absolute 1e-12 by one ulp of h
-        "eps_is_zero": bool(np.max(eps) <= 1e-12 * abs(mean_Hr)),
+        "eps_is_zero": bool(np.max(eps) <= 1e-12 * abs(h)),
     }
     body = "".join(f"{name} = {value!r}\n" for name, value in values.items())
     _write(out_dir / "report.txt", _header(cfg, "report"), body)

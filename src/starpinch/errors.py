@@ -10,7 +10,7 @@ class StarpinchError(Exception):
 
 
 class HypothesisError(StarpinchError):
-    """A geometric hypothesis is violated (not starshaped, H_{r+1} <= 0, ...)."""
+    """A geometric hypothesis is violated (not starshaped, min H_{r+1;n,1} <= 0 at r >= 2, ...)."""
 
 
 class NumericalError(StarpinchError):

@@ -14,7 +14,8 @@ ResidualReport.  An identity passes when |value| is at most its fixed tolerance,
 inequality when its gap is at least minus that tolerance.  The quadrature refinement
 error (base rule vs doubled rule) is reported next to the value and never widens the
 verdict.  Integral residuals are volume-normalized, as batch_mean and lp_norm normalize,
-so tolerances compare across surfaces of different size.
+so tolerances compare across surfaces of different size.  Nothing here decides a hypothesis:
+the sign of H_{r+1} is ``pinch``'s ``H_rplus1_positive`` gate, whatever r.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, NumericalError
+from .errors import NumericalError
 from .quadrature import SphericalRule, _Sums, _summands, build_rule, integrate_batch
 from .spaceform import c_delta
 from .surface import B_sup_norm, RadialSurface, SurfaceBatch
@@ -86,23 +87,12 @@ def _in_float_range(what: str, compute):
     raise NumericalError(f"{what} leaves the float64 range")
 
 
-def require_positive_H(batch: SurfaceBatch, k: int) -> None:
-    """HypothesisError unless H_k > 0 at every node, naming the worst node and its u."""
-    bad = int(np.argmin(batch.H[:, k]))
-    if not batch.H[bad, k] > 0.0:
-        raise HypothesisError(f"H_{k} must be positive at every node; node {batch.start + bad} "
-                              f"has {batch.H[bad, k]:.6g} (u = {batch.nodes[bad]})")
-
-
 def epsilon_field(batch: SurfaceBatch, r: int, h: float | None = None):
     """The level h of H_r and the node field eps = H_r - h of a rule's batch.
 
     With ``h`` unset it defaults to the volume-normalized mean of H_r,
-    which minimizes |eps|_2 among constants.  Requires H_{r+1} > 0 at
-    every node when r > 1.
+    which minimizes |eps|_2 among constants.
     """
-    if r > 1:
-        require_positive_H(batch, r + 1)
     if h is None:
         h = batch_mean(batch, batch.H[:, r])
     return float(h), batch.H[:, r] - h
@@ -245,9 +235,9 @@ def cauchy_schwarz_chain_check(surface: RadialSurface, rule: SphericalRule) -> R
 
 def lemma1_gap(surface: RadialSurface, rule: SphericalRule, r: int,
                K1: float) -> ResidualReport:
-    """Worst-node gap K1 (H H_r - H_{r+1}) - tau^2 >= 0 over the rule's nodes."""
+    """Worst-node gap K1 (H H_r - H_{r+1}) - tau^2 >= 0 over the rule's nodes, returned
+    whatever the sign of H_{r+1} (the lemma's hypothesis; where it fails, so may the gap)."""
     batch = surface.fields(rule)
-    require_positive_H(batch, r + 1)
     H = batch.H
     gaps = K1 * (H[:, 1] * H[:, r] - H[:, r + 1]) - batch.tau_sq
     return ResidualReport(name=f"lemma_tau_bound_r{r}", value=float(np.min(gaps)),

@@ -2,10 +2,10 @@
 
 One run takes a starshaped surface and a curvature order r, measures the
 deviation field eps = H_r - h, checks every hypothesis (R0 > 0 in
-``starshape_report``, then the three gates: sup and L1 smallness of eps,
-positivity of H_{r+1}), evaluates the constant chain, fits the nearest
-geodesic sphere, measures the Hausdorff distance in the ambient metric and
-compares it against the stability bound C |eps|_1^gamma.  A scaling study
+``starshape_report``, then the three gates, each its verdict's one owner at every r:
+sup and L1 smallness of eps, positivity of H_{r+1}), evaluates the constant chain,
+fits the nearest geodesic sphere, measures the Hausdorff distance in the ambient metric
+and compares it against the stability bound C |eps|_1^gamma.  A scaling study
 repeats this along a family of shrinking perturbation amplitudes and
 regresses log d_H against log |eps|_1.  Means, norms, eps and the
 refinement errors come from ``identities``: |f|_p = ((1/V) int |f|^p
@@ -53,9 +53,10 @@ class GateCheck:
 
 def hypothesis_gate(*, eps_linf: float, h: float, eps_l1: float, eps1: float,
                     minH_rplus1: float) -> tuple:
-    """The three hypotheses a run reports one by one; the bound applies when all pass.  R0 > 0
-    and containment are decided before: ``starshape_report`` raises on R0, the kernel's chart
-    check keeps R < pi/(2 sqrt(delta)) and ``build_chain`` raises on an infinite R (K2)."""
+    """The three hypotheses a run reports, each decided here alone (H_{r+1} > 0 at every r, on
+    the base rule's nodes); the bound applies when all pass.  R0 > 0 and containment are
+    decided before: ``starshape_report`` raises on R0, the kernel's chart check keeps
+    R < pi/(2 sqrt(delta)) and ``build_chain`` raises on an infinite R (K2)."""
     return (
         GateCheck("eps_linf_le_half_h", eps_linf <= 0.5 * h,
                   f"|eps|_inf = {eps_linf:.6g} vs h/2 = {0.5 * h:.6g}"),

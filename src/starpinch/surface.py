@@ -239,7 +239,6 @@ class SurfaceBatch:
     area_element_euclid: np.ndarray  # (N,) Euclidean volume density
     rho: np.ndarray            # (N,) radial graph values
     weights: np.ndarray | None = None  # (N,) the rule's read-only weights; None off a rule
-    start: int = 0             # index of the first node in its rule, for error messages
 
     @property
     def n(self) -> int:
@@ -291,7 +290,7 @@ def evaluate_nodes(surface: RadialSurface, nodes, start: int = 0, weights=None) 
             for name, value in _node_block(surface, plan, u_block, start + b).items():
                 out[name][b:b + _BLOCK] = value
     out["H"].flags.writeable = out["tau_sq"].flags.writeable = False
-    return SurfaceBatch(nodes=u, weights=weights, start=start, **out)
+    return SurfaceBatch(nodes=u, weights=weights, **out)
 
 
 def _polynomial_plan(surface: RadialSurface) -> tuple:

@@ -139,7 +139,8 @@ def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float, c_n: float) 
     if h <= 0.0 or B_sup <= 0.0:
         raise ValueError("h and B_sup must be positive")
     if minH_partial <= 0.0:
-        raise HypothesisError("min H_{r+1;n,1} must be positive for r >= 2")
+        raise HypothesisError(f"min H_{{{r + 1};{n},1}} = {minH_partial:.6g} must be positive "
+                              f"at r = {r}")
     if c_n <= 0.0:
         raise ValueError("c_n must be positive")
     ratio = minH_partial ** (1.0 / (r - 1)) / B_sup

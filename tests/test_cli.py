@@ -22,7 +22,9 @@ from starpinch.cli import main
 from starpinch.config import ExperimentConfig, load_config
 from starpinch.constants import ConstantsConfig
 from starpinch.errors import ConfigError
+from starpinch.identities import epsilon_field
 from starpinch.pinch import PinchReport, RunSettings, report_text, run_pinch
+from starpinch.quadrature import build_rule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +85,21 @@ CHAIN_N3 = textwrap.dedent("""\
     [constants]
     eps0 = 10.0
 """)
+
+# the surfaces of the pinch-n3 and scaling-n2 benchmark workloads at delta = -1, and an
+# n = 3, r = 2 surface with H_3 <= 0 at some node of its rule
+PINCH_N3 = ("[surface]\nn = 3\ndelta = -1.0\nrho0 = 0.9\nperturbation = u1u2:0.04\n\n"
+            "[experiment]\nr = 2\nquad_order = 12\n\n[constants]\neps0 = 10.0\n")
+SCALING_N2 = ("[surface]\nn = 2\ndelta = -1.0\nrho0 = 1.0\nperturbation = 3,1:0.08\n\n"
+              "[experiment]\nr = 1\nquad_order = 16\n\n[constants]\neps0 = 10.0\n")
+NON_ELLIPTIC_N3 = ("[surface]\nn = 3\ndelta = 0.0\nrho0 = 1.0\nperturbation = u1u2:0.8\n\n"
+                   "[experiment]\nr = 2\nquad_order = 6\n")
+
+
+def output_values(path: Path) -> dict:
+    """name -> value text of an output file's ``name = value`` lines."""
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines()
+                if " = " in line and not line.startswith("#"))
 
 
 @pytest.fixture
@@ -318,6 +335,29 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
         assert "eps_is_zero = False\n" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("text", [PINCH_N3, SCALING_N2], ids=["pinch-n3", "scaling-n2"])
+    def test_report_and_pinch_read_one_eps(self, tmp_path, text):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        for command in ("report", "pinch"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        report = output_values(tmp_path / "report" / "report.txt")
+        pinch = output_values(tmp_path / "pinch" / "pinch.txt")
+        assert report["h_mean_Hr"] == pinch["h"]
+        assert [report[name] for name in ("eps_l1", "eps_linf")] == [
+            pinch[name] for name in ("eps_l1", "eps_linf")]
+
+    def test_report_does_not_need_H_r_plus_1_positive(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(NON_ELLIPTIC_N3)
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        values = output_values(tmp_path / "report.txt")
+        assert json.loads(values["H3_range"])[0] < 0.0
+        batch = load_config(cfg).surface().fields(build_rule(3, 6))
+        h, eps = epsilon_field(batch, 2)
+        assert values["h_mean_Hr"] == repr(h)
+        assert values["eps_linf"] == repr(float(np.max(np.abs(eps))))
 
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -28,7 +28,12 @@ FILES = {"report": "report.txt", "identities": "identities.csv", "pinch": "pinch
 N2_KEYS = tuple(f"{l},{m}" for l in range(1, 5) for m in range(-l, l + 1))
 # configs an earlier draw found broken, kept beside the draw: an area element that
 # overflows while H stays finite (a RuntimeWarning from the first integral), and an
-# unperturbed sphere at a fixed h, whose rows repeat one |eps|_1 (np.polyfit's RankWarning)
+# unperturbed sphere at a fixed h, whose rows repeat one |eps|_1 (np.polyfit's RankWarning).
+# Then an n = 3, r = 2 surface with H_3 <= 0 at some node, which the draw does not reach:
+# at delta = -1 its H_rplus1_positive gate fails (exit 0), at delta = 0 K1's
+# min H_{3;3,1} <= 0 ends the run (exit 1)
+NON_ELLIPTIC = ("[surface]\nn = 3\ndelta = {delta}\nrho0 = 1.0\nperturbation = u1u2:0.8\n\n"
+                "[experiment]\nr = 2\nquad_order = 6\n")
 FOUND = (
     {"command": "pinch", "alpha": 1393032.8293491278, "perturbed": True, "text": (
         "[surface]\nn = 3\ndelta = 0.0\nrho0 = 1.2642523115506295e+114\n"
@@ -41,6 +46,8 @@ FOUND = (
         "[experiment]\nr = 2\nquad_order = 8\nh = 1.6481306613756344\n"
         "amplitudes = 0.6874615031680242 0.3437307515840121 0.17186537579200606\n\n"
         "[constants]\nalpha = 0.5\neps0 = 323.20866771243743\n")},
+    *({"command": "pinch", "alpha": 0.5, "perturbed": True,
+       "text": NON_ELLIPTIC.format(delta=delta)} for delta in (-1.0, 0.0)),
 )
 
 
@@ -139,7 +146,7 @@ def test_every_exit_follows_the_contract(outcomes):
 
 
 def test_the_draw_reaches_every_exit_and_the_mended_defects(outcomes):
-    drawn, (area, fixed_h) = outcomes[:DRAWS], outcomes[DRAWS:]
+    drawn, (area, fixed_h, gate, k1) = outcomes[:DRAWS], outcomes[DRAWS:]
     assert {0, 1, 2, 3} <= {outcome.code for outcome in drawn}
     # an overflowing final bound (a large alpha) exits 2 from pinch and scaling
     assert any(config["command"] in ("pinch", "scaling") and config["alpha"] > 1e4
@@ -152,3 +159,7 @@ def test_the_draw_reaches_every_exit_and_the_mended_defects(outcomes):
     assert area.code == 2
     assert area.stderr.startswith("numerical failure: surface fields leave the float64 range")
     assert "# regression undefined" in (fixed_h.directory / "out" / "scaling.csv").read_text()
+    assert (gate.code, gate.stderr) == (0, "")
+    assert "gate H_rplus1_positive = FAIL" in (gate.directory / "out" / "pinch.txt").read_text()
+    assert (k1.code, k1.stderr) == (
+        1, "hypothesis violation: min H_{3;3,1} = -0.0507943 must be positive at r = 2\n")

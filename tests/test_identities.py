@@ -9,7 +9,6 @@ import pytest
 import starpinch.identities as identities_module
 from starpinch import ConstantsConfig, RunSettings, run_pinch
 from starpinch.constants import K2
-from starpinch.errors import HypothesisError
 from starpinch.identities import (IDENTITY, INEQUALITY, ResidualReport, batch_mean,
                                   cauchy_schwarz_chain_check, epsilon_field,
                                   gauss_algebraic_check,
@@ -177,27 +176,32 @@ class TestLemmaGap:
         assert rep.value >= -1e-10 and rep.passed
 
 
-class TestSharedHypothesisCheck:
-    # H_3 <= 0 at some node of this surface's order-6 rule
+class TestNoHypothesisCheck:
+    # H_3 <= 0 at some node of this surface's order-6 rule: the H_rplus1_positive gate of
+    # run_pinch decides that, and the functionals here return their values regardless
     def failing(self):
-        return make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),)), build_rule(3, 6)
+        surf, rule = make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),)), build_rule(3, 6)
+        assert np.min(surf.fields(rule).H[:, 3]) < 0.0
+        return surf, rule
 
-    def test_lemma_gap_and_epsilon_field_raise_the_same_message(self):
+    def test_epsilon_field_and_the_lemma_gap_are_returned(self):
         surf, rule = self.failing()
-        with pytest.raises(HypothesisError) as lemma:
-            lemma1_gap(surf, rule, 2, K1=1.0)
-        with pytest.raises(HypothesisError) as eps:
-            epsilon_field(surf.fields(rule), 2)
-        assert str(lemma.value) == str(eps.value)
-        bad = int(np.argmin(surf.fields(rule).H[:, 3]))
-        assert f"node {bad} has" in str(lemma.value)
-        assert f"(u = {rule.nodes[bad]})" in str(lemma.value)
+        batch = surf.fields(rule)
+        h, eps = epsilon_field(batch, 2)
+        assert h == batch_mean(batch, batch.H[:, 2])
+        assert np.array_equal(eps, batch.H[:, 2] - h)
+        row = lemma1_gap(surf, rule, 2, K1=1.0)
+        assert (row.name, row.kind) == ("lemma_tau_bound_r2", INEQUALITY)
+        assert row.value == pytest.approx(-1.41, abs=0.01) and not row.passed
 
-    def test_tau_l2_epsilon_bound_needs_H_r_plus_1_positive(self):
+    def test_tau_l2_epsilon_bound_is_returned(self):
         surf, rule = self.failing()
-        with pytest.raises(HypothesisError, match="H_3 must be positive"):
-            tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
+        row = tau_l2_epsilon_bound(surf, 2, h=1.0, K2=1.0, rule=rule)
+        assert (row.name, row.kind) == ("tau_l2_epsilon_bound_r2", INEQUALITY)
+        assert np.isfinite([row.value, row.refinement_error]).all()
 
+
+class TestIntegralsAtTheIdentitiesName:
     def test_residual_means_integrate_at_the_identities_name(self, monkeypatch):
         # bench/tracing.py counts integrate_batch at starpinch.identities' name
         calls, integrate = [], identities_module.integrate_batch

@@ -75,9 +75,17 @@ class TestEpsilonField:
         assert abs(integrate_batch(batch, eps) / vol) < 1e-12
 
     def test_hypothesis_violation_reported(self):
-        surf = make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),))
-        with pytest.raises(HypothesisError):
-            epsilon_field(surf.fields(build_rule(3, 6)), 2)
+        # H_3 <= 0 at some node of the order-6 rule at every delta: the gate reports it at
+        # delta = -1, while at delta = 0 K1's min H_{3;3,1} <= 0 ends the run first
+        surf = make_surface(-1.0, n=3, perturbation=(("u1u2", 0.8),))
+        rep = run_pinch(surf, 2, RunSettings(quad_order=6))
+        assert rep.minH_rplus1 < 0.0 and not rep.applicable
+        assert [gate.passed for gate in rep.gates] == [False, False, False]
+        assert rep.gates[2].name == "H_rplus1_positive"
+        with pytest.raises(HypothesisError) as k1:
+            run_pinch(make_surface(0.0, n=3, perturbation=(("u1u2", 0.8),)), 2,
+                      RunSettings(quad_order=6))
+        assert str(k1.value) == "min H_{3;3,1} = -0.0507943 must be positive at r = 2"
 
 
 class TestGates:
