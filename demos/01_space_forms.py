@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Tour of the three space forms in their shared conformal ball chart.
 
-Shows the c/s kernels, geodesic radii vs chart radii, closed-form
-distances validated against ray integration, and the position field Z.
+Shows the c/s kernels, geodesic radii vs chart radii, and closed-form
+distances validated against ray integration and the triangle inequality.
 """
 
 import numpy as np
 
 from starpinch.spaceform import (SpaceFormModel, c_delta, chart_radius,
-                                 geodesic_distance, geodesic_radius,
-                                 position_vector, s_delta)
+                                 geodesic_distance, geodesic_radius, s_delta)
 
 print("=" * 72)
 print("Kernel identity c^2 + delta s^2 = 1 across curvatures")
@@ -46,7 +45,7 @@ for delta in (-1.0, 1.0):
 
 print()
 print("=" * 72)
-print("Triangle inequality spot check and position-field norm |Z|_h = s_d(r)")
+print("Triangle inequality spot check")
 print("=" * 72)
 rng = np.random.Generator(np.random.Philox(1))
 pts = rng.uniform(-0.5, 0.5, size=(3, 3))
@@ -55,8 +54,4 @@ for delta in (-1.0, 0.0, 1.0):
     d01 = geodesic_distance(pts[0], pts[1], model)
     d12 = geodesic_distance(pts[1], pts[2], model)
     d02 = geodesic_distance(pts[0], pts[2], model)
-    z = position_vector(pts[0], model)
-    z_norm = float(np.linalg.norm(z)) / model.conformal_factor(pts[0])
-    expect = s_delta(geodesic_radius(pts[0], model), delta)
-    print(f"  delta={delta:+}: d02 - (d01 + d12) = {d02 - (d01 + d12):+.3e} (<= 0), "
-          f"|Z|_h - s_d(r) = {z_norm - expect:+.2e}")
+    print(f"  delta={delta:+}: d02 - (d01 + d12) = {d02 - (d01 + d12):+.3e} (<= 0)")

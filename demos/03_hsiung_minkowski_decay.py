@@ -5,11 +5,12 @@ The integral identity int (H_{k+1} <Z,nu> + c_d(r) H_k) dv = 0 holds for
 every closed starshaped hypersurface of a space form; on smooth radial
 graphs the only error is quadrature, so the normalized residual must fall
 by orders of magnitude per order doubling until it hits the float floor.
+The residuals are the hsiung_minkowski rows of the identities command.
 """
 
 from dataclasses import replace
 
-from starpinch.identities import hsiung_minkowski_residual
+from starpinch.identities import residuals
 from starpinch.quadrature import build_rule
 from starpinch.spaceform import SpaceFormModel
 from starpinch.surface import RadialSurface
@@ -28,14 +29,19 @@ class FlippedSurface(RadialSurface):
         return (replace(block, support=-block.support) for block in super().blocks(rule))
 
 
+def hsiung_minkowski_rows(surf, rule):
+    """The k = 0 and k = 1 rows of ``residuals`` (Kn = 1; the demo reads no other row)."""
+    rows = {row.name: row for row in residuals(surf, rule, 1.0)}
+    return rows["hsiung_minkowski_k0"], rows["hsiung_minkowski_k1"]
+
+
 for delta in (-1.0, 0.0, 1.0):
     model = SpaceFormModel(delta=delta, ambient_dim=3)
     surf = RadialSurface(n=2, model=model, rho0=1.0, perturbation=PERTURBATION)
     print(f"delta = {delta:+}")
     print(f"  {'order':>6} {'|residual| k=0':>16} {'|residual| k=1':>16}")
     for order in (6, 8, 12, 16, 24, 32):
-        vals = [abs(hsiung_minkowski_residual(surf, k, build_rule(2, order)).value)
-                for k in (0, 1)]
+        vals = [abs(row.value) for row in hsiung_minkowski_rows(surf, build_rule(2, order))]
         print(f"  {order:>6} {vals[0]:>16.3e} {vals[1]:>16.3e}")
     print()
 
@@ -44,5 +50,5 @@ rule = build_rule(2, 16)
 for label, cls in (("correct orientation", RadialSurface), ("flipped support", FlippedSurface)):
     surf = cls(n=2, model=SpaceFormModel(delta=0.0, ambient_dim=3), rho0=1.0,
                perturbation=PERTURBATION)
-    rep = hsiung_minkowski_residual(surf, 0, rule)
+    rep = hsiung_minkowski_rows(surf, rule)[0]
     print(f"  {label + ':':<20} residual = {rep.value:+.3e} (pass={rep.passed})")

@@ -15,11 +15,9 @@ from .errors import ConfigError, HypothesisError, NumericalError, StarpinchError
 from .identities import lp_norm
 from .pinch import PinchReport, RunSettings, fit_geodesic_sphere, run_pinch, scaling_study
 from .quadrature import SphericalRule, build_rule
-from .spaceform import (SpaceFormModel, c_delta, geodesic_distance,
-                        geodesic_radius, position_vector, s_delta)
+from .spaceform import SpaceFormModel, c_delta, geodesic_distance, geodesic_radius, s_delta
 from .surface import RadialSurface, starshape_report
-from .symfun import (calibrate, elementary_symmetric, maclaurin_gaps,
-                     mean_curvatures, newton_gap, partial_H_extremes)
+from .symfun import elementary_symmetric, partial_H_extremes
 
 __all__ = [
     "ConstantsConfig",
@@ -41,15 +39,10 @@ __all__ = [
     "c_delta",
     "geodesic_distance",
     "geodesic_radius",
-    "position_vector",
     "s_delta",
     "RadialSurface",
     "starshape_report",
-    "calibrate",
     "elementary_symmetric",
-    "maclaurin_gaps",
-    "mean_curvatures",
-    "newton_gap",
     "partial_H_extremes",
 ]
 

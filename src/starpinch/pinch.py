@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .constants import ConstantsConfig, ProofConstants, build_chain, describe, final_bound
-from .errors import NumericalError
+from .errors import HypothesisError, NumericalError
 from .identities import MAX, SUM, epsilon_field, lp_norm, refinement_estimate
 from .quadrature import build_rule, integrate_batch
 from .spaceform import (SpaceFormModel, chart_norm_sq, chart_radius, geodesic_distance,
@@ -134,9 +134,10 @@ def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereF
     Minimizes sum_i w_i (d(center, X_i) - rho)^2 over center and rho by
     Gauss-Newton with the closed-form Jacobian, from the algebraic (Kasa) fit
     of a Euclidean sphere in the chart, until a step is within _STEP_ULPS ulps
-    of max(1, |params|) (NumericalError after _MAX_STEPS steps or on a value
-    that is not finite).  ``weights`` default to equal; rho0 and rms are the
-    weighted mean and rms of the distances at the optimum.
+    of max(1, |params|) (NumericalError after _MAX_STEPS steps, on a value
+    that is not finite, or when the start or a step leaves the chart, which
+    is the fit's fault, not the surface's).  ``weights`` default to equal;
+    rho0 and rms are the weighted mean and rms of the distances at the optimum.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or len(pts) < pts.shape[1] + 2:
@@ -147,24 +148,27 @@ def fit_geodesic_sphere(samples, model: SpaceFormModel, weights=None) -> SphereF
     w = w / w.sum()
     sqrt_w = np.sqrt(w)
 
-    # |x|^2 = 2 a.x + c is linear in (a, c); the chart sphere has radius^2 = c + |a|^2
-    lhs = np.hstack([2.0 * pts, np.ones((len(pts), 1))]) * sqrt_w[:, None]
-    sol = np.linalg.lstsq(lhs, chart_norm_sq(pts) * sqrt_w, rcond=None)[0]
-    a, c = sol[:-1], sol[-1]
-    params = np.append(*_chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a)))
+    try:  # the start or a step can take the center out of the chart
+        # |x|^2 = 2 a.x + c is linear in (a, c); the chart sphere has radius^2 = c + |a|^2
+        lhs = np.hstack([2.0 * pts, np.ones((len(pts), 1))]) * sqrt_w[:, None]
+        sol = np.linalg.lstsq(lhs, chart_norm_sq(pts) * sqrt_w, rcond=None)[0]
+        a, c = sol[:-1], sol[-1]
+        params = np.append(*_chart_sphere_to_geodesic(model, a, math.sqrt(c + a @ a)))
 
-    for iterations in range(1, _MAX_STEPS + 1):
-        d, jac = _distance_jacobian(pts, params[:-1], model)
-        lhs = np.hstack([jac, -np.ones((len(pts), 1))]) * sqrt_w[:, None]
-        step = np.linalg.lstsq(lhs, sqrt_w * (params[-1] - d), rcond=None)[0]
-        params = params + step
-        if not np.all(np.isfinite(params)):
-            raise NumericalError("sphere fit diverged: a parameter is not finite")
-        if np.max(np.abs(step)) <= _STEP_ULPS * np.spacing(max(1.0, np.max(np.abs(params)))):
-            break
-    else:
-        raise NumericalError(f"sphere fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
-    d = np.asarray(geodesic_distance(pts, params[:-1], model))
+        for iterations in range(1, _MAX_STEPS + 1):
+            d, jac = _distance_jacobian(pts, params[:-1], model)
+            lhs = np.hstack([jac, -np.ones((len(pts), 1))]) * sqrt_w[:, None]
+            step = np.linalg.lstsq(lhs, sqrt_w * (params[-1] - d), rcond=None)[0]
+            params = params + step
+            if not np.all(np.isfinite(params)):
+                raise NumericalError("sphere fit diverged: a parameter is not finite")
+            if np.max(np.abs(step)) <= _STEP_ULPS * np.spacing(max(1.0, np.max(np.abs(params)))):
+                break
+        else:
+            raise NumericalError(f"sphere fit did not converge in {_MAX_STEPS} Gauss-Newton steps")
+        d = np.asarray(geodesic_distance(pts, params[:-1], model))
+    except HypothesisError as exc:
+        raise NumericalError(f"sphere fit left the chart: {exc}") from exc
     rho0 = float(w @ d)
     return SphereFit(center=params[:-1], rho0=rho0, rms=math.sqrt(float(w @ (d - rho0) ** 2)),
                      iterations=iterations)

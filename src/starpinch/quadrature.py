@@ -68,11 +68,6 @@ class SphericalRule:
         return nodes, weights
 
 
-def sphere_area(n: int) -> float:
-    """Area of the unit n-sphere."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
 @functools.lru_cache(maxsize=8)
 def build_rule(n: int, order: int) -> SphericalRule:
     """Tensor rule of the given polar order on S^2 or S^3 (memoized, its arrays read-only)."""

@@ -12,7 +12,8 @@ Points are plain numpy arrays of chart coordinates; the model object only
 carries ``delta`` and the ambient dimension, and its ``conformal_factor``
 (of points or of squared chart norms) is the one place q is computed.  All
 distances are closed forms in the chart, validated in the tests against ray
-integration of the conformal line element.
+integration of the conformal line element.  The position field Z = s_delta(r)
+grad r enters only as the support <Z, nu> = -s_delta(r) rho/W in ``surface``.
 
 ``chart_norm_sq`` is the one place a sum over chart coordinates is written: a
 left fold of column products, x_0 x_0 + x_1 x_1 + ...  np.sum over fewer than 8
@@ -172,19 +173,3 @@ def geodesic_distance(x, y, model: SpaceFormModel):
         d = 2.0 * np.arcsin(np.clip(arg, 0.0, 1.0)) / k
     return d if np.ndim(d) else float(d)
 
-
-def position_vector(x, model: SpaceFormModel):
-    """Chart components of Z = s_delta(r) grad r (the conformal position field).
-
-    The h-norm of Z equals s_delta(r); in the flat case Z is the Euclidean
-    position vector.  At the origin Z = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(chart_norm_sq(x))
-    model.require_norms_inside(s)
-    r = radius_from_chart_norm(s, model.delta)
-    # grad r has h-norm 1; in chart components it is e^{-phi} x/|x|
-    q = model.conformal_factor(x)
-    safe_s = np.where(s > 0.0, s, 1.0)
-    scale = np.where(s > 0.0, s_delta(r, model.delta) * q / safe_s, 0.0)
-    return np.asarray(scale)[..., None] * x

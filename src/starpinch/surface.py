@@ -142,7 +142,6 @@ def _s3_tables():
 
 
 _S3_BASIS = _s3_tables()
-S3_BASIS_KEYS = tuple(_S3_BASIS.keys())
 
 
 def basis_function(n: int, key):

@@ -4,9 +4,9 @@ Everything here is exact algebra on curvature arrays (..., n), batched
 along the last axis: elementary symmetric polynomials sigma_k, the
 normalized mean curvatures H_k = sigma_k / C(n,k), the partial curvatures
 H_{l;n,1} obtained by deleting the largest and the smallest entry, the
-umbilicity defect ``tau^2 = sum (kappa_i - H_1)^2``, the Newton and
-Maclaurin inequality gaps, and the explicit constant K1 that turns the
-sharpened Newton inequality into the pointwise bound
+umbilicity defect ``tau^2 = sum (kappa_i - H_1)^2``, the Newton gap, and
+the explicit constant K1 that turns the sharpened Newton inequality into the
+pointwise bound
 
     tau^2 <= K1 (H H_r - H_{r+1}).
 
@@ -76,7 +76,7 @@ def partial_H_extremes(l: int, kappa_sorted) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# inequality gaps
+# the Newton gap
 
 
 def _check_index(name: str, k: int, n: int) -> None:
@@ -89,30 +89,6 @@ def newton_gap(kappa, k: int) -> np.ndarray:
     H = mean_curvatures(kappa)
     _check_index("k", k, H.shape[-1] - 1)
     return H[..., k] ** 2 - H[..., k + 1] * H[..., k - 1]
-
-
-def sharpened_newton_gap(kappa, k: int, c_n: float) -> np.ndarray:
-    """Newton gap minus c_n * tau^2 * H_{k+1;n,1}^2 (the sharpened estimate)."""
-    kappa = np.sort(np.asarray(kappa, dtype=float), axis=-1)
-    gap = newton_gap(kappa, k)
-    return gap - c_n * umbilicity_defect_sq(kappa) * partial_H_extremes(k + 1, kappa) ** 2
-
-
-def maclaurin_gaps(kappa, r: int) -> np.ndarray:
-    """The chain gaps H_k^(1/k) - H_{k+1}^(1/(k+1)) for k = 1..r, along a new last axis.
-
-    Requires H_{r+1} > 0; the positivity cascade (H_s > 0 for s <= r) is
-    asserted before any fractional root is taken.
-    """
-    H = mean_curvatures(kappa)
-    _check_index("r", r, H.shape[-1] - 1)
-    if np.any(H[..., r + 1] <= 0.0):
-        raise HypothesisError(f"Maclaurin chain needs H_{r+1} > 0, "
-                              f"got {np.min(H[..., r + 1]):.6g}")
-    if np.any(H[..., 1 : r + 1] <= 0.0):
-        raise HypothesisError("positivity cascade violated: some H_s <= 0 despite H_{r+1} > 0")
-    roots = H[..., 1 : r + 2] ** (1.0 / np.arange(1, r + 2))
-    return roots[..., :-1] - roots[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +108,15 @@ def K1(n: int, r: int, minH_partial: float, h: float, B_sup: float, c_n: float) 
     for r <= 2, where every chain index k+1 is 2 or r+1; the pipeline runs
     at n <= 3 with c_n = default_c_n(n).  For r >= 3 a caller folds that
     factor into c_n.  Note K1 grows like 1/h: a weaker pinching hypothesis
-    gives a weaker (larger) multiplier.
+    gives a weaker (larger) multiplier.  At r >= 2 an h <= 0 (a mean of H_r
+    that is not positive) and then a minH_partial <= 0 raise HypothesisError.
     """
     if r == 1:
         return float(n * (n - 1))
-    if h <= 0.0 or B_sup <= 0.0:
-        raise ValueError("h and B_sup must be positive")
+    if h <= 0.0:
+        raise HypothesisError(f"h = {h:.6g} must be positive at r = {r}")
+    if B_sup <= 0.0:
+        raise ValueError("B_sup must be positive")
     if minH_partial <= 0.0:
         raise HypothesisError(f"min H_{{{r + 1};{n},1}} = {minH_partial:.6g} must be positive "
                               f"at r = {r}")

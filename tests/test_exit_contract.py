@@ -19,19 +19,22 @@ from collections import namedtuple
 import pytest
 
 from starpinch import cli
-from starpinch.surface import S3_BASIS_KEYS
+from starpinch.surface import _S3_BASIS
 
 SEED = 20261020
 DRAWS = 300
 FILES = {"report": "report.txt", "identities": "identities.csv", "pinch": "pinch.txt",
          "scaling": "scaling.csv"}
 N2_KEYS = tuple(f"{l},{m}" for l in range(1, 5) for m in range(-l, l + 1))
+S3_KEYS = tuple(_S3_BASIS)
 # configs an earlier draw found broken, kept beside the draw: an area element that
 # overflows while H stays finite (a RuntimeWarning from the first integral), and an
 # unperturbed sphere at a fixed h, whose rows repeat one |eps|_1 (np.polyfit's RankWarning).
 # Then an n = 3, r = 2 surface with H_3 <= 0 at some node, which the draw does not reach:
 # at delta = -1 its H_rplus1_positive gate fails (exit 0), at delta = 0 K1's
-# min H_{3;3,1} <= 0 ends the run (exit 1)
+# min H_{3;3,1} <= 0 ends the run (exit 1).  Last, two pinch runs from a scratch search: a
+# sphere fit whose center leaves the chart (the fit's failure, exit 2) and a mean of H_2 that
+# is not positive, h < 0 at r = 2 (exit 1)
 NON_ELLIPTIC = ("[surface]\nn = 3\ndelta = {delta}\nrho0 = 1.0\nperturbation = u1u2:0.8\n\n"
                 "[experiment]\nr = 2\nquad_order = 6\n")
 FOUND = (
@@ -48,6 +51,15 @@ FOUND = (
         "[constants]\nalpha = 0.5\neps0 = 323.20866771243743\n")},
     *({"command": "pinch", "alpha": 0.5, "perturbed": True,
        "text": NON_ELLIPTIC.format(delta=delta)} for delta in (-1.0, 0.0)),
+    {"command": "pinch", "alpha": 0.5, "perturbed": True, "text": (
+        "[surface]\nn = 3\ndelta = -2.2108\nrho0 = 1.0\n"
+        "perturbation = u1u4:-0.535 u3u4:-0.563 u3u4:0.202\n\n"
+        "[experiment]\nr = 2\nquad_order = 4\n")},
+    {"command": "pinch", "alpha": 0.5, "perturbed": True, "text": (
+        "[surface]\nn = 3\ndelta = 2.0721491170828195\nrho0 = 1.0\n"
+        "perturbation = u3^2-u4^2:0.5169679205296255 u3^2-u4^2:0.0673835284163341 "
+        "u1^2-u4^2:0.7855331085261142\n\n"
+        "[experiment]\nr = 2\nquad_order = 6\n")},
 )
 
 
@@ -71,7 +83,7 @@ def draw_config(rng: random.Random) -> dict:
     n = rng.choice([2, 3])
     delta = rng.choice([0.0, 1.0, -1.0, rng.uniform(-3.0, 3.0), rng.choice([1e-12, -1e-12])])
     rho0 = _magnitude(rng, -300, 300) if rng.random() < 0.2 else _magnitude(rng, -1, 0.2)
-    keys = N2_KEYS if n == 2 else S3_BASIS_KEYS
+    keys = N2_KEYS if n == 2 else S3_KEYS
     perturbation = [(rng.choice(keys), _amplitude(rng))
                     for _ in range(rng.choice([0, 1, 1, 2, 3]))]
     command = rng.choice(list(FILES))
@@ -146,7 +158,7 @@ def test_every_exit_follows_the_contract(outcomes):
 
 
 def test_the_draw_reaches_every_exit_and_the_mended_defects(outcomes):
-    drawn, (area, fixed_h, gate, k1) = outcomes[:DRAWS], outcomes[DRAWS:]
+    drawn, (area, fixed_h, gate, k1, fit, h) = outcomes[:DRAWS], outcomes[DRAWS:]
     assert {0, 1, 2, 3} <= {outcome.code for outcome in drawn}
     # an overflowing final bound (a large alpha) exits 2 from pinch and scaling
     assert any(config["command"] in ("pinch", "scaling") and config["alpha"] > 1e4
@@ -163,3 +175,7 @@ def test_the_draw_reaches_every_exit_and_the_mended_defects(outcomes):
     assert "gate H_rplus1_positive = FAIL" in (gate.directory / "out" / "pinch.txt").read_text()
     assert (k1.code, k1.stderr) == (
         1, "hypothesis violation: min H_{3;3,1} = -0.0507943 must be positive at r = 2\n")
+    assert fit.code == 2
+    assert fit.stderr.startswith("numerical failure: sphere fit left the chart: point outside")
+    assert (h.code, h.stderr) == (
+        1, "hypothesis violation: h = -0.0149629 must be positive at r = 2\n")

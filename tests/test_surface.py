@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 from starpinch import surface as surface_module
 from starpinch.errors import HypothesisError
 from starpinch.quadrature import SphericalRule, build_rule, integrate_batch
-from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, position_vector, s_delta
-from starpinch.surface import (S3_BASIS_KEYS, B_sup_norm, RadialSurface, StarshapeReport,
-                               _jacobi_eigenvalues, evaluate_nodes, starshape_report)
+from starpinch.spaceform import SpaceFormModel, c_delta, chart_radius, s_delta
+from starpinch.surface import (B_sup_norm, RadialSurface, StarshapeReport, _jacobi_eigenvalues,
+                               evaluate_nodes, starshape_report)
 from starpinch.symfun import mean_curvatures, umbilicity_defect_sq
+
+from oracles import position_vector
+
+S3_BASIS_KEYS = tuple(surface_module._S3_BASIS)
 
 
 def sphere(delta, rho_chart, n=2, perturbation=()):

@@ -1,4 +1,4 @@
-"""Symmetric-function calculus: sigma_k, H_k, partials, gaps, K1, calibration."""
+"""Symmetric-function calculus: sigma_k, H_k, partials, the Newton gap, K1, calibration."""
 
 import itertools
 import math
@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from starpinch.errors import HypothesisError
 from starpinch import symfun
-from starpinch.symfun import (K1, calibrate, elementary_symmetric,
-                              maclaurin_gaps, mean_curvatures, newton_gap,
-                              partial_H_extremes, sharpened_newton_gap,
-                              umbilicity_defect_sq)
+from starpinch.symfun import (K1, calibrate, elementary_symmetric, mean_curvatures,
+                              newton_gap, partial_H_extremes, umbilicity_defect_sq)
 
-SQRT_11_3 = 1.9148542155126762
-CBRT_6 = 1.8171205928321397
+from oracles import sharpened_newton_gap
 
 
 def brute_sigma(kappa):
@@ -110,23 +107,6 @@ class TestGaps:
             for k in range(1, n):
                 assert float(np.min(newton_gap(kappa, k))) >= -1e-12
 
-    def test_maclaurin_examples(self):
-        gaps = maclaurin_gaps([1.0, 2.0, 3.0], 2)
-        assert gaps[0] == pytest.approx(2.0 - SQRT_11_3, abs=1e-13)
-        assert gaps[1] == pytest.approx(SQRT_11_3 - CBRT_6, abs=1e-13)
-        assert np.allclose(maclaurin_gaps([0.9] * 4, 3), 0.0, atol=1e-14)
-
-    def test_maclaurin_second_order_in_perturbation(self):
-        for t in (1e-2, 5e-3):
-            g_t = maclaurin_gaps([1.0, 1.0, 1.0 + t], 2)
-            g_half = maclaurin_gaps([1.0, 1.0, 1.0 + t / 2], 2)
-            ratio = g_t / g_half
-            assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
-
-    def test_maclaurin_requires_positive_hypothesis(self):
-        with pytest.raises(HypothesisError):
-            maclaurin_gaps([-1.0, -2.0, 0.5], 2)
-
     def test_sharpened_umbilic_is_zero(self):
         assert sharpened_newton_gap([1.3] * 3, 1, 0.37) == pytest.approx(0.0, abs=1e-14)
 
@@ -138,14 +118,7 @@ class TestGaps:
     def test_batch_is_row_by_row(self, n):
         # (N, n) arrays, unsorted, give the bits of each row on its own
         kappa = np.random.Generator(np.random.Philox(20 + n)).uniform(0.1, 2.0, size=(50, n))
-        for batched, row in [
-            (newton_gap(kappa, n - 1), [newton_gap(k, n - 1) for k in kappa]),
-            (sharpened_newton_gap(kappa, 1, 0.3), [sharpened_newton_gap(k, 1, 0.3) for k in kappa]),
-            (sharpened_newton_gap(kappa, n - 1, 0.1),
-             [sharpened_newton_gap(k, n - 1, 0.1) for k in kappa]),
-            (maclaurin_gaps(kappa, n - 1), [maclaurin_gaps(k, n - 1) for k in kappa]),
-        ]:
-            assert np.array_equal(batched, np.array(row))
+        assert np.array_equal(newton_gap(kappa, n - 1), [newton_gap(k, n - 1) for k in kappa])
 
     def test_sharpened_two_dims_exact(self):
         # n=2: gap = newton - c * tau^2 * 1 = 1 - 2c for kappa = (0, 2)
@@ -186,10 +159,15 @@ class TestK1:
             )
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError, match="^h = -1 must be positive at r = 2$"):
             K1(3, 2, 1.0, -1.0, 1.0, 0.15)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(ValueError):
+            K1(3, 2, 1.0, 1.0, -1.0, 0.15)
+        with pytest.raises(HypothesisError, match="^min H_"):
             K1(3, 2, -0.1, 1.0, 1.0, 0.15)
+        # h is checked first: its message wins when min H_{r+1;n,1} fails too
+        with pytest.raises(HypothesisError, match="^h = 0 must"):
+            K1(3, 2, -0.1, 0.0, 1.0, 0.15)
 
 
 def sharpened_gaps(kappa, c):
