@@ -4,9 +4,10 @@
 of a batch, |f|_p = ((1/V) int |f|^p dv)^(1/p), so a constant has norm |c| on any surface,
 and ``epsilon_field`` its one eps = H_r - h.  ``refinement_estimate`` gives any scalar
 functional (an integral, a norm, a residual, a node maximum) its difference against the
-doubled-order rule as refinement error, reducing the cached base batch and then the doubled
-rule's blocks one at a time.  Integrals go through this module's ``integrate_batch`` and the
-doubled rule through its ``build_rule``, the names bench/tracing.py wraps.
+doubled-order rule as refinement error, reducing the cached base batch's block views and
+then the doubled rule's blocks one at a time.  Integrals go through this module's
+``integrate_batch`` and the doubled rule through its ``build_rule``, the names
+bench/tracing.py wraps.
 
 Every check reads the H_k, tau^2 and other fields of ``surface.fields(rule)``, the batch
 the integrals read; pointwise checks report their worst node.  Each check returns a
@@ -119,16 +120,18 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
     ``columns(batch)`` gives (kind, node array) pairs, final integrands reduced as their
     kind says, and ``combine(totals, *reduced)`` a tuple of values from a rule's ``Totals``
     (``B_sup`` only if ``sup``) and reduced columns.  Each rule is one loop over its blocks,
-    the cached batch of ``rule`` or the doubled rule's, generated and dropped one at a time:
-    a block's volume and summed columns go through ``integrate_batch`` as one (k, B) chunk,
-    and with ``sup`` the doubled rule's B_sup = B_sup_norm(block, B_sup) starts at the
-    base's less _SEED_MARGIN.
+    views of the cached batch of ``rule`` or the doubled rule's, generated and dropped one at
+    a time: a block's volume and summed columns go through ``integrate_batch`` as one (k, B)
+    chunk.  The sums are exactly rounded and a maximum takes no order, so block views give the
+    whole batch's bits.  The base's B_sup is the batch's; with ``sup`` the doubled rule's
+    B_sup = B_sup_norm(block, B_sup) starts at the base's less _SEED_MARGIN.
     """
     def summed(tagged):  # the values and euclidean flags of the volume and the summed columns
         tagged = [(SUM, 1.0), *[column for column in tagged if column[0] != MAX]]
         return [values for _, values in tagged], [kind == SUM_EUCLID for kind, _ in tagged]
 
-    def reduced(blocks, B_sup):  # (Totals, *reduced columns) of one rule's blocks
+    def reduced(blocks, B_sup, solve=True):  # (Totals, *reduced columns) of one rule's blocks;
+        # with ``sup`` and ``solve``, B_sup becomes B_sup_norm over the blocks from B_sup
         sums, maxima = _Sums(), -np.inf
         for block in blocks():
             tagged = columns(block)
@@ -136,16 +139,16 @@ def refinement_estimate(surface: RadialSurface, rule: SphericalRule, columns, co
             values, euclidean = summed(tagged)
             integrate_batch(block, values, euclidean=euclidean, into=sums)
             maxima = np.maximum(maxima, [np.max(v) for kind, v in tagged if kind == MAX])
-            if sup:
-                B_sup = batch.B_sup if block is batch else B_sup_norm(block, B_sup)
+            if sup and solve:
+                B_sup = B_sup_norm(block, B_sup)
             del block, tagged, values  # a streamed block is freed before the next is evaluated
         sums = iter(sums.totals(lambda: (_summands(b, *summed(columns(b))) for b in blocks())))
         maxima = iter(maxima.tolist())
         return Totals(next(sums), B_sup), *[next(maxima if k == MAX else sums) for k in kinds]
 
     batch, check = surface.fields(rule), build_rule(rule.n, 2 * rule.order)
-    base = combine(*reduced(lambda: [batch], None))
-    seed = batch.B_sup * (1.0 - _SEED_MARGIN) if sup else None  # solved by the base loop
+    base = combine(*reduced(batch.blocks, batch.B_sup if sup else None, solve=False))
+    seed = batch.B_sup * (1.0 - _SEED_MARGIN) if sup else None
     doubled = reduced(lambda: surface.blocks(check), seed)
     if sup and doubled[0].B_sup == seed:  # a floor no node reached: stream again without it
         doubled = reduced(lambda: surface.blocks(check), -math.inf)
@@ -218,12 +221,14 @@ def gauss_algebraic_check(surface: RadialSurface, rule: SphericalRule) -> Residu
     subtracts); near umbilic points both sides cancel against quantities of
     that size, so it is the meaningful denominator.
     """
-    batch = surface.fields(rule)
-    n, H = batch.n, batch.H
-    rhs = n * (n - 1) * (H[:, 1] ** 2 - H[:, 2])
-    s_norm_sq = n * n * H[:, 1] ** 2 - n * (n - 1) * H[:, 2]
-    scale = np.maximum(np.maximum.reduce([batch.tau_sq, np.abs(rhs), s_norm_sq]), 1e-300)
-    value = float(np.max(np.abs(batch.tau_sq - rhs) / scale))
+    def worst(b):  # of a block view: a maximum takes no order, so the batch's bits
+        n, H = b.n, b.H
+        rhs = n * (n - 1) * (H[:, 1] ** 2 - H[:, 2])
+        s_norm_sq = n * n * H[:, 1] ** 2 - n * (n - 1) * H[:, 2]
+        scale = np.maximum(np.maximum.reduce([b.tau_sq, np.abs(rhs), s_norm_sq]), 1e-300)
+        return np.max(np.abs(b.tau_sq - rhs) / scale)
+
+    value = float(np.max([worst(b) for b in surface.fields(rule).blocks()]))
     return ResidualReport(name="gauss_algebraic", value=value, tolerance=ALGEBRAIC_TOLERANCE,
                           refinement_error=0.0, kind=IDENTITY)
 

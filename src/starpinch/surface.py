@@ -12,8 +12,8 @@ I - beta w w^T with w = u + sigma e_n, sigma = +1 where u_n >= 0 (-0.0 too) and 
 elsewhere, and beta = 2/|w|^2 = 1/(1 + |u_n|); it is never built.  With the
 ambient partials P_i, P_ij of P, s = u . grad P, y = Hess(P) w and
 t = beta y - (beta^2/2)(w . y) w, the tangential derivatives rho_a = E_a . grad P
-and R = E Hess(P) E^T (symmetric by construction; rho_ab = R_ab - s delta_ab)
-and, with W = sqrt(rho^2 + |v|^2), the forms are
+and R = E Hess(P) E^T (rho_ab = R_ab - s delta_ab) and, with W = sqrt(rho^2 + |v|^2),
+the forms are
 
     v_a = rho_a = P_a - beta w_a (s + sigma P_n),   R_ab = P_ab - (w_a t_b + t_a w_b),
     g = rho^2 I + v v^T,   B = (2 v v^T - rho (R - (s + rho) I)) / W,   dA = rho^(n-1) W,
@@ -27,6 +27,9 @@ with c = 1/(W (rho + W)), z = c R v and p = z + ((rho - s)/W^2 - c z . v) v / 2,
     M = (rho - s)/(rho W^3) v v^T - K R K/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I
       = (v p^T + p v^T - R)/(rho W) + ((s + rho)/(rho W) - d_nu~ phi) I.
 
+R and M are symmetric bit for bit: each is formed from one outer product S (w t^T, v p^T)
+plus a fresh S^T, exact as x y = y x and a + b = b + a.
+
 A batch stores M, and H_k and tau^2 come from its invariants: the
 trace, the sum of the principal 2x2 minors, the determinant and the norm of
 the trace-free part.  The principal curvatures are the eigenvalues of q M
@@ -36,7 +39,9 @@ hold the maximum in ``SurfaceBatch.B_sup`` (at none once ``kappa`` is solved).
 g, B and the normal nu are never built.  Blocks of nodes are evaluated
 node-last, as (d, N) directions and (n, n, N) matrices, and every operation is
 elementwise across nodes, so a block of one node gives the bits of any other
-block.
+block.  Sums over coordinates are left folds into one buffer, and the Hessian of P
+is (d, d, 1) when it is constant (degree <= 2, every n = 3 surface), broadcasting
+to the bits of its repeated columns.
 
 Sign conventions.  The second fundamental form is B(X,Y) = -g(D_X nu, Y)
 and the normal points inward in the chart, so geodesic spheres centered at
@@ -52,7 +57,7 @@ which the geodesic-sphere oracle in the tests gates at 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, reduce
 from itertools import accumulate
 
@@ -243,6 +248,12 @@ class SurfaceBatch:
     def n(self) -> int:
         return self.M.shape[1]
 
+    def blocks(self):
+        """The batch as views of ``_BLOCK`` nodes, slices of its arrays and weights."""
+        names = [f.name for f in fields(self) if getattr(self, f.name) is not None]
+        return (replace(self, **{name: getattr(self, name)[b:b + _BLOCK] for name in names})
+                for b in range(0, len(self.nodes), _BLOCK))
+
     @cached_property
     def kappa(self) -> np.ndarray:
         """(N, n) principal curvatures, ascending; solved at the first read."""
@@ -257,12 +268,14 @@ class SurfaceBatch:
         return B_sup_norm(self)
 
 
-# Nodes per block.  The refinement pass holds one block at a time: it reduces the block,
-# solves the block's B_sup candidates and drops it before the next one is evaluated.  The
-# kernel's temporaries of a 2048-node n = 3 block peak at 1.2 MiB (traced).  They stay
-# resident only once the process has freed a larger chunk: until then glibc's dynamic trim
-# threshold (twice the largest chunk it has unmapped, 128 KiB at start) sits below them,
-# and the heap top is returned to the system and faulted back in at every block.
+# Nodes per block, and of the views a cached batch is reduced in.  The refinement pass holds
+# one block at a time: it reduces the block, solves the block's B_sup candidates and drops
+# it before the next one is evaluated.  The kernel's temporaries of a 2048-node n = 3 block
+# peak at 0.9 MiB (traced), its largest arrays the (3, 3, 2048) outer products.  They stay
+# resident only once the process has freed a chunk of more than half that: until then
+# glibc's dynamic trim threshold (twice the largest chunk it has unmapped, 128 KiB at start)
+# sits below them, and the heap top is returned to the system and faulted back in at every
+# block.
 _BLOCK = 2048
 
 
@@ -322,33 +335,55 @@ def _polynomial_plan(surface: RadialSurface) -> tuple:
 
 def _polynomial_derivatives(plan: tuple, u: np.ndarray) -> tuple:
     """P (N,), its ambient gradient (d, N) and Hessian (d, d, N) at the columns of u;
-    the Hessian is symmetric bit for bit."""
+    the Hessian is symmetric bit for bit, and (d, d, 1), the bits of each of its N columns,
+    when its plan rows are all constant (a polynomial of degree <= 2)."""
     degree, monomials, rows = plan
     d, N = u.shape
     powers = [None, *accumulate([u] * degree, np.multiply)]  # u**k
-    values = [reduce(np.multiply, [powers[p][i] for p, i in factors]) if factors else 1.0
-              for factors in monomials]  # 1.0 for the constant monomial
-    out = np.zeros((len(rows), N))
-    for acc, row in zip(out, rows):
+    values = [reduce(np.multiply, [powers[p][i] for p, i in factors]) if factors else None
+              for factors in monomials]  # None for the constant monomial
+    flat = all(values[m] is None for row in rows[d + 1:] for _, m in row)
+    # each row sums its terms into zeros: started from its first term, a row whose terms
+    # are all -0.0 would read -0.0, where 0.0 + (-0.0) is +0.0
+    rho, grad, hess = np.zeros(N), np.zeros((d, N)), np.zeros((d * d, 1 if flat else N))
+    term = np.empty(N)
+    for acc, row in zip([rho, *grad, *hess], rows):
         for coeff, m in row:
-            acc += coeff * values[m]
-    return out[0].copy(), out[1:d + 1], out[d + 1:].reshape(d, d, N)  # out dies with grad
+            acc += coeff if values[m] is None else np.multiply(values[m], coeff, out=term)
+    return rho, grad, hess.reshape(d, d, -1)
+
+
+def _fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0] b[0] + a[1] b[1] + ..., a left fold over the first axis into one buffer."""
+    out = a[0] * b[0]
+    term = np.empty_like(out)
+    for i in range(1, len(a)):
+        out += np.multiply(a[i], b[i], out=term)
+    return out
+
+
+def _symmetric_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j + b_i a_j (n, n, N) from a, b (n, N): the outer product S = a b^T plus a fresh
+    S^T, symmetric bit for bit as x + y = y + x, and equal to the sum of both products as
+    x y = y x."""
+    S = a[:, None] * b
+    return S + S.transpose(1, 0, 2)  # not S += S^T: NumPy would copy the overlapping operand
 
 
 def _tangential_derivatives(u: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> tuple:
     """s = u . grad P, rho_a = E_a . grad P (n, N) and R = E Hess(P) E^T (n, n, N)
-    from u, grad P (d, N) and Hess(P) (d, d, N) by the Householder identities of the
+    from u, grad P (d, N) and Hess(P) (d, d, N or 1) by the Householder identities of the
     module docstring."""
     n = len(u) - 1
     sigma = np.where(u[n] >= 0.0, 1.0, -1.0)  # +1 at u_n = -0.0, where np.copysign gives -1
-    w = u.copy()
-    w[n] += sigma
+    w = [*u[:n], u[n] + sigma]  # the rows of w; w_a = u_a for a < n
     beta = 1.0 / (1.0 + np.abs(u[n]))  # 2 / |w|^2
-    s = reduce(np.add, u * grad)
-    v = grad[:n] - (beta * (s + sigma * grad[n])) * w[:n]
-    y = reduce(np.add, hess * w[:, None])  # Hess(P) w
-    t = beta * y[:n] - (0.5 * beta * beta * reduce(np.add, w * y)) * w[:n]
-    return s, v, hess[:n, :n] - (w[:n, None] * t + t[:, None] * w[:n])
+    s = _fold(u, grad)
+    v = grad[:n] - (beta * (s + sigma * grad[n])) * u[:n]
+    y = _fold(hess, w)  # Hess(P) w, as the rows of Hess(P) are its columns
+    t = beta * y[:n] - (0.5 * beta * beta * _fold(w, y)) * u[:n]
+    R = _symmetric_outer(u[:n], t)
+    return s, v, np.subtract(hess[:n, :n], R, out=R)
 
 
 def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) -> dict:
@@ -363,13 +398,15 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) 
         bad = int(np.argmin(rho))
         raise HypothesisError(f"radial graph is nonpositive at node {start + bad}: "
                               f"rho = {rho[bad]:.6g}")
-    X = rho * u
-    norm_sq = chart_norm_sq(X.T)  # q and r are those of the points X
+    # X in C order: chart_norm_sq's column fold gives the same bits in any layout, but the
+    # sphere fit's np.einsum over X's coordinates does not
+    X = np.multiply(u.T, rho[:, None], out=np.empty(u.T.shape))
+    norm_sq = chart_norm_sq(X)  # q and r are those of the points X
     norm = np.sqrt(norm_sq)
     model.require_norms_inside(norm, margin=1e-9)
     s, v, R = _tangential_derivatives(u, grad, hess)
     del grad, hess  # frees the polynomial rows; with the del below, bounds the peak memory
-    W = np.sqrt(rho * rho + reduce(np.add, v * v))  # |rho u - rho_a E_a|
+    W = np.sqrt(rho * rho + _fold(v, v))  # |rho u - rho_a E_a|
 
     # one conformal path: q = 1 and d_nu~ phi = 0 exactly at delta = 0 (bitwise Euclidean)
     delta = model.delta
@@ -379,28 +416,32 @@ def _node_block(surface: RadialSurface, plan: tuple, u: np.ndarray, start: int) 
     # M through z and p of the module docstring, as K R K = R - (v z^T + z v^T)
     # + c (z . v) v v^T; symmetric bit for bit, like R
     c = 1.0 / (W * (rho + W))
-    z = c * reduce(np.add, R * v[:, None])
-    p = z + (0.5 * ((rho - s) / (W * W) - c * reduce(np.add, z * v))) * v
-    M = (v[:, None] * p + p[:, None] * v - R) / (rho * W)
-    diagonal = (s + rho) / (rho * W) - dphi_nu
+    z = _fold(R, v)
+    z *= c
+    p = z + (0.5 * ((rho - s) / (W * W) - c * _fold(z, v))) * v
+    rho_W = rho * W
+    M = _symmetric_outer(v, p)
+    M -= R
+    M /= rho_W
+    diagonal = (s + rho) / rho_W - dphi_nu
     for i in range(n):
         M[i, i] += diagonal
     del u, R, z, p
 
-    H, tau_sq = _curvature_invariants(M, q)
+    q_n = q**n  # a libm pow at n = 3
+    H, tau_sq = _curvature_invariants(M, q, q_n)
     r = radius_from_chart_norm(norm, delta)
     area_euc = rho ** (n - 1) * W  # matrix determinant lemma
-    # X in C order: chart_norm_sq's column fold gives the same bits in any layout, but the
-    # sphere fit's np.einsum over X's coordinates does not
     return {
-        "X": X.T.copy(), "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
-        "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q**n,
+        "X": X, "M": M.transpose(2, 0, 1), "q": q, "H": H.T, "tau_sq": tau_sq,
+        "support": s_delta(r, delta) * (-rho / W), "r": r, "area_element": area_euc / q_n,
         "H_tilde": np.trace(M) / n + dphi_nu, "area_element_euclid": area_euc, "rho": rho,
     }
 
 
-def _curvature_invariants(M: np.ndarray, q: np.ndarray) -> tuple:
-    """H_0..H_n (n+1, N) and tau^2 (N,) of the shape operators q M, M (n, n, N).
+def _curvature_invariants(M: np.ndarray, q: np.ndarray, q_n: np.ndarray) -> tuple:
+    """H_0..H_n (n+1, N) and tau^2 (N,) of the shape operators q M, M (n, n, N), given
+    q_n = q**n.
 
     sigma_1..sigma_n of M are its trace, the sum of its principal 2x2 minors
     and (n = 3) its determinant, so H_k = q^k sigma_k / C(n, k).  tau^2 is
@@ -412,15 +453,19 @@ def _curvature_invariants(M: np.ndarray, q: np.ndarray) -> tuple:
     n = len(M)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     off = sum(M[i, j] * M[i, j] for i, j in pairs)
-    sigma = [np.ones_like(q), sum(M[i, i] for i in range(n)),
-             sum(M[i, i] * M[j, j] for i, j in pairs) - off]
+    sigma = [sum(M[i, i] for i in range(n)), sum(M[i, i] * M[j, j] for i, j in pairs) - off]
     if n == 3:
         sigma.append(M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[1, 2])
                      - M[0, 1] * (M[0, 1] * M[2, 2] - M[0, 2] * M[1, 2])
                      + M[0, 2] * (M[0, 1] * M[1, 2] - M[0, 2] * M[1, 1]))
-    H = np.array([q**k * s / math.comb(n, k) for k, s in enumerate(sigma)])
+    q_sq = q * q  # the bits of q**2, which squares
+    H = np.empty((n + 1, len(q)))
+    H[0] = 1.0
+    for k, (q_k, s) in enumerate(zip([q, q_sq][:n - 1] + [q_n], sigma), 1):
+        np.multiply(q_k, s, out=H[k])
+        H[k] /= math.comb(n, k)
     spread = sum((M[i, i] - M[j, j]) ** 2 for i, j in pairs) / n
-    return H, q * q * (spread + 2.0 * off)
+    return H, q_sq * (spread + 2.0 * off)
 
 
 def _principal_curvatures(M: np.ndarray, q: np.ndarray) -> np.ndarray:

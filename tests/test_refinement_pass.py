@@ -140,14 +140,19 @@ class TestBits:
 class TestOneRoute:
     def test_the_base_batch_is_read_in_place_and_the_doubled_rule_by_blocks(self):
         surf = make_surface(-1.0, 2, 0.9, (((3, 1), 0.05),))
-        rule, check = build_rule(2, 32), build_rule(2, 64)
+        rule, check = build_rule(2, 48), build_rule(2, 96)  # three base blocks
         batch, read = surf.fields(rule), []
         refinement_estimate(surf, rule, lambda b: read.append(b) or [(SUM, b.tau_sq)],
                             lambda m, tau_sq: (tau_sq,))
-        assert read[0] is batch
+        views = range(0, len(rule.nodes), BLOCK)
+        for view, b in zip(read, views):  # slices of the cached batch, not copies
+            for name in [f.name for f in dataclasses.fields(batch)]:
+                whole = getattr(batch, name)
+                assert np.shares_memory(getattr(view, name), whole), name
+                assert np.array_equal(getattr(view, name), whole[b:b + BLOCK]), name
         starts = range(0, len(check.nodes), BLOCK)
-        assert len(read[1:]) == len(starts)
-        for block, b in zip(read[1:], starts):
+        assert len(read) == len(views) + len(starts)
+        for block, b in zip(read[len(views):], starts):
             nodes, weights = check.block(b, b + BLOCK)
             assert np.array_equal(block.weights, weights)
             assert np.array_equal(block.nodes, nodes)
@@ -336,6 +341,19 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20  # the doubled rule's nodes and weights alone are 2.5 MiB
         assert build_rule(3, 32) is check and "arrays" not in vars(check)
+
+    def test_identities_residuals_reduce_the_cached_batch_in_block_views(self):
+        surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.08), ("u1^2-u4^2", 0.04)))
+        rule = build_rule(3, 32)  # 65536 nodes: one (N,) column is 0.5 MiB
+        build_rule(3, 64)
+        surf.fields(rule).B_sup  # the batch's own whole-batch solve, as run_pinch reads it
+        tracemalloc.start()
+        try:
+            residuals(surf, rule, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # 7.5 MiB when the base batch was reduced whole
 
     def test_run_pinch_peak_stays_below_the_doubled_rules_batch(self):
         surf = make_surface(-1.0, 3, 0.9, (("u1u2", 0.04),))

@@ -117,6 +117,14 @@ class TestFrames:
         R = R.transpose(2, 0, 1)
         assert np.array_equal(R, R.transpose(0, 2, 1))
         assert np.max(np.abs(R - np.einsum("Nad,Nde,Nbe->Nab", E, hess, E))) <= 1e-14
+        # a constant Hessian, one column wide, gives the bits of its full-width broadcast
+        column = hess[:1].transpose(1, 2, 0).copy()
+        narrow = surface_module._tangential_derivatives(u.T.copy(), grad.T.copy(), column)
+        wide = surface_module._tangential_derivatives(
+            u.T.copy(), grad.T.copy(), np.repeat(column, len(u), axis=2))
+        assert narrow[2].shape == wide[2].shape == (n, n, len(u))
+        for a, b in zip(narrow, wide):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBasis:
@@ -354,6 +362,16 @@ class TestRho:
         evaluate_nodes(surf, random_nodes(2, 1, seed=2))
         assert built == [surf]
 
+    @pytest.mark.parametrize("n, perturbation, width", [
+        (2, (((2, 1), 0.05), ((1, 0), 0.02)), 1), (2, (((3, 1), 0.05),), 9),
+        (3, (("u1u2", 0.08), ("u1^2-u4^2", 0.04), ("u3", 0.05)), 1), (3, (), 1),
+    ])
+    def test_a_degree_two_surface_keeps_a_one_column_hessian(self, n, perturbation, width):
+        surf = sphere(0.0, 1.0, n=n, perturbation=perturbation)
+        u = random_nodes(n, 9, seed=3).T.copy()
+        hess = surface_module._polynomial_derivatives(surf._plan, u)[2]
+        assert hess.shape == (n + 1, n + 1, width)
+
     def test_a_replaced_surface_has_its_own_cache(self):
         # dataclasses.replace used to hand the copy the original's plan and batches
         surf = sphere(0.0, 1.0, perturbation=(((2, 1), 0.05),))
@@ -435,7 +453,7 @@ class TestBlocks:
         # a block's temporaries must stay below the allocator's trim threshold,
         # or they are returned to the system and faulted back in at every block;
         # the rule's nodes were allocated before tracing started
-        assert peak - (batch_bytes - batch.nodes.nbytes) <= 2.5 * 2**20
+        assert peak - (batch_bytes - batch.nodes.nbytes) <= 1.1 * 2**20
 
 
 CLOSED_FORM_CASES = [
@@ -560,7 +578,8 @@ class TestInvariants:
         Q = np.linalg.qr(rng.normal(size=(50, 3, 3)))[0]
         M = np.einsum("Nij,j,Nkj->Nik", Q, [1.0, 1.0 + a, 1.0 - a], Q)
         M = 0.5 * (M + M.transpose(0, 2, 1))  # symmetric bit for bit, like the batch's M
-        _, tau_sq = surface_module._curvature_invariants(M.transpose(1, 2, 0), np.ones(50))
+        _, tau_sq = surface_module._curvature_invariants(M.transpose(1, 2, 0), np.ones(50),
+                                                         np.ones(50))
         exact = np.array([_tau_sq_exact(m) for m in M])
         assert np.all(np.abs(tau_sq - exact) <= 4 * np.finfo(float).eps * exact)
 
